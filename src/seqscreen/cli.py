@@ -24,14 +24,14 @@ import sys
 
 from .errors import (
     ConstructionError,
-    EvaluationError,
     IntegrabilityError,
     LoadError,
     SelfCheckError,
+    ToolkitError,
 )
-from .model_core import GridSpec, validate_model
+from .model_core import validate_model
 from .modelfile import dumps, load
-from .propositions import verify_prop1, verify_prop2, verify_prop3
+from .propositions import verify
 from .regularity import FIELD_NAMES, compute_field, regularity_report
 from .transforms import (
     RELABELING_KINDS,
@@ -90,17 +90,12 @@ def _load_model(args):
 
 
 def _cmd_check(args) -> int:
-    try:
-        model, grid, tol = _load_model(args)
-        validation = validate_model(model, grid, tol)
-        if not validation.passed:
-            issues = "; ".join(validation.issues())
-            return _fail(f"model failed validation: {issues}", 2)
-        report = regularity_report(model, grid, tol)
-    except LoadError as exc:
-        return _fail(str(exc), 2)
-    except EvaluationError as exc:
-        return _fail(str(exc), 2)
+    model, grid, tol = _load_model(args)
+    validation = validate_model(model, grid, tol)
+    if not validation.passed:
+        issues = "; ".join(validation.issues())
+        return _fail(f"model failed validation: {issues}", 2)
+    report = regularity_report(model, grid, tol)
     rc = _emit(report.to_json() + "\n", args.out)
     if rc:
         return rc
@@ -108,23 +103,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        model, grid, tol = _load_model(args)
-        if args.prop == 1:
-            payload = verify_prop1(model, grid, tol).to_dict()
-            verdicts = [payload["verdict"]]
-        elif args.prop == 2:
-            payload = verify_prop2(model, grid, tol).to_dict()
-            verdicts = [payload["verdict"]]
-        else:
-            fwd = verify_prop3(model, "forward", grid, tol)
-            conv = verify_prop3(model, "converse", grid, tol)
-            payload = {"forward": fwd.to_dict(), "converse": conv.to_dict()}
-            verdicts = [fwd.verdict, conv.verdict]
-    except LoadError as exc:
-        return _fail(str(exc), 2)
-    except EvaluationError as exc:
-        return _fail(str(exc), 2)
+    model, grid, tol = _load_model(args)
+    result = verify(model, args.prop, grid, tol)
+    if isinstance(result, dict):  # suite 3 reports both directions
+        payload = {d: r.to_dict() for d, r in result.items()}
+        verdicts = [r.verdict for r in result.values()]
+    else:
+        payload, verdicts = result.to_dict(), [result.verdict]
     rc = _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if rc:
         return rc
@@ -132,10 +117,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    try:
-        model, grid, tol = _load_model(args)
-    except LoadError as exc:
-        return _fail(str(exc), 2)
+    model, grid, tol = _load_model(args)
     if isinstance(model, TransformedModel):
         return _fail(
             "the model file already carries a transform section; "
@@ -157,18 +139,17 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    try:
-        model, grid, tol = _load_model(args)
-        field = compute_field(model, args.what, grid, tol)
-    except LoadError as exc:
-        return _fail(str(exc), 2)
-    except EvaluationError as exc:
-        return _fail(str(exc), 2)
-    lines = ["v,V,value"]
-    for i, v in enumerate(field.v):
-        for j, V in enumerate(field.V):
-            lines.append("%.17g,%.17g,%.17g" % (v, V, field.values[i, j]))
-    return _emit("\n".join(lines) + "\n", args.out)
+    model, grid, tol = _load_model(args)
+    field = compute_field(model, args.what, grid, tol)
+    # Each axis is formatted once, and each lattice row is joined into one
+    # block, so no list of one string per point is ever held.
+    Vs = ["," + ("%.17g" % V) + "," for V in field.V.tolist()]
+    blocks = ["v,V,value"]
+    for v, row in zip(field.v.tolist(), field.values):
+        head = "%.17g" % v
+        blocks.append("\n".join([head + V + ("%.17g" % x)
+                                 for V, x in zip(Vs, row.tolist())]))
+    return _emit("\n".join(blocks) + "\n", args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -219,4 +200,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ToolkitError as exc:
+        # Every deliberate failure the subcommands do not map themselves
+        # (unreadable input, an aborted or out-of-domain evaluation) is
+        # unusable input.
+        return _fail(str(exc), 2)

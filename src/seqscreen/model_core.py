@@ -73,6 +73,16 @@ def _bound_repr(x: float):
     return "inf" if x > 0 else "-inf"
 
 
+def _exact_map(fn, *arrays) -> np.ndarray:
+    """``fn`` applied to broadcast arrays point by point, as Python floats.
+
+    Array fields take their transcendentals through the same ``math``
+    functions and ``pow`` as the scalar evaluators, so the two agree bit for
+    bit; numpy's vectorised exp, log and pow can differ in the last place.
+    """
+    return np.frompyfunc(fn, len(arrays), 1)(*arrays).astype(float)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -166,6 +176,10 @@ class _Noise:
     def ppf(self, p: float) -> float:
         raise NotImplementedError
 
+    def cdf_pdf(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """cdf and pdf on an array, equal to the scalar forms bit for bit."""
+        raise NotImplementedError
+
 
 class _NormalNoise(_Noise):
     name = "normal"
@@ -178,6 +192,10 @@ class _NormalNoise(_Noise):
 
     def ppf(self, p):
         return float(ndtri(p))
+
+    def cdf_pdf(self, x):
+        return (0.5 * _exact_map(math.erfc, -x / _SQRT2),
+                _INV_SQRT_2PI * _exact_map(math.exp, -0.5 * x * x))
 
 
 class _LogisticNoise(_Noise):
@@ -196,6 +214,12 @@ class _LogisticNoise(_Noise):
     def ppf(self, p):
         return math.log(p / (1.0 - p))
 
+    def cdf_pdf(self, x):
+        # exp(-|x|) is the exponential both cdf branches take
+        e = _exact_map(math.exp, -np.abs(x))
+        return (np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e)),
+                e / _exact_map(pow, 1.0 + e, 2))
+
 
 class _LaplaceNoise(_Noise):
     name = "laplace"
@@ -212,6 +236,10 @@ class _LaplaceNoise(_Noise):
         if p < 0.5:
             return math.log(2.0 * p)
         return -math.log(2.0 * (1.0 - p))
+
+    def cdf_pdf(self, x):
+        e = _exact_map(math.exp, -np.abs(x))
+        return np.where(x < 0.0, 0.5 * e, 1.0 - 0.5 * e), 0.5 * e
 
 
 _NOISE_FAMILIES: dict[str, _Noise] = {
@@ -314,7 +342,8 @@ class BetaSignal(SignalDistribution):
         x = self._unit(v)
         if x == 0.0 or x == 1.0:
             if self.alpha < 1 or self.beta < 1:
-                raise DomainError("beta density unbounded at this endpoint")
+                raise DomainError(
+                    f"beta density unbounded at the support endpoint v={v!r}")
             return (math.exp(self._log_norm) * x ** (self.alpha - 1.0)
                     * (1.0 - x) ** (self.beta - 1.0) / self.support.width)
         log_pdf = (self._log_norm + (self.alpha - 1.0) * math.log(x)
@@ -425,7 +454,6 @@ class ValuationKernel:
     """Family of conditional value distributions H_v on a common support."""
 
     family = "abstract"
-    analytic_dv = False
 
     def __init__(self, support: Interval):
         self.support = support
@@ -472,6 +500,45 @@ class ValuationKernel:
                 f"value {V!r} not interior to "
                 f"({self.support.lower}, {self.support.upper})")
 
+    def eval_lattice(self, model: ScreeningModel, v: np.ndarray,
+                     V: np.ndarray, tol: ToleranceConfig):
+        """H, h and dHdv on the lattice spanned by the column ``v`` and the
+        row ``V``, plus the mask of points whose evaluation failed.
+
+        Failed points (a signal outside the model's support, a value not
+        interior to the kernel's, or a DomainError or EvaluationError from
+        the evaluators) hold NaN. A builtin family evaluates its
+        ``_fields(v, V)``, array forms of cdf, pdf and cdf_dv equal to them
+        bit for bit, once on the in-domain sub-lattice; every other kernel
+        calls eval_kernel point by point.
+        """
+        shape = (v.shape[0], V.shape[1])
+        H, h, dHdv = (np.full(shape, np.nan) for _ in range(3))
+        if self._exact_arrays():
+            s = model.signal.support
+            rows = (s.lower <= v[:, 0]) & (v[:, 0] <= s.upper)
+            cols = (self.support.lower < V[0]) & (V[0] < self.support.upper)
+            block = np.ix_(rows, cols)
+            H[block], h[block], dHdv[block] = self._fields(v[rows],
+                                                           V[:, cols])
+            return H, h, dHdv, ~(rows[:, None] & cols[None, :])
+        failed = np.zeros(shape, dtype=bool)
+        for i, vi in enumerate(v[:, 0].tolist()):
+            for j, Vj in enumerate(V[0].tolist()):
+                try:
+                    ke = eval_kernel(model, vi, Vj, tol)
+                except (DomainError, EvaluationError):
+                    failed[i, j] = True
+                    continue
+                H[i, j], h[i, j], dHdv[i, j] = ke.H, ke.h, ke.dHdv
+        return H, h, dHdv, failed
+
+    def _exact_arrays(self) -> bool:
+        """Whether this kernel's class defines ``_fields`` itself; a subclass
+        of a builtin family may override the evaluators they mirror, so it
+        takes the scalar loop."""
+        return "_fields" in vars(type(self))
+
 
 class AdditiveNoiseKernel(ValuationKernel):
     """V = v + scale * noise with mean-zero noise on the whole real line.
@@ -481,7 +548,6 @@ class AdditiveNoiseKernel(ValuationKernel):
     """
 
     family = "additive_noise"
-    analytic_dv = True
 
     def __init__(self, noise: str = "logistic", scale: float = 1.0):
         if noise not in _NOISE_FAMILIES:
@@ -509,6 +575,11 @@ class AdditiveNoiseKernel(ValuationKernel):
         # density, bit for bit.
         return -self.pdf(v, V)
 
+    def _fields(self, v, V):
+        H, f = self._dist.cdf_pdf((V - v) / self.scale)
+        h = f / self.scale
+        return H, h, -h
+
     def quantile(self, v, p):
         return v + self.scale * self._dist.ppf(p)
 
@@ -523,7 +594,6 @@ class PowerKernel(ValuationKernel):
     """H_v(V) = V ** v on (0, 1); requires strictly positive signals."""
 
     family = "power"
-    analytic_dv = True
 
     def __init__(self):
         super().__init__(Interval(0.0, 1.0))
@@ -543,6 +613,11 @@ class PowerKernel(ValuationKernel):
     def cdf_dv(self, v, V):
         return math.log(V) * V ** v
 
+    def _fields(self, v, V):
+        H = _exact_map(pow, V, v)
+        return (H, v * _exact_map(pow, V, v - 1.0),
+                _exact_map(math.log, V) * H)
+
     def quantile(self, v, p):
         return p ** (1.0 / v)
 
@@ -555,7 +630,6 @@ class ExpTiltKernel(ValuationKernel):
     """Exponentially tilted uniform values: h_v(V) proportional to e^(vV) on (0, 1)."""
 
     family = "exp_tilt"
-    analytic_dv = True
 
     def __init__(self):
         super().__init__(Interval(0.0, 1.0))
@@ -586,6 +660,28 @@ class ExpTiltKernel(ValuationKernel):
         return ((V * math.exp(v * V) * em_v
                  - math.expm1(v * V) * math.exp(v)) / (em_v * em_v))
 
+    def _fields(self, v, V):
+        vV = v * V
+        e_vV = _exact_map(math.exp, vV)
+        m_vV = _exact_map(math.expm1, vV)
+        em_v = _exact_map(math.expm1, v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # rows the scalar forms send to a small-v branch are replaced
+            # below; only there can expm1(v) vanish
+            H = m_vV / em_v
+            h = np.where(np.abs(v) < 1e-300, 1.0, v * e_vV / em_v)
+            dHdv = ((V * e_vV * em_v - m_vV * _exact_map(math.exp, v))
+                    / (em_v * em_v))
+        small = np.abs(v) < 1e-5
+        if small.any():
+            H_small = V * _exact_map(math.exp, 0.5 * v * (V - 1.0)
+                                     + v * v * (V * V - 1.0) / 24.0)
+            H = np.where(small, H_small, H)
+            dHdv = np.where(small, H_small * (0.5 * (V - 1.0)
+                                              + v * (V * V - 1.0) / 12.0),
+                            dHdv)
+        return H, h, dHdv
+
     def quantile(self, v, p):
         if abs(v) < 1e-8:
             return p
@@ -602,7 +698,6 @@ class TableKernel(ValuationKernel):
     """
 
     family = "table"
-    analytic_dv = True
 
     def __init__(self, v_nodes: Sequence[float], V_nodes: Sequence[float],
                  H: Sequence[Sequence[float]]):
@@ -659,26 +754,46 @@ class TableKernel(ValuationKernel):
         return (i, j, a, b,
                 H[i, j], H[i, j + 1], H[i + 1, j], H[i + 1, j + 1])
 
+    # The scalar evaluators return Python floats, not numpy scalars, so that
+    # quantities derived from them (flags, ratios) stay JSON-serializable.
+
     def cdf(self, v, V):
         if V <= self.support.lower:
             return 0.0
         if V >= self.support.upper:
             return 1.0
         _, _, a, b, h00, h01, h10, h11 = self._corners(v, V)
-        return ((1 - a) * ((1 - b) * h00 + b * h01)
-                + a * ((1 - b) * h10 + b * h11))
+        return float((1 - a) * ((1 - b) * h00 + b * h01)
+                     + a * ((1 - b) * h10 + b * h11))
 
     def pdf(self, v, V):
         self._require_interior(V)
         i, j, a, _, h00, h01, h10, h11 = self._corners(v, V)
         dV = self._V_nodes[j + 1] - self._V_nodes[j]
-        return ((1 - a) * (h01 - h00) + a * (h11 - h10)) / dV
+        return float(((1 - a) * (h01 - h00) + a * (h11 - h10)) / dV)
 
     def cdf_dv(self, v, V):
         self._require_interior(V)
         i, j, _, b, h00, h01, h10, h11 = self._corners(v, V)
         dv = self._v_nodes[i + 1] - self._v_nodes[i]
-        return ((1 - b) * (h10 - h00) + b * (h11 - h01)) / dv
+        return float(((1 - b) * (h10 - h00) + b * (h11 - h01)) / dv)
+
+    def _fields(self, v, V):
+        def locate(nodes, x):
+            k = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0,
+                        len(nodes) - 2)
+            return k, (x - nodes[k]) / (nodes[k + 1] - nodes[k])
+
+        i, a = locate(self._v_nodes, v)
+        j, b = locate(self._V_nodes, V)
+        H = self._H
+        h00, h01, h10, h11 = H[i, j], H[i, j + 1], H[i + 1, j], H[i + 1, j + 1]
+        dV = self._V_nodes[j + 1] - self._V_nodes[j]
+        dv = self._v_nodes[i + 1] - self._v_nodes[i]
+        return (((1 - a) * ((1 - b) * h00 + b * h01)
+                 + a * ((1 - b) * h10 + b * h11)),
+                ((1 - a) * (h01 - h00) + a * (h11 - h10)) / dV,
+                ((1 - b) * (h10 - h00) + b * (h11 - h01)) / dv)
 
 
 _SIGNAL_FAMILIES = {"uniform", "beta", "table"}

@@ -58,7 +58,13 @@ from .model_core import (
     resolve_config,
 )
 from .numerics import differentiate
-from .regularity import check_assumption, compute_field, gamma
+from .regularity import (
+    _evaluate_bundle,
+    _provenance,
+    check_assumption,
+    compute_field,
+    gamma,
+)
 from .regularity import hazard as _hazard
 from .transforms import make_relabeling, relabel
 
@@ -243,12 +249,6 @@ def _verdict(hypothesis_checks: dict, conclusion_checks: dict) -> str:
     return "discrepancy"
 
 
-def _provenance(model: ScreeningModel, grid: GridSpec,
-                tol: ToleranceConfig) -> dict:
-    return {"model": model.describe(), "grid": grid.describe(),
-            "tolerances": tol.describe()}
-
-
 # ---------------------------------------------------------------------------
 # suite 1: hazard relabelings
 
@@ -306,7 +306,8 @@ def verify_prop1(model: ScreeningModel, grid: GridSpec | None = None,
         return PropositionReport(
             proposition=1, verdict="hypothesis-failed",
             hypothesis_checks=hyp, conclusion_checks=conc,
-            evidence=evidence, provenance=_provenance(model, grid, tol))
+            evidence=evidence,
+            provenance=_provenance(model, grid, tol, suite=True))
 
     kinds = ("inverse_hazard_integral", "integrated_hazard",
              "runningmax_hazard")
@@ -336,7 +337,7 @@ def verify_prop1(model: ScreeningModel, grid: GridSpec | None = None,
     return PropositionReport(
         proposition=1, verdict=_verdict(hyp, conc), hypothesis_checks=hyp,
         conclusion_checks=conc, evidence=evidence,
-        provenance=_provenance(model, grid, tol))
+        provenance=_provenance(model, grid, tol, suite=True))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +349,7 @@ def verify_prop2(model: ScreeningModel, grid: GridSpec | None = None,
                  ) -> PropositionReport:
     """A finite lower value endpoint should rule out A1 and A2 together."""
     grid, tol = resolve_config(grid, tolerances)
-    prov = _provenance(model, grid, tol)
+    prov = _provenance(model, grid, tol, suite=True)
     k = model.kernel.support
     if not math.isfinite(k.lower):
         return PropositionReport(
@@ -359,12 +360,13 @@ def verify_prop2(model: ScreeningModel, grid: GridSpec | None = None,
 
     hyp: dict = {"value_support_bounded_below":
                  {"passed": True, "lower": k.lower}}
-    fosd = check_assumption(model, "FOSD", grid, tol)
+    bundle = _evaluate_bundle(model, grid, tol)
+    fosd = check_assumption(model, "FOSD", grid, tol, bundle)
     hyp["strict_stochastic_order"] = {"passed": fosd.passed,
                                       "n_violations": fosd.n_violations}
 
-    a1 = check_assumption(model, "A1", grid, tol)
-    a2 = check_assumption(model, "A2", grid, tol)
+    a1 = check_assumption(model, "A1", grid, tol, bundle)
+    a2 = check_assumption(model, "A2", grid, tol, bundle)
     conc = {"a1_a2_not_both": {
         "passed": not (a1.passed and a2.passed),
         "a1_passed": a1.passed,
@@ -448,8 +450,8 @@ def _check_mean_normalized(model, vs, tol) -> dict:
             "max_relative_error": worst, "worst_at": at}
 
 
-def _check_gamma_one(model, grid, tol) -> dict:
-    fld = compute_field(model, "gamma", grid, tol)
+def _check_gamma_one(model, grid, tol, bundle) -> dict:
+    fld = compute_field(model, "gamma", grid, tol, bundle)
     dev = np.abs(fld.values - 1.0)
     if np.all(np.isnan(dev)):
         return {"passed": False, "max_abs_deviation": None, "worst_at": None}
@@ -519,52 +521,60 @@ def _check_unbounded_support(model) -> dict:
             "density_positive_at_extremes": positive}
 
 
-def verify_prop3(model: ScreeningModel, direction: str = "forward",
+def verify_prop3(model: ScreeningModel,
+                 direction: str | tuple[str, ...] = "forward",
                  grid: GridSpec | None = None,
                  tolerances: ToleranceConfig | None = None
-                 ) -> PropositionReport:
+                 ) -> PropositionReport | dict[str, PropositionReport]:
     """Mean-normalized A1 + A2 models versus additive translation structure.
 
     ``forward`` assumes mean normalization, A1, A2, and an unbounded value
     axis, then checks the additive fingerprints. ``converse`` assumes the
-    fingerprints and checks A1 and A2.
+    fingerprints and checks A1 and A2. Given a tuple of directions, returns
+    a dict of reports keyed by direction, built from one run of the checks
+    both directions share.
     """
-    if direction not in ("forward", "converse"):
-        raise ValueError("direction must be 'forward' or 'converse'")
+    directions = (direction,) if isinstance(direction, str) else direction
+    for d in directions:
+        if d not in ("forward", "converse"):
+            raise ValueError("direction must be 'forward' or 'converse'")
     grid, tol = resolve_config(grid, tolerances)
-    prov = _provenance(model, grid, tol)
+    prov = _provenance(model, grid, tol, suite=True)
     vs_probe = model.signal_grid(GridSpec(
         v_points=5, V_points=2, endpoint_margin=grid.endpoint_margin,
         tail_mass_cut=grid.tail_mass_cut))
 
     mean_norm = _check_mean_normalized(model, vs_probe, tol)
-    a1 = check_assumption(model, "A1", grid, tol)
-    a2 = check_assumption(model, "A2", grid, tol)
+    bundle = _evaluate_bundle(model, grid, tol)
+    a1 = check_assumption(model, "A1", grid, tol, bundle)
+    a2 = check_assumption(model, "A2", grid, tol, bundle)
     a1c = {"passed": a1.passed, "n_violations": a1.n_violations}
     a2c = {"passed": a2.passed, "n_violations": a2.n_violations}
     support = _check_unbounded_support(model)
-    gamma_one = _check_gamma_one(model, grid, tol)
+    gamma_one = _check_gamma_one(model, grid, tol, bundle)
     slope_one = _check_mean_slope_one(model, vs_probe, tol)
     translation = _check_translation_invariance(model, grid, tol)
 
-    if direction == "forward":
-        hyp = {"mean_normalized": mean_norm, "a1": a1c, "a2": a2c,
-               "value_support_unbounded": support}
-        conc = {"gamma_identically_one": gamma_one,
-                "conditional_mean_slope_one": slope_one,
-                "translation_invariance": translation}
-    else:
-        hyp = {"gamma_identically_one": gamma_one,
-               "translation_invariance": translation,
-               "value_support_unbounded": support,
-               "mean_normalized": mean_norm}
-        conc = {"a1": a1c, "a2": a2c,
-                "conditional_mean_slope_one": slope_one}
-
-    return PropositionReport(
-        proposition=3, verdict=_verdict(hyp, conc), hypothesis_checks=hyp,
-        conclusion_checks=conc, evidence={}, provenance=prov,
-        direction=direction)
+    reports = {}
+    for d in directions:
+        if d == "forward":
+            hyp = {"mean_normalized": mean_norm, "a1": a1c, "a2": a2c,
+                   "value_support_unbounded": support}
+            conc = {"gamma_identically_one": gamma_one,
+                    "conditional_mean_slope_one": slope_one,
+                    "translation_invariance": translation}
+        else:
+            hyp = {"gamma_identically_one": gamma_one,
+                   "translation_invariance": translation,
+                   "value_support_unbounded": support,
+                   "mean_normalized": mean_norm}
+            conc = {"a1": a1c, "a2": a2c,
+                    "conditional_mean_slope_one": slope_one}
+        reports[d] = PropositionReport(
+            proposition=3, verdict=_verdict(hyp, conc),
+            hypothesis_checks=hyp, conclusion_checks=conc, evidence={},
+            provenance=prov, direction=d)
+    return reports[direction] if isinstance(direction, str) else reports
 
 
 def verify(model: ScreeningModel, proposition: int,
@@ -577,6 +587,5 @@ def verify(model: ScreeningModel, proposition: int,
     if proposition == 2:
         return verify_prop2(model, grid, tolerances)
     if proposition == 3:
-        return {"forward": verify_prop3(model, "forward", grid, tolerances),
-                "converse": verify_prop3(model, "converse", grid, tolerances)}
+        return verify_prop3(model, ("forward", "converse"), grid, tolerances)
     raise ValueError(f"unknown proposition {proposition!r}; choose 1, 2, 3")

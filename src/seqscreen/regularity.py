@@ -25,7 +25,6 @@ built on holes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,6 +130,8 @@ class Field2D:
 
 @dataclass
 class _Bundle:
+    """Every lattice field the checks read, evaluated once."""
+
     vs: np.ndarray
     Vs: np.ndarray
     h: np.ndarray
@@ -139,60 +140,59 @@ class _Bundle:
     psi: np.ndarray
     H: np.ndarray
     inv_hazard: np.ndarray
+    hazard_failed: np.ndarray
     kernel_failures: list[tuple[float, float]]
-    hazard_failures: list[float]
+
+
+def _inverse_hazard(model: ScreeningModel, vs: np.ndarray):
+    """Inverse hazard on the signal lattice, and the mask of points where
+    the hazard could not be evaluated (those hold NaN)."""
+    inv = np.full(len(vs), np.nan)
+    failed = np.zeros(len(vs), dtype=bool)
+    for i, v in enumerate(vs.tolist()):
+        try:
+            _, inv[i] = hazard(model, v)
+        except (NearEndpointError, DensityUnderflowError, DomainError):
+            failed[i] = True
+    return inv, failed
 
 
 def _evaluate_bundle(model: ScreeningModel, grid: GridSpec,
                      tol: ToleranceConfig) -> _Bundle:
     vs = model.signal_grid(grid)
     Vs = model.value_grid(grid)
-    nv, nV = len(vs), len(Vs)
-    h = np.full((nv, nV), np.nan)
-    dHdv = np.full((nv, nV), np.nan)
-    G = np.full((nv, nV), np.nan)
-    psi = np.full((nv, nV), np.nan)
-    H = np.full((nv, nV), np.nan)
-    inv_haz = np.full(nv, np.nan)
-    kernel_failures: list[tuple[float, float]] = []
-    hazard_failures: list[float] = []
-    for i, v in enumerate(vs):
-        v = float(v)
-        try:
-            _, inv_haz[i] = hazard(model, v)
-        except (NearEndpointError, DensityUnderflowError, DomainError):
-            hazard_failures.append(v)
-        for j, V in enumerate(Vs):
-            V = float(V)
-            try:
-                ke = eval_kernel(model, v, V, tol)
-            except (DomainError, EvaluationError):
-                kernel_failures.append((v, V))
-                continue
-            H[i, j] = ke.H
-            h[i, j] = ke.h
-            dHdv[i, j] = ke.dHdv
-            if ke.h >= _DENSITY_FLOOR:
-                G[i, j] = -ke.dHdv / ke.h
-            else:
-                kernel_failures.append((v, V))
-    psi[:] = Vs[None, :] - inv_haz[:, None] * G
+    inv_haz, hazard_failed = _inverse_hazard(model, vs)
+    H, h, dHdv, failed = model.kernel.eval_lattice(model, vs[:, None],
+                                                   Vs[None, :], tol)
+    # a density below the floor (or NaN) leaves gamma undefined there
+    ok = ~failed & (h >= _DENSITY_FLOOR)
+    G = np.full_like(h, np.nan)
+    np.divide(-dHdv, h, out=G, where=ok)
+    v_list, V_list = vs.tolist(), Vs.tolist()
+    kernel_failures = [(v_list[i], V_list[j])
+                       for i, j in zip(*np.nonzero(~ok))]
+    psi = Vs[None, :] - inv_haz[:, None] * G
     return _Bundle(vs=vs, Vs=Vs, h=h, dHdv=dHdv, gamma=G, psi=psi, H=H,
-                   inv_hazard=inv_haz, kernel_failures=kernel_failures,
-                   hazard_failures=hazard_failures)
+                   inv_hazard=inv_haz, hazard_failed=hazard_failed,
+                   kernel_failures=kernel_failures)
 
 
 def compute_field(model: ScreeningModel, name: str,
                   grid: GridSpec | None = None,
-                  tolerances: ToleranceConfig | None = None) -> Field2D:
-    """Sample one of H, h, dHdv, gamma, psi on the evaluation lattice."""
+                  tolerances: ToleranceConfig | None = None,
+                  bundle: _Bundle | None = None) -> Field2D:
+    """Sample one of H, h, dHdv, gamma, psi on the evaluation lattice.
+
+    ``bundle`` is a lattice already evaluated for this model, grid and
+    tolerances; without one the lattice is evaluated here.
+    """
     if name not in FIELD_NAMES:
         raise ValueError(f"unknown field {name!r}; choose from {FIELD_NAMES}")
-    grid, tol = resolve_config(grid, tolerances)
-    b = _evaluate_bundle(model, grid, tol)
-    values = {"H": b.H, "h": b.h, "dHdv": b.dHdv, "gamma": b.gamma,
-              "psi": b.psi}[name]
-    return Field2D(name=name, v=b.vs, V=b.Vs, values=values)
+    if bundle is None:
+        grid, tol = resolve_config(grid, tolerances)
+        bundle = _evaluate_bundle(model, grid, tol)
+    return Field2D(name=name, v=bundle.vs, V=bundle.Vs,
+                   values=getattr(bundle, name))
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +240,39 @@ def _abort_if_holey(name: str, n_failed: int, n_total: int,
 
 
 def _provenance(model: ScreeningModel, grid: GridSpec,
-                tol: ToleranceConfig) -> dict:
-    return {
-        "grid": grid.describe(),
-        "tolerances": tol.describe(),
-        "truncation": model.truncation_info(grid),
-    }
+                tol: ToleranceConfig, *, suite: bool = False) -> dict:
+    """What a rerun needs: the grid and tolerances, led by the model for a
+    verification suite, followed by the value-axis truncation for a check."""
+    prov = {"model": model.describe()} if suite else {}
+    prov.update(grid=grid.describe(), tolerances=tol.describe())
+    if not suite:
+        prov["truncation"] = model.truncation_info(grid)
+    return prov
 
 
-def _finish(name: str, hits: list[tuple[float, tuple, dict]],
-            n_evaluated: int, n_failed: int, provenance: dict) -> CheckReport:
-    """Assemble a report from (magnitude, sort-coords, witness) hits."""
-    hits.sort(key=lambda t: (-t[0], t[1]))
-    worst = hits[0][0] if hits else 0.0
+def _finish(name: str, parts: list[tuple], n_evaluated: int, n_failed: int,
+            provenance: dict) -> CheckReport:
+    """Assemble a report from the hits of one or more scans.
+
+    Each part is ``(magnitudes, key0, key1, witness)``: hits rank by
+    magnitude, largest first, then by (key0, key1), stably; ``witness(k)``
+    builds the dict of the part's k-th hit, and only the reported ones are
+    built.
+    """
+    mags = np.concatenate([p[0] for p in parts])
+    order = np.lexsort((np.concatenate([p[2] for p in parts]),
+                        np.concatenate([p[1] for p in parts]), -mags))
+    starts = np.cumsum([0] + [len(p[0]) for p in parts]).tolist()
+    witnesses = []
+    for k in order[:_WITNESS_CAP].tolist():
+        n = next(n for n in range(len(parts)) if k < starts[n + 1])
+        witnesses.append(parts[n][3](k - starts[n]))
     return CheckReport(
         name=name,
-        passed=not hits,
-        n_violations=len(hits),
-        worst_violation=worst,
-        witnesses=[w for _, _, w in hits[:_WITNESS_CAP]],
+        passed=not len(mags),
+        n_violations=len(mags),
+        worst_violation=float(mags[order[0]]) if len(mags) else 0.0,
+        witnesses=witnesses,
         n_evaluated=n_evaluated,
         n_failed=n_failed,
         provenance=provenance,
@@ -267,44 +281,57 @@ def _finish(name: str, hits: list[tuple[float, tuple, dict]],
 
 def _scan_lines(values: np.ndarray, vs: np.ndarray, Vs: np.ndarray,
                 axis: str, direction: str, slack: float,
-                label: str) -> list[tuple[float, tuple, dict]]:
+                label: str) -> tuple:
     """Scan a field for monotonicity along one axis, skipping NaN holes.
 
     ``axis`` is "V" (scan each row over the value grid) or "v" (scan each
-    column over the signal grid).
+    column over the signal grid). Each point is compared with the previous
+    non-NaN point of its line. Returns one hit part for ``_finish``.
     """
-    hits: list[tuple[float, tuple, dict]] = []
     if axis == "V":
-        lines = ((float(vs[i]), Vs, values[i, :]) for i in range(len(vs)))
+        lines, fixed, xs = values, vs, Vs
         fixed_name, free_name = "v", "V"
     else:
-        lines = ((float(Vs[j]), vs, values[:, j]) for j in range(len(Vs)))
+        lines, fixed, xs = values.T, Vs, vs
         fixed_name, free_name = "V", "v"
-    for fixed, xs, ys in lines:
-        ok = ~np.isnan(ys)
-        if ok.sum() < 2:
-            continue
-        xs_ok = xs[ok]
-        ys_ok = ys[ok]
-        for mag, x0, x1, y0, y1 in scan_violations(
-                xs_ok.tolist(), ys_ok.tolist(), direction, slack):
-            witness = {
-                fixed_name: fixed,
-                f"{free_name}_lo": x0,
-                f"{free_name}_hi": x1,
-                f"{label}_lo": y0,
-                f"{label}_hi": y1,
-                "violation": mag,
-            }
-            sort_coord = (fixed, x0) if axis == "V" else (x0, fixed)
-            hits.append((mag, sort_coord, witness))
-    return hits
+    valid = ~np.isnan(lines)
+    # position of the last non-NaN point at or before each point, -1 if none
+    last = np.maximum.accumulate(
+        np.where(valid, np.arange(lines.shape[1]), -1), axis=1)
+    line, k = np.nonzero(valid[:, 1:] & (last[:, :-1] >= 0))
+    k0, k1 = last[line, k], k + 1
+    x0, x1 = xs[k0], xs[k1]
+    if not np.all(x1 > x0):
+        raise ValueError("abscissae must be strictly increasing")
+    y0, y1 = lines[line, k0], lines[line, k1]
+    move = y0 - y1 if direction == "increasing" else y1 - y0
+    hit = move > slack
+    f, x0, x1, y0, y1, move = (a[hit] for a in (fixed[line], x0, x1, y0, y1,
+                                                move))
+
+    def witness(n: int) -> dict:
+        return {
+            fixed_name: float(f[n]),
+            f"{free_name}_lo": float(x0[n]),
+            f"{free_name}_hi": float(x1[n]),
+            f"{label}_lo": float(y0[n]),
+            f"{label}_hi": float(y1[n]),
+            "violation": float(move[n]),
+        }
+
+    return (move, f, x0, witness) if axis == "V" else (move, x0, f, witness)
 
 
 def check_assumption(model: ScreeningModel, which: str,
                      grid: GridSpec | None = None,
-                     tolerances: ToleranceConfig | None = None) -> CheckReport:
-    """Run one named check (A0, A1, A2, FOSD, or PSI) on the model."""
+                     tolerances: ToleranceConfig | None = None,
+                     bundle: _Bundle | None = None) -> CheckReport:
+    """Run one named check (A0, A1, A2, FOSD, or PSI) on the model.
+
+    ``bundle`` is a lattice already evaluated for this model, grid and
+    tolerances. Without one, A0 evaluates the hazard on the signal grid
+    only and the other checks evaluate the lattice here.
+    """
     code = which.upper()
     if code not in CHECK_CODES:
         raise ValueError(f"unknown check {which!r}; choose from {CHECK_CODES}")
@@ -313,68 +340,63 @@ def check_assumption(model: ScreeningModel, which: str,
     slack = tol.monotonicity_slack
 
     if code == "A0":
-        vs = model.signal_grid(grid)
-        values = []
-        failures = []
-        for v in vs:
-            v = float(v)
-            try:
-                _, inv = hazard(model, v)
-                values.append((v, inv))
-            except (NearEndpointError, DensityUnderflowError, DomainError):
-                failures.append((v, None))
+        if bundle is None:
+            vs = model.signal_grid(grid)
+            inv, failed = _inverse_hazard(model, vs)
+        else:
+            vs, inv = bundle.vs, bundle.inv_hazard
+            failed = bundle.hazard_failed
+        failures = [(v, None) for v in vs[failed].tolist()]
         _abort_if_holey("A0", len(failures), len(vs), failures)
-        xs = [v for v, _ in values]
-        ys = [y for _, y in values]
-        hits = [(mag, (x0,), {
-            "v_lo": x0, "v_hi": x1,
-            "inverse_hazard_lo": y0, "inverse_hazard_hi": y1,
-            "violation": mag,
-        }) for mag, x0, x1, y0, y1 in scan_violations(
-            xs, ys, "decreasing", slack)]
-        return _finish("A0", hits, len(vs), len(failures), prov)
+        found = scan_violations(vs[~failed].tolist(), inv[~failed].tolist(),
+                                "decreasing", slack)
 
-    bundle = _evaluate_bundle(model, grid, tol)
+        def witness(n: int) -> dict:
+            mag, x0, x1, y0, y1 = found[n]
+            return {"v_lo": x0, "v_hi": x1, "inverse_hazard_lo": y0,
+                    "inverse_hazard_hi": y1, "violation": mag}
+
+        part = (np.array([hit[0] for hit in found]),
+                np.array([hit[1] for hit in found]), np.zeros(len(found)),
+                witness)
+        return _finish("A0", [part], len(vs), len(failures), prov)
+
+    if bundle is None:
+        bundle = _evaluate_bundle(model, grid, tol)
     n_total = len(bundle.vs) * len(bundle.Vs)
 
     if code == "FOSD":
         _abort_if_holey("FOSD", len(bundle.kernel_failures), n_total,
                         bundle.kernel_failures)
-        hits = []
-        for i, v in enumerate(bundle.vs):
-            for j, V in enumerate(bundle.Vs):
-                d = bundle.dHdv[i, j]
-                hloc = bundle.h[i, j]
-                if math.isnan(d) or math.isnan(hloc):
-                    continue
-                margin = d + slack * hloc
-                if d >= -slack * hloc:
-                    hits.append((margin, (float(v), float(V)), {
-                        "v": float(v), "V": float(V),
-                        "dHdv": float(d), "h": float(hloc),
-                        "violation": float(margin),
-                    }))
-        return _finish("FOSD", hits, n_total,
+        i, j = np.nonzero(bundle.dHdv >= -slack * bundle.h)
+        v, V = bundle.vs[i], bundle.Vs[j]
+        d, hloc = bundle.dHdv[i, j], bundle.h[i, j]
+        margin = d + slack * hloc
+
+        def witness(n: int) -> dict:
+            return {"v": float(v[n]), "V": float(V[n]), "dHdv": float(d[n]),
+                    "h": float(hloc[n]), "violation": float(margin[n])}
+
+        return _finish("FOSD", [(margin, v, V, witness)], n_total,
                        len(bundle.kernel_failures), prov)
 
     if code in ("A1", "A2"):
         _abort_if_holey(code, len(bundle.kernel_failures), n_total,
                         bundle.kernel_failures)
         axis = "V" if code == "A1" else "v"
-        hits = _scan_lines(bundle.gamma, bundle.vs, bundle.Vs, axis,
+        part = _scan_lines(bundle.gamma, bundle.vs, bundle.Vs, axis,
                            "decreasing", slack, "gamma")
-        return _finish(code, hits, n_total, len(bundle.kernel_failures), prov)
+        return _finish(code, [part], n_total, len(bundle.kernel_failures),
+                       prov)
 
     # PSI: virtual value must rise along both axes.
     n_failed = int(np.isnan(bundle.psi).sum())
     failed_coords = [(float(bundle.vs[i]), float(bundle.Vs[j]))
                      for i, j in zip(*np.nonzero(np.isnan(bundle.psi)))]
     _abort_if_holey("PSI", n_failed, n_total, failed_coords)
-    hits = _scan_lines(bundle.psi, bundle.vs, bundle.Vs, "V",
-                       "increasing", slack, "psi")
-    hits += _scan_lines(bundle.psi, bundle.vs, bundle.Vs, "v",
-                        "increasing", slack, "psi")
-    return _finish("PSI", hits, n_total, n_failed, prov)
+    parts = [_scan_lines(bundle.psi, bundle.vs, bundle.Vs, axis,
+                         "increasing", slack, "psi") for axis in ("V", "v")]
+    return _finish("PSI", parts, n_total, n_failed, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +438,8 @@ def regularity_report(model: ScreeningModel, grid: GridSpec | None = None,
                       ) -> RegularityReport:
     """Run every check and fold the verdicts into one report."""
     grid, tol = resolve_config(grid, tolerances)
-    checks = {code: check_assumption(model, code, grid, tol)
+    bundle = _evaluate_bundle(model, grid, tol)
+    checks = {code: check_assumption(model, code, grid, tol, bundle)
               for code in CHECK_CODES}
     return RegularityReport(
         model=model.describe(),

@@ -395,7 +395,6 @@ class _RelabeledKernel(ValuationKernel):
         super().__init__(base.support)
         self.base = base
         self.rel = rel
-        self.analytic_dv = base.analytic_dv
 
     def check_signal_support(self, support):
         # Constraints on the base signal were enforced when the base model
@@ -414,6 +413,16 @@ class _RelabeledKernel(ValuationKernel):
         if d is None:
             return None
         return d / self.rel.phi_prime(v)
+
+    def _exact_arrays(self):
+        return super()._exact_arrays() and self.base._exact_arrays()
+
+    def _fields(self, w, V):
+        # One inverse and one slope per row of the lattice, not per point.
+        v = np.array([self.rel.inverse(x) for x in w[:, 0].tolist()])
+        H, h, dHdv = self.base._fields(v[:, None], V)
+        slope = np.array([self.rel.phi_prime(x) for x in v.tolist()])
+        return H, h, dHdv / slope[:, None]
 
     def quantile(self, w, p):
         return self.base.quantile(self.rel.inverse(w), p)

@@ -162,6 +162,24 @@ class TestVerify:
         assert rep["forward"]["verdict"] == "consistent"
         assert rep["converse"]["verdict"] == "consistent"
 
+    def test_domain_error_exits_two_without_traceback(self, tmp_path,
+                                                      capsys):
+        # beta(0.5, 2) has an unbounded density at v = 0, where the
+        # relabelings of suite 1 and the running-max transform evaluate it
+        path = tmp_path / "beta0502.model"
+        path.write_text(BETA_NORMAL.replace("alpha=2.0 beta=2.0",
+                                            "alpha=0.5 beta=2.0"))
+        for argv in (["verify", str(path), "--prop", "1"],
+                     ["transform", str(path), "--kind",
+                      "runningmax_hazard"]):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 2
+            assert out == ""
+            assert "Traceback" not in err
+            assert err.startswith("seqscreen: error: ")
+            assert err.count("\n") == 1
+            assert "v=0.0" in err
+
     def test_prop_flag_required(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", files["logistic"]])

@@ -317,8 +317,6 @@ class TestScreeningModelGrids:
 class _OpaqueKernel(AdditiveNoiseKernel):
     """Same law, but hides the analytic signal-derivative."""
 
-    analytic_dv = False
-
     def cdf_dv(self, v, V):
         return None
 

@@ -16,6 +16,7 @@ Expected verdicts worked out by hand:
   derivative of the cdf is literally minus the density.
 """
 
+import json
 import math
 
 import numpy as np
@@ -341,6 +342,19 @@ class TestReports:
         text = prop2_power.to_json()
         assert text == verify_prop2(power_model).to_json()
         assert "Infinity" not in text and "NaN" not in text
+
+    def test_table_kernel_report_is_json(self):
+        # table-kernel evaluators once returned numpy scalars, which made
+        # the lower-edge trend's "vanishing" flags numpy booleans
+        V_nodes = np.linspace(-4.0, 5.0, 17)
+        rows = [1.0 / (1.0 + np.exp(-(V_nodes - v))) for v in (0.0, 0.5, 1.0)]
+        model = ScreeningModel(make_signal("uniform", (0.0, 1.0)),
+                               TableKernel([0.0, 0.5, 1.0], V_nodes, rows))
+        rep = verify_prop2(model, GridSpec(v_points=33, V_points=33))
+        assert rep.verdict == "consistent"
+        trend = json.loads(json.dumps(rep.to_dict()))
+        assert trend["evidence"]["gamma_lower_edge_trend"][0]["vanishing"] in (
+            True, False)
 
     def test_provenance_carries_grid(self, logistic_model):
         grid = GridSpec(v_points=17, V_points=17)
