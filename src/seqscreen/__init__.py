@@ -52,11 +52,9 @@ from .modelfile import dumps, load, loads, save
 from .numerics import (
     DerivativeEstimate,
     Interval,
-    MonotoneVerdict,
     differentiate,
     integrate,
     invert_monotone,
-    monotone_scan,
     scan_violations,
 )
 from .propositions import (
@@ -99,7 +97,7 @@ __all__ = [
     "IntegrabilityError", "ConstructionError", "SelfCheckError",
     "DensityUnderflowError", "NearEndpointError", "LoadError",
     "Interval", "integrate", "differentiate", "DerivativeEstimate",
-    "MonotoneVerdict", "monotone_scan", "scan_violations", "invert_monotone",
+    "scan_violations", "invert_monotone",
     "GridSpec", "ToleranceConfig", "DEFAULT_GRID", "DEFAULT_TOLERANCES",
     "resolve_config", "SignalDistribution", "UniformSignal", "BetaSignal",
     "TableSignal", "ValuationKernel", "AdditiveNoiseKernel", "PowerKernel",

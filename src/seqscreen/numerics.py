@@ -1,5 +1,5 @@
-"""Shared numeric substrate: adaptive quadrature, finite differences, and
-monotone scans with violation witnesses.
+"""Shared numeric substrate: adaptive quadrature, finite differences,
+monotone scans with violation witnesses, and compensated prefix sums.
 
 Everything here is pure and deterministic. Quadrature refines intervals in a
 fixed worst-error-first order and accumulates the final sum in interval
@@ -15,18 +15,19 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 from .errors import ConstructionError, EvaluationError, QuadratureError
 
 __all__ = [
     "Interval",
-    "MonotoneVerdict",
     "DerivativeEstimate",
     "integrate",
     "differentiate",
-    "monotone_scan",
     "scan_violations",
+    "kahan_prefix",
     "invert_monotone",
 ]
 
@@ -264,68 +265,52 @@ def differentiate(f: Callable[[float], float], x: float,
     return DerivativeEstimate(value=value, error=error, nonsmooth=nonsmooth)
 
 
-@dataclass(frozen=True)
-class MonotoneVerdict:
-    """Outcome of a monotonicity scan over ordered samples.
+def scan_violations(xs, ys, direction: str, slack: float
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every point of a line that moves against ``direction`` by more than
+    slack from the previous non-NaN point of its line.
 
-    ``worst_violation`` is the largest adjacent-pair move against the
-    declared direction (0.0 for perfectly monotone data); the verdict passes
-    exactly when it is within slack. ``witness`` is the worst offending pair
-    as ``(x_lo, x_hi, y_lo, y_hi)``, present only on failure.
-    """
-
-    direction: str
-    passed: bool
-    worst_violation: float
-    witness: tuple[float, float, float, float] | None = None
-
-
-def scan_violations(xs: Sequence[float], ys: Sequence[float], direction: str,
-                    slack: float) -> list[tuple[float, float, float, float, float]]:
-    """All adjacent pairs moving against ``direction`` by more than slack.
-
-    Returns ``(magnitude, x_lo, x_hi, y_lo, y_hi)`` tuples in scan order.
+    ``xs`` are the strictly increasing abscissae; ``ys`` holds one line per
+    row (a 1-D ``ys`` is one line) and NaN entries are holes. Returns the
+    arrays ``(line, lower index, upper index, move)`` of the hits in scan
+    order.
     """
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"direction must be increasing|decreasing, got {direction!r}")
     if slack < 0:
         raise ValueError("slack must be nonnegative")
+    xs = np.asarray(xs, dtype=float)
+    lines = np.atleast_2d(np.asarray(ys, dtype=float))
     n = len(xs)
-    if n != len(ys):
+    if n != lines.shape[1]:
         raise ValueError("abscissae and values must have equal length")
     if n < 2:
         raise ValueError("monotone scan requires at least 2 samples")
-    out = []
-    for i in range(n - 1):
-        x0, x1 = xs[i], xs[i + 1]
-        if not x1 > x0:
-            raise ValueError("abscissae must be strictly increasing")
-        y0, y1 = ys[i], ys[i + 1]
-        move = y0 - y1 if direction == "increasing" else y1 - y0
-        if move > slack:
-            out.append((move, x0, x1, y0, y1))
+    if not np.all(xs[1:] > xs[:-1]):
+        raise ValueError("abscissae must be strictly increasing")
+    valid = ~np.isnan(lines)
+    # position of the last non-NaN point at or before each point, -1 if none
+    last = np.maximum.accumulate(np.where(valid, np.arange(n), -1), axis=1)
+    line, k = np.nonzero(valid[:, 1:] & (last[:, :-1] >= 0))
+    k0, k1 = last[line, k], k + 1
+    y0, y1 = lines[line, k0], lines[line, k1]
+    move = y0 - y1 if direction == "increasing" else y1 - y0
+    hit = move > slack
+    return line[hit], k0[hit], k1[hit], move[hit]
+
+
+def kahan_prefix(terms, start: float = 0.0) -> list[float]:
+    """Compensated running sums ``[start, start + t0, start + t0 + t1, ...]``."""
+    out = [start]
+    acc = start
+    comp = 0.0
+    for c in terms:
+        y = c - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
+        out.append(acc)
     return out
-
-
-def monotone_scan(xs: Sequence[float], ys: Sequence[float], direction: str,
-                  slack: float) -> MonotoneVerdict:
-    """Check ordered samples for weak monotonicity within an absolute slack."""
-    violations = scan_violations(xs, ys, direction, slack)
-    # Track the worst move even when it stays under slack, so reports can
-    # state how much slack a passing scan actually consumed.
-    worst = 0.0
-    n = len(xs)
-    for i in range(n - 1):
-        y0, y1 = ys[i], ys[i + 1]
-        move = y0 - y1 if direction == "increasing" else y1 - y0
-        if move > worst:
-            worst = move
-    if not violations:
-        return MonotoneVerdict(direction=direction, passed=True,
-                               worst_violation=worst, witness=None)
-    mag, x0, x1, y0, y1 = max(violations, key=lambda rec: rec[0])
-    return MonotoneVerdict(direction=direction, passed=False,
-                           worst_violation=mag, witness=(x0, x1, y0, y1))
 
 
 def invert_monotone(f: Callable[[float], float], target: float,

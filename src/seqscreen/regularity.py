@@ -279,14 +279,15 @@ def _finish(name: str, parts: list[tuple], n_evaluated: int, n_failed: int,
     )
 
 
-def _scan_lines(values: np.ndarray, vs: np.ndarray, Vs: np.ndarray,
+def _scan_lines(values: np.ndarray, vs: np.ndarray, Vs: np.ndarray | None,
                 axis: str, direction: str, slack: float,
                 label: str) -> tuple:
     """Scan a field for monotonicity along one axis, skipping NaN holes.
 
     ``axis`` is "V" (scan each row over the value grid) or "v" (scan each
-    column over the signal grid). Each point is compared with the previous
-    non-NaN point of its line. Returns one hit part for ``_finish``.
+    column over the signal grid). A 1-D ``values`` is one line over the
+    signal grid, and its witnesses carry no fixed coordinate. Returns one
+    hit part for ``_finish``.
     """
     if axis == "V":
         lines, fixed, xs = values, vs, Vs
@@ -294,30 +295,23 @@ def _scan_lines(values: np.ndarray, vs: np.ndarray, Vs: np.ndarray,
     else:
         lines, fixed, xs = values.T, Vs, vs
         fixed_name, free_name = "V", "v"
-    valid = ~np.isnan(lines)
-    # position of the last non-NaN point at or before each point, -1 if none
-    last = np.maximum.accumulate(
-        np.where(valid, np.arange(lines.shape[1]), -1), axis=1)
-    line, k = np.nonzero(valid[:, 1:] & (last[:, :-1] >= 0))
-    k0, k1 = last[line, k], k + 1
+    line, k0, k1, move = scan_violations(xs, lines, direction, slack)
+    lines = np.atleast_2d(lines)
     x0, x1 = xs[k0], xs[k1]
-    if not np.all(x1 > x0):
-        raise ValueError("abscissae must be strictly increasing")
     y0, y1 = lines[line, k0], lines[line, k1]
-    move = y0 - y1 if direction == "increasing" else y1 - y0
-    hit = move > slack
-    f, x0, x1, y0, y1, move = (a[hit] for a in (fixed[line], x0, x1, y0, y1,
-                                                move))
+    one_line = values.ndim == 1
+    f = x0 if one_line else fixed[line]
 
     def witness(n: int) -> dict:
-        return {
-            fixed_name: float(f[n]),
+        w = {} if one_line else {fixed_name: float(f[n])}
+        w.update({
             f"{free_name}_lo": float(x0[n]),
             f"{free_name}_hi": float(x1[n]),
             f"{label}_lo": float(y0[n]),
             f"{label}_hi": float(y1[n]),
             "violation": float(move[n]),
-        }
+        })
+        return w
 
     return (move, f, x0, witness) if axis == "V" else (move, x0, f, witness)
 
@@ -348,17 +342,8 @@ def check_assumption(model: ScreeningModel, which: str,
             failed = bundle.hazard_failed
         failures = [(v, None) for v in vs[failed].tolist()]
         _abort_if_holey("A0", len(failures), len(vs), failures)
-        found = scan_violations(vs[~failed].tolist(), inv[~failed].tolist(),
-                                "decreasing", slack)
-
-        def witness(n: int) -> dict:
-            mag, x0, x1, y0, y1 = found[n]
-            return {"v_lo": x0, "v_hi": x1, "inverse_hazard_lo": y0,
-                    "inverse_hazard_hi": y1, "violation": mag}
-
-        part = (np.array([hit[0] for hit in found]),
-                np.array([hit[1] for hit in found]), np.zeros(len(found)),
-                witness)
+        part = _scan_lines(inv, vs, None, "v", "decreasing", slack,
+                           "inverse_hazard")
         return _finish("A0", [part], len(vs), len(failures), prov)
 
     if bundle is None:

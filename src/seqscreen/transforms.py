@@ -51,7 +51,8 @@ from .model_core import (
     conditional_mean,
     conditional_mean_derivative,
 )
-from .numerics import Interval, differentiate, integrate, invert_monotone
+from .numerics import (Interval, differentiate, integrate, invert_monotone,
+                       kahan_prefix)
 from .regularity import gamma, virtual_value
 
 __all__ = [
@@ -207,9 +208,7 @@ class Relabeling:
 
 def _kahan_cumulative(phi_prime, nodes: np.ndarray, w_lo: float,
                       context: str) -> np.ndarray:
-    ws = [w_lo]
-    acc = w_lo
-    comp = 0.0
+    incs = []
     for a, b in zip(nodes[:-1], nodes[1:]):
         try:
             inc, _ = integrate(phi_prime, (float(a), float(b)),
@@ -222,12 +221,8 @@ def _kahan_cumulative(phi_prime, nodes: np.ndarray, w_lo: float,
             raise ConstructionError(
                 f"{context}: slope integral is not positive on "
                 f"[{a:.6g}, {b:.6g}]")
-        y = inc - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        ws.append(acc)
-    return np.asarray(ws)
+        incs.append(inc)
+    return np.asarray(kahan_prefix(incs, w_lo))
 
 
 def _piecewise_phi(phi_prime, lat_v: np.ndarray, lat_w: np.ndarray):

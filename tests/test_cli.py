@@ -106,6 +106,23 @@ class TestCheck:
         prov = json.loads(out)["provenance"]["grid"]
         assert prov["v_points"] == 17 and prov["V_points"] == 33
 
+    @pytest.mark.parametrize("shapes", ["alpha=0.5 beta=2.0",
+                                        "alpha=3.0 beta=0.5"])
+    def test_endpoint_singular_beta_gets_a_verdict(self, tmp_path, capsys,
+                                                   shapes):
+        # The beta density is unbounded at one support endpoint; validation
+        # takes the signal mass over the grid window, so check reaches a
+        # verdict instead of exiting 2.
+        path = tmp_path / "beta.model"
+        path.write_text(BETA_NORMAL.replace("alpha=2.0 beta=2.0", shapes)
+                        .replace("noise.family = normal",
+                                 "noise.family = logistic"))
+        rc, out, err = run(capsys, "check", str(path))
+        assert rc in (0, 1)
+        assert set(json.loads(out)["checks"]) == {"A0", "A1", "A2", "FOSD",
+                                                  "PSI"}
+        assert "Traceback" not in err
+
     def test_missing_file_exits_two(self, files, capsys):
         rc, out, err = run(capsys, "check", files["logistic"] + ".nope")
         assert rc == 2

@@ -33,6 +33,7 @@ from seqscreen.model_core import (
     validate_model,
 )
 from seqscreen.numerics import Interval, integrate
+from seqscreen.transforms import relabel
 
 
 def uniform_logistic():
@@ -406,9 +407,16 @@ class TestConditionalMean:
 
 class TestValidateModel:
     def test_canonical_models_pass(self):
+        # beta(0.5, 2) and beta(3, 0.5) have densities unbounded but
+        # integrable at one endpoint, which the signal-mass check over the
+        # grid window never integrates up to.
         for m in (uniform_logistic(), power_model(),
                   ScreeningModel(BetaSignal(2.0, 2.0),
-                                 AdditiveNoiseKernel(noise="normal"))):
+                                 AdditiveNoiseKernel(noise="normal")),
+                  ScreeningModel(BetaSignal(0.5, 2.0),
+                                 AdditiveNoiseKernel(noise="logistic")),
+                  ScreeningModel(BetaSignal(3.0, 0.5),
+                                 AdditiveNoiseKernel(noise="logistic"))):
             result = validate_model(m)
             assert result.passed, result.issues()
             assert result.fosd_ok
@@ -422,6 +430,27 @@ class TestValidateModel:
         result = validate_model(m)
         assert not result.fosd_ok
         assert result.passed, result.issues()
+
+    def test_unnormalised_density_fails_signal_mass(self):
+        class DoubledUniform(UniformSignal):
+            def pdf(self, v):
+                return 2.0 * super().pdf(v)
+
+        m = ScreeningModel(DoubledUniform(Interval(0.0, 1.0)),
+                           AdditiveNoiseKernel(noise="logistic"))
+        result = validate_model(m)
+        assert not result.passed
+        assert "signal_mass" in result.issues()
+
+    def test_relabeled_model_passes_chain_rule_spot_checks(self):
+        tm = relabel(uniform_logistic(), "inverse_hazard_integral")
+        result = validate_model(tm)
+        assert result.passed, result.issues()
+        chain = [c for c in result.checks if "relabeled_at" in c]
+        assert len(chain) == 3
+        assert all(c["passed"] for c in chain)
+        mass = next(c for c in result.checks if c["name"] == "signal_mass")
+        assert mass["axis"] == "base"
 
     def test_factories_cover_families(self):
         assert make_signal("uniform", support=(0.0, 1.0)).family == "uniform"

@@ -19,7 +19,6 @@ from seqscreen.numerics import (
     differentiate,
     integrate,
     invert_monotone,
-    monotone_scan,
     scan_violations,
 )
 
@@ -154,46 +153,64 @@ class TestDifferentiate:
 
 class TestMonotoneScan:
     def test_weakly_increasing_with_ties_passes(self):
-        verdict = monotone_scan([0.0, 1.0, 2.0], [1.0, 1.0, 2.0],
-                                "increasing", 0.0)
-        assert verdict.passed
-        assert verdict.worst_violation == 0.0
-        assert verdict.witness is None
+        line, k0, k1, move = scan_violations([0.0, 1.0, 2.0], [1.0, 1.0, 2.0],
+                                             "increasing", 0.0)
+        assert len(line) == len(k0) == len(k1) == len(move) == 0
 
     def test_decreasing_scan_fails_with_witness(self):
         # Shift-to-density ratios of the power family at v=1:
         # -(V log V) evaluated at V=0.1 and V=0.3.
         lo = -(0.1 * math.log(0.1))   # 0.23025850929940458
         hi = -(0.3 * math.log(0.3))   # 0.36119184129778566
-        verdict = monotone_scan([0.1, 0.3], [lo, hi], "decreasing", 1e-8)
-        assert not verdict.passed
-        assert verdict.worst_violation == pytest.approx(hi - lo, rel=1e-12)
-        assert verdict.witness == (0.1, 0.3, lo, hi)
+        line, k0, k1, move = scan_violations([0.1, 0.3], [lo, hi],
+                                             "decreasing", 1e-8)
+        assert line.tolist() == [0]
+        assert (k0.tolist(), k1.tolist()) == ([0], [1])
+        assert move[0] == pytest.approx(hi - lo, rel=1e-12)
 
     def test_slack_absorbs_tiny_wiggle(self):
-        verdict = monotone_scan([0.0, 1.0, 2.0], [1.0, 1.0 + 1e-12, 1.0],
-                                "decreasing", 1e-8)
-        assert verdict.passed
-        assert verdict.worst_violation == pytest.approx(1e-12)
+        *_, move = scan_violations([0.0, 1.0, 2.0], [1.0, 1.0 + 1e-12, 1.0],
+                                   "decreasing", 1e-8)
+        assert len(move) == 0
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
-            monotone_scan([0.0], [1.0], "increasing", 0.0)
+            scan_violations([0.0], [1.0], "increasing", 0.0)
 
     def test_non_ascending_abscissae_rejected(self):
         with pytest.raises(ValueError):
-            monotone_scan([0.0, 0.0], [1.0, 2.0], "increasing", 0.0)
+            scan_violations([0.0, 0.0], [1.0, 2.0], "increasing", 0.0)
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError):
-            monotone_scan([0.0, 1.0], [1.0, 2.0], "sideways", 0.0)
+            scan_violations([0.0, 1.0], [1.0, 2.0], "sideways", 0.0)
+
+    def test_negative_slack_and_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            scan_violations([0.0, 1.0], [1.0, 2.0], "increasing", -1e-9)
+        with pytest.raises(ValueError):
+            scan_violations([0.0, 1.0, 2.0], [1.0, 2.0], "increasing", 0.0)
 
     def test_scan_violations_lists_every_offending_pair(self):
-        recs = scan_violations([0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 2.0, 1.5],
-                               "increasing", 0.1)
-        assert len(recs) == 2
-        assert recs[0][0] == pytest.approx(1.0)
-        assert recs[1][0] == pytest.approx(0.5)
+        line, k0, k1, move = scan_violations(
+            [0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 2.0, 1.5], "increasing", 0.1)
+        assert len(move) == 2
+        assert (k0.tolist(), k1.tolist()) == ([0, 2], [1, 3])
+        assert move[0] == pytest.approx(1.0)
+        assert move[1] == pytest.approx(0.5)
+
+    def test_lines_with_nan_holes(self):
+        # Each point is compared with the previous non-NaN point of its
+        # own line; a line's leading hole starts it late.
+        nan = math.nan
+        ys = [[1.0, nan, 0.5, 2.0, nan, 1.0],
+              [nan, 3.0, 2.0, nan, nan, 4.0],
+              [nan, nan, nan, nan, nan, 0.0]]
+        line, k0, k1, move = scan_violations(range(6), ys, "increasing", 0.0)
+        assert line.tolist() == [0, 0, 1]
+        assert k0.tolist() == [0, 3, 1]
+        assert k1.tolist() == [2, 5, 2]
+        assert move.tolist() == [0.5, 1.0, 1.0]
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -202,15 +219,15 @@ class TestMonotoneScan:
             st.floats(-10, 10, allow_nan=False), min_size=3, max_size=12))
         xs = list(range(len(ys)))
         slack = 1e-6
-        verdict = monotone_scan(xs, ys, "increasing", slack)
-        if verdict.passed:
+        _, k0, k1, move = scan_violations(xs, ys, "increasing", slack)
+        if not len(move):
             return
-        x0, x1, *_ = verdict.witness
-        keep = sorted({0, len(ys) - 1, int(x0), int(x1)})
-        sub = monotone_scan([xs[i] for i in keep], [ys[i] for i in keep],
-                            "increasing", slack)
-        assert not sub.passed
-        assert sub.worst_violation >= verdict.worst_violation - 1e-12
+        worst = int(move.argmax())
+        keep = sorted({0, len(ys) - 1, int(k0[worst]), int(k1[worst])})
+        *_, sub = scan_violations([xs[i] for i in keep],
+                                  [ys[i] for i in keep], "increasing", slack)
+        assert len(sub)
+        assert sub.max() >= move[worst] - 1e-12
 
 
 class TestInvertMonotone:

@@ -146,6 +146,38 @@ class TestA0:
         mags = [w["violation"] for w in rep.witnesses]
         assert mags == sorted(mags, reverse=True)
 
+    def test_hazard_holes_match_a_scan_of_the_compacted_points(self):
+        # The density underflows at 4 of 401 signal points (at most 1%),
+        # two of them adjacent; each remaining point is compared with the
+        # previous point where the hazard could be evaluated.
+        grid = GridSpec(v_points=401, V_points=9)
+        slack = ToleranceConfig().monotonicity_slack
+        base = decreasing_hazard_signal()
+        vs = ScreeningModel(base, AdditiveNoiseKernel()).signal_grid(grid)
+        holes = {float(vs[k]) for k in (20, 21, 60, 120)}
+
+        class HoleySignal(TableSignal):
+            def pdf(self, v):
+                return 0.0 if v in holes else super().pdf(v)
+
+        m = ScreeningModel(HoleySignal(**base.params()),
+                           AdditiveNoiseKernel(noise="logistic"))
+        points = [(v, hazard(m, v)[1]) for v in vs.tolist() if v not in holes]
+        hits = []
+        for (x0, y0), (x1, y1) in zip(points, points[1:]):
+            if y1 - y0 > slack:
+                hits.append({"v_lo": x0, "v_hi": x1, "inverse_hazard_lo": y0,
+                             "inverse_hazard_hi": y1, "violation": y1 - y0})
+        hits.sort(key=lambda w: (-w["violation"], w["v_lo"]))
+        assert any(w["v_lo"] == float(vs[19]) for w in hits)
+
+        for rep in (check_assumption(m, "A0", grid),
+                    regularity_report(m, grid).checks["A0"]):
+            assert rep.n_failed == 4
+            assert rep.n_violations == len(hits) > 64
+            assert rep.witnesses == hits[:64]
+            assert list(rep.witnesses[0]) == list(hits[0])
+
     def test_aborts_when_survival_is_exhausted_broadly(self):
         m = ScreeningModel(BetaSignal(2.0, 60.0),
                            AdditiveNoiseKernel(noise="logistic"))
