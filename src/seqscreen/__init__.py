@@ -42,13 +42,12 @@ from .model_core import (
     conditional_mean,
     conditional_mean_derivative,
     eval_kernel,
-    eval_signal,
     make_kernel,
     make_signal,
     resolve_config,
     validate_model,
 )
-from .modelfile import dumps, load, loads, save
+from .modelfile import dumps, load, loads
 from .numerics import (
     DerivativeEstimate,
     Interval,
@@ -102,9 +101,9 @@ __all__ = [
     "resolve_config", "SignalDistribution", "UniformSignal", "BetaSignal",
     "TableSignal", "ValuationKernel", "AdditiveNoiseKernel", "PowerKernel",
     "ExpTiltKernel", "TableKernel", "make_signal", "make_kernel",
-    "ScreeningModel", "KernelEval", "eval_signal", "eval_kernel",
+    "ScreeningModel", "KernelEval", "eval_kernel",
     "conditional_mean", "conditional_mean_derivative", "ModelValidation",
-    "validate_model", "loads", "dumps", "load", "save",
+    "validate_model", "loads", "dumps", "load",
     "CHECK_CODES", "FIELD_NAMES", "hazard", "gamma", "virtual_value",
     "Field2D", "compute_field", "CheckReport", "check_assumption",
     "RegularityReport", "regularity_report",

@@ -49,13 +49,14 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _emit(text: str, out: str | None) -> int:
+def _emit(chunks, out: str | None) -> int:
+    """Write an iterable of strings to ``out``, or to stdout without one."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return 0
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         return _fail(f"cannot write {out!r}: {exc}", 2)
     return 0
@@ -96,7 +97,7 @@ def _cmd_check(args) -> int:
         issues = "; ".join(validation.issues())
         return _fail(f"model failed validation: {issues}", 2)
     report = regularity_report(model, grid, tol)
-    rc = _emit(report.to_json() + "\n", args.out)
+    rc = _emit([report.to_json() + "\n"], args.out)
     if rc:
         return rc
     return 0 if (report.classic_regular and report.fosd_ok) else 1
@@ -110,7 +111,7 @@ def _cmd_verify(args) -> int:
         verdicts = [r.verdict for r in result.values()]
     else:
         payload, verdicts = result.to_dict(), [result.verdict]
-    rc = _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    rc = _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     if rc:
         return rc
     return 1 if "discrepancy" in verdicts else 0
@@ -135,21 +136,23 @@ def _cmd_transform(args) -> int:
     except (IntegrabilityError, ConstructionError, SelfCheckError) as exc:
         return _fail(str(exc), 1)
     text = dumps(model, grid, tol, transform_section=transform_section(tm))
-    return _emit(text, args.out)
+    return _emit([text], args.out)
 
 
 def _cmd_grid(args) -> int:
     model, grid, tol = _load_model(args)
     field = compute_field(model, args.what, grid, tol)
-    # Each axis is formatted once, and each lattice row is joined into one
-    # block, so no list of one string per point is ever held.
-    Vs = ["," + ("%.17g" % V) + "," for V in field.V.tolist()]
-    blocks = ["v,V,value"]
-    for v, row in zip(field.v.tolist(), field.values):
-        head = "%.17g" % v
-        blocks.append("\n".join([head + V + ("%.17g" % x)
-                                 for V, x in zip(Vs, row.tolist())]))
-    return _emit("\n".join(blocks) + "\n", args.out)
+    # The V axis is formatted once; joining a row's v in front of each
+    # piece gives that row's printf template, and each row is written as it
+    # is filled, so neither a string per point nor the whole CSV is held.
+    pieces = [""] + [",%.17g,%%.17g\n" % V for V in field.V.tolist()]
+
+    def rows():
+        yield "v,V,value\n"
+        for v, values in zip(field.v.tolist(), field.values):
+            yield ("%.17g" % v).join(pieces) % tuple(values.tolist())
+
+    return _emit(rows(), args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:

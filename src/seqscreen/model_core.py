@@ -18,13 +18,13 @@ from 1 - F.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc, ndtri
 
 from .errors import (
     ConstructionError,
@@ -53,7 +53,6 @@ __all__ = [
     "ScreeningModel",
     "KernelEval",
     "ModelValidation",
-    "eval_signal",
     "eval_kernel",
     "conditional_mean",
     "conditional_mean_derivative",
@@ -82,6 +81,14 @@ def _exact_map(fn, *arrays) -> np.ndarray:
     bit; numpy's vectorised exp, log and pow can differ in the last place.
     """
     return np.frompyfunc(fn, len(arrays), 1)(*arrays).astype(float)
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on first use: only the beta signal and
+    the normal-noise quantile need it, and it is most of start-up."""
+    import scipy.special
+    return scipy.special
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +199,7 @@ class _NormalNoise(_Noise):
         return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
     def ppf(self, p):
-        return float(ndtri(p))
+        return float(_special().ndtri(p))
 
     def cdf_pdf(self, x):
         return (0.5 * _exact_map(math.erfc, -x / _SQRT2),
@@ -333,11 +340,12 @@ class BetaSignal(SignalDistribution):
         return (v - self.support.lower) / self.support.width
 
     def cdf(self, v):
-        return float(betainc(self.alpha, self.beta, self._unit(v)))
+        return float(_special().betainc(self.alpha, self.beta, self._unit(v)))
 
     def sf(self, v):
         # Regularized incomplete beta symmetry keeps the upper tail accurate.
-        return float(betainc(self.beta, self.alpha, 1.0 - self._unit(v)))
+        return float(_special().betainc(self.beta, self.alpha,
+                                        1.0 - self._unit(v)))
 
     def pdf(self, v):
         x = self._unit(v)
@@ -906,11 +914,6 @@ class ScreeningModel:
 
 # ---------------------------------------------------------------------------
 # primitive evaluations
-
-
-def eval_signal(model: ScreeningModel, v: float) -> tuple[float, float]:
-    """CDF and density of the signal at v (closed support)."""
-    return model.signal.cdf(v), model.signal.pdf(v)
 
 
 @dataclass(frozen=True)

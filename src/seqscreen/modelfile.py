@@ -44,7 +44,7 @@ from .model_core import (
     make_signal,
 )
 
-__all__ = ["load", "loads", "dumps", "save"]
+__all__ = ["load", "loads", "dumps"]
 
 _SCHEMA: dict[str, set[str]] = {
     "signal": {"family", "support", "params"},
@@ -425,11 +425,3 @@ def dumps(model: ScreeningModel, grid: GridSpec | None = None,
             else:
                 lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def save(path: str, model: ScreeningModel, grid: GridSpec | None = None,
-         tolerances: ToleranceConfig | None = None,
-         transform_section: dict[str, str] | None = None) -> None:
-    text = dumps(model, grid, tolerances, transform_section)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -17,9 +17,10 @@ Available kinds:
                               hazard is identically 1 and the codomain is a
                               half line
     runningmax_hazard         phi'(v) = hazard(v)/g(v) with g the running
-                              maximum of the hazard; the relabeled hazard
-                              equals g at the preimage, hence weakly
-                              increasing, and the codomain stays bounded
+                              maximum of the hazard (phi' = 1 where g is
+                              0); the relabeled hazard equals g at the
+                              preimage, hence weakly increasing, and the
+                              codomain stays bounded
     mean                      phi(v) = E[V | v]; the relabeled model is
                               mean-normalized by construction
     affine                    phi(v) = intercept + slope*v with slope > 0
@@ -331,7 +332,12 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
             return 1.0 if h >= g_last else h / g_last
         k = int(np.searchsorted(g_nodes, v, side="right")) - 1
         k = min(max(k, 0), len(g_nodes) - 1)
-        return _pdf_over_sf(signal, v) / float(g_vals[k])
+        g = float(g_vals[k])
+        if g == 0.0:
+            # A hazard that starts at 0 (a density vanishing at the lower
+            # endpoint): the ratio's limit as the hazard rises from 0.
+            return 1.0
+        return _pdf_over_sf(signal, v) / g
 
     lat_w = _kahan_cumulative(phi_prime, g_nodes, w_lo, "runningmax_hazard")
     phi_body = _piecewise_phi(phi_prime, g_nodes, lat_w)

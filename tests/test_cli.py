@@ -4,14 +4,20 @@ Exit-code contract under test: 0 success, 1 negative finding (failed
 regularity, discrepancy verdict, unbuildable relabeling), 2 unusable input.
 """
 
+import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import seqscreen
 from seqscreen.cli import main
-from seqscreen.modelfile import loads
+from seqscreen.modelfile import load, loads
+from seqscreen.regularity import compute_field
 from seqscreen.transforms import TransformedModel
 
 LOGISTIC = """\
@@ -53,6 +59,19 @@ family = additive_noise
 noise.family = normal
 """
 
+# The value density underflows far from the diagonal, so gamma and psi
+# hold NaN at two corners of a 3x4 lattice.
+THIN_LAPLACE = """\
+[signal]
+family = uniform
+support = 0.0 1.0
+
+[kernel]
+family = additive_noise
+noise.family = laplace
+noise.scale = 0.001
+"""
+
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
@@ -60,7 +79,8 @@ def files(tmp_path_factory):
     paths = {}
     for name, text in [("logistic", LOGISTIC), ("power", POWER),
                        ("dechaz", DECREASING_HAZARD),
-                       ("beta", BETA_NORMAL)]:
+                       ("beta", BETA_NORMAL),
+                       ("thin", THIN_LAPLACE)]:
         p = root / f"{name}.model"
         p.write_text(text)
         paths[name] = str(p)
@@ -245,6 +265,21 @@ class TestTransform:
         assert not rep["checks"]["A2"]["passed"]
         assert rep["checks"]["FOSD"]["passed"]
 
+    def test_runningmax_on_vanishing_density(self, files, tmp_path, capsys):
+        # beta(2, 2) has hazard 0 at v=0, so the running max starts at 0
+        # and phi' takes its limit 1 there instead of dividing by zero
+        derived = tmp_path / "rm_beta.model"
+        rc, out, err = run(capsys, "transform", files["beta"], "--kind",
+                           "runningmax_hazard", "--out", str(derived))
+        assert (rc, out, err) == (0, "", "")
+        model, _, _ = loads(derived.read_text())
+        assert model.relabeling.phi_prime(0.0) == 1.0
+        rc, out, _ = run(capsys, "check", str(derived), "--grid", "33x33")
+        assert rc == 1
+        rep = json.loads(out)
+        assert rep["checks"]["A0"]["passed"]
+        assert rep["fosd_ok"]
+
     def test_nonintegrable_exits_one(self, files, capsys):
         rc, out, err = run(capsys, "transform", files["beta"],
                            "--kind", "inverse_hazard_integral")
@@ -296,6 +331,30 @@ class TestGrid:
                             "--grid", "5x5")
         assert first == second
 
+    def test_rows_match_per_point_formatting(self, files, tmp_path, capsys):
+        target = tmp_path / "psi.csv"
+        rc, out, _ = run(capsys, "grid", files["thin"], "--what", "psi",
+                         "--grid", "3x4")
+        assert rc == 0
+        rc, empty, _ = run(capsys, "grid", files["thin"], "--what", "psi",
+                           "--grid", "3x4", "--out", str(target))
+        assert (rc, empty) == (0, "")
+        assert target.read_text(encoding="utf-8") == out
+        model, grid, tol = load(files["thin"])
+        grid = dataclasses.replace(grid, v_points=3, V_points=4)
+        field = compute_field(model, "psi", grid, tol)
+        assert np.isnan(field.values).sum() == 2
+        want = "v,V,value\n" + "".join(
+            "%.17g,%.17g,%.17g\n" % row for row in field.rows())
+        assert out == want
+
+    def test_unwritable_out_exits_two(self, files, tmp_path, capsys):
+        rc, out, err = run(capsys, "grid", files["power"], "--what", "H",
+                           "--grid", "5x5",
+                           "--out", str(tmp_path / "no" / "dir.csv"))
+        assert (rc, out) == (2, "")
+        assert "cannot write" in err
+
     def test_unknown_field_rejected(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["grid", files["power"], "--what", "omega"])
@@ -305,6 +364,49 @@ class TestGrid:
         with pytest.raises(SystemExit) as exc:
             main(["grid", files["power"], "--what", "H", "--grid", "12"])
         assert exc.value.code == 2
+
+
+class TestStartup:
+    """SciPy is imported only by a model that calls betainc or ndtri."""
+
+    def scipy_loaded(self, code):
+        src = str(Path(seqscreen.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             code + "\nimport sys; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1] == "True"
+
+    def test_import_leaves_scipy_out(self):
+        assert not self.scipy_loaded("import seqscreen.cli")
+
+    def test_check_without_beta_or_normal_leaves_scipy_out(self, files):
+        code = ("from seqscreen.cli import main\n"
+                f"assert main(['check', {files['power']!r}, "
+                "'--grid', '17x17']) in (0, 1)")
+        assert not self.scipy_loaded(code)
+
+    def test_beta_normal_model_loads_scipy(self, files):
+        code = ("from seqscreen.cli import main\n"
+                f"main(['check', {files['beta']!r}, '--grid', '5x5'])")
+        assert self.scipy_loaded(code)
+
+    def test_beta_normal_report(self, files, capsys):
+        rc, out, _ = run(capsys, "check", files["beta"], "--grid", "17x17")
+        assert rc == 0
+        rep = json.loads(out)
+        assert rep["classic_regular"] and rep["psi_regular"]
+        assert rep["fosd_ok"]
+        evaluated = {name: c["n_evaluated"]
+                     for name, c in rep["checks"].items()}
+        assert evaluated == {"A0": 17, "A1": 289, "A2": 289, "FOSD": 289,
+                             "PSI": 289}
+        # the value range is cut at the normal 1e-9 quantiles (ndtri)
+        cut = rep["provenance"]["truncation"]
+        assert cut["lower"] == pytest.approx(-5.9978070150076865, rel=1e-15)
+        assert cut["upper"] == pytest.approx(6.997807019601637, rel=1e-15)
 
 
 def test_module_entry_point(files):

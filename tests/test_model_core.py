@@ -27,7 +27,6 @@ from seqscreen.model_core import (
     conditional_mean,
     conditional_mean_derivative,
     eval_kernel,
-    eval_signal,
     make_kernel,
     make_signal,
     validate_model,
@@ -323,10 +322,6 @@ class _OpaqueKernel(AdditiveNoiseKernel):
 
 
 class TestEvalPrimitives:
-    def test_eval_signal(self):
-        F, f = eval_signal(uniform_logistic(), 0.25)
-        assert (F, f) == (0.25, 1.0)
-
     def test_eval_kernel_frozen_logistic(self):
         ke = eval_kernel(uniform_logistic(), 0.5, 0.5)
         assert ke.H == pytest.approx(0.5, abs=1e-15)

@@ -221,7 +221,7 @@ class TestRoundTrips:
         path = tmp_path / "model.cfg"
         model = ScreeningModel(UniformSignal(Interval(1.0, 2.0)),
                                PowerKernel())
-        modelfile.save(str(path), model)
+        path.write_text(modelfile.dumps(model), encoding="utf-8")
         loaded, _, _ = modelfile.load(str(path))
         assert loaded.describe() == model.describe()
 
