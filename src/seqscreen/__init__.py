@@ -41,6 +41,8 @@ from .model_core import (
     ValuationKernel,
     conditional_mean,
     conditional_mean_derivative,
+    conditional_mean_derivative_many,
+    conditional_mean_many,
     eval_kernel,
     make_kernel,
     make_signal,
@@ -53,6 +55,7 @@ from .numerics import (
     Interval,
     differentiate,
     integrate,
+    integrate_many,
     invert_monotone,
     scan_violations,
 )
@@ -95,14 +98,17 @@ __all__ = [
     "ToolkitError", "DomainError", "EvaluationError", "QuadratureError",
     "IntegrabilityError", "ConstructionError", "SelfCheckError",
     "DensityUnderflowError", "NearEndpointError", "LoadError",
-    "Interval", "integrate", "differentiate", "DerivativeEstimate",
+    "Interval", "integrate", "integrate_many", "differentiate",
+    "DerivativeEstimate",
     "scan_violations", "invert_monotone",
     "GridSpec", "ToleranceConfig", "DEFAULT_GRID", "DEFAULT_TOLERANCES",
     "resolve_config", "SignalDistribution", "UniformSignal", "BetaSignal",
     "TableSignal", "ValuationKernel", "AdditiveNoiseKernel", "PowerKernel",
     "ExpTiltKernel", "TableKernel", "make_signal", "make_kernel",
     "ScreeningModel", "KernelEval", "eval_kernel",
-    "conditional_mean", "conditional_mean_derivative", "ModelValidation",
+    "conditional_mean", "conditional_mean_derivative",
+    "conditional_mean_many", "conditional_mean_derivative_many",
+    "ModelValidation",
     "validate_model", "loads", "dumps", "load",
     "CHECK_CODES", "FIELD_NAMES", "hazard", "gamma", "virtual_value",
     "Field2D", "compute_field", "CheckReport", "check_assumption",

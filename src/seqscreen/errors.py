@@ -18,6 +18,7 @@ __all__ = [
     "DensityUnderflowError",
     "NearEndpointError",
     "LoadError",
+    "NUMERIC_CAUSES",
 ]
 
 
@@ -84,3 +85,9 @@ class LoadError(ToolkitError, ValueError):
         super().__init__(message)
         self.line = line
         self.key = key
+
+
+# The exceptions an evaluation raises for a numeric cause. Code that turns a
+# failed evaluation into a report, or retries it point by point, catches
+# only these; any other exception is a defect and propagates as itself.
+NUMERIC_CAUSES = (ToolkitError, ArithmeticError, ValueError)

@@ -33,8 +33,8 @@ from .errors import (
     IntegrabilityError,
     QuadratureError,
 )
-from .numerics import (Interval, differentiate, integrate, invert_monotone,
-                       kahan_prefix)
+from .numerics import (Interval, differentiate, integrate, integrate_many,
+                       invert_monotone, kahan_prefix)
 
 __all__ = [
     "GridSpec",
@@ -56,6 +56,8 @@ __all__ = [
     "eval_kernel",
     "conditional_mean",
     "conditional_mean_derivative",
+    "conditional_mean_many",
+    "conditional_mean_derivative_many",
     "validate_model",
     "make_signal",
     "make_kernel",
@@ -188,6 +190,11 @@ class _Noise:
         """cdf and pdf on an array, equal to the scalar forms bit for bit."""
         raise NotImplementedError
 
+    def cdf_array(self, x: np.ndarray) -> np.ndarray:
+        """The cdf alone on an array, equal to the scalar form bit for bit;
+        a family whose cdf is cheaper than both overrides it."""
+        return self.cdf_pdf(x)[0]
+
 
 class _NormalNoise(_Noise):
     name = "normal"
@@ -202,8 +209,11 @@ class _NormalNoise(_Noise):
         return float(_special().ndtri(p))
 
     def cdf_pdf(self, x):
-        return (0.5 * _exact_map(math.erfc, -x / _SQRT2),
+        return (self.cdf_array(x),
                 _INV_SQRT_2PI * _exact_map(math.exp, -0.5 * x * x))
+
+    def cdf_array(self, x):
+        return 0.5 * _exact_map(math.erfc, -x / _SQRT2)
 
 
 class _LogisticNoise(_Noise):
@@ -223,10 +233,16 @@ class _LogisticNoise(_Noise):
         return math.log(p / (1.0 - p))
 
     def cdf_pdf(self, x):
-        # exp(-|x|) is the exponential both cdf branches take
         e = _exact_map(math.exp, -np.abs(x))
-        return (np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e)),
-                e / _exact_map(pow, 1.0 + e, 2))
+        return self._cdf(x, e), e / _exact_map(pow, 1.0 + e, 2)
+
+    def cdf_array(self, x):
+        return self._cdf(x, _exact_map(math.exp, -np.abs(x)))
+
+    @staticmethod
+    def _cdf(x, e):
+        # exp(-|x|) is the exponential both cdf branches take
+        return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class _LaplaceNoise(_Noise):
@@ -298,6 +314,28 @@ class SignalDistribution:
                 f"signal value {v!r} outside support "
                 f"[{self.support.lower}, {self.support.upper}]")
 
+    def sf_many(self, v: np.ndarray) -> np.ndarray:
+        """``sf`` at every point of an array, equal to it bit for bit."""
+        return self._many("sf", v)
+
+    def pdf_many(self, v: np.ndarray) -> np.ndarray:
+        """``pdf`` at every point of an array, equal to it bit for bit."""
+        return self._many("pdf", v)
+
+    def _many(self, name: str, v) -> np.ndarray:
+        # Only a family that defines the array form itself uses it: a
+        # subclass may override the scalar form, so it loops that instead.
+        v = np.asarray(v, dtype=float)
+        array_form = vars(type(self)).get(f"_{name}_array")
+        if array_form is None:
+            scalar = getattr(self, name)
+            return np.array([scalar(x) for x in v.ravel().tolist()],
+                            dtype=float).reshape(v.shape)
+        inside = (self.support.lower <= v) & (v <= self.support.upper)
+        if not inside.all():
+            self._require_in_support(float(v[~inside][0]))
+        return array_form(self, v)
+
 
 class UniformSignal(SignalDistribution):
     """Uniform signal on [lower, upper]."""
@@ -315,6 +353,12 @@ class UniformSignal(SignalDistribution):
     def pdf(self, v):
         self._require_in_support(v)
         return 1.0 / self.support.width
+
+    def _sf_array(self, v):
+        return (self.support.upper - v) / self.support.width
+
+    def _pdf_array(self, v):
+        return np.full(v.shape, 1.0 / self.support.width)
 
 
 class BetaSignal(SignalDistribution):
@@ -358,6 +402,24 @@ class BetaSignal(SignalDistribution):
         log_pdf = (self._log_norm + (self.alpha - 1.0) * math.log(x)
                    + (self.beta - 1.0) * math.log1p(-x))
         return math.exp(log_pdf) / self.support.width
+
+    def _sf_array(self, v):
+        return _special().betainc(
+            self.beta, self.alpha,
+            1.0 - (v - self.support.lower) / self.support.width)
+
+    def _pdf_array(self, v):
+        x = (v - self.support.lower) / self.support.width
+        inner = (0.0 < x) & (x < 1.0)
+        out = np.empty(x.shape)
+        x = x[inner]
+        log_pdf = (self._log_norm
+                   + (self.alpha - 1.0) * _exact_map(math.log, x)
+                   + (self.beta - 1.0) * _exact_map(math.log1p, -x))
+        out[inner] = _exact_map(math.exp, log_pdf) / self.support.width
+        # the support endpoints take the scalar branch
+        out[~inner] = [self.pdf(e) for e in v[~inner].tolist()]
+        return out
 
 
 class TableSignal(SignalDistribution):
@@ -436,6 +498,25 @@ class TableSignal(SignalDistribution):
         self._require_in_support(v)
         k = self._cell(v)
         return min(1.0, self._sf_at[k + 1] + self._partial_above(v, k))
+
+    def _cells(self, v):
+        """Cell index and its end nodes and densities, per point."""
+        nodes, dens = np.asarray(self._nodes), np.asarray(self._dens)
+        k = np.clip(np.searchsorted(nodes, v, side="right") - 1, 0,
+                    len(nodes) - 2)
+        return k, nodes[k], nodes[k + 1], dens[k], dens[k + 1]
+
+    def _pdf_array(self, v):
+        _, x0, x1, f0, f1 = self._cells(v)
+        w = (v - x0) / (x1 - x0)
+        return (1.0 - w) * f0 + w * f1
+
+    def _sf_array(self, v):
+        k, x0, x1, f0, f1 = self._cells(v)
+        dx = x1 - v
+        slope = (f0 - f1) / (x1 - x0)
+        return np.minimum(1.0, np.asarray(self._sf_at)[k + 1]
+                          + (f1 * dx + 0.5 * slope * dx * dx))
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +612,11 @@ class ValuationKernel:
         takes the scalar loop."""
         return "_fields" in vars(type(self))
 
+    def _cdf_field(self, v, V):
+        """The H of ``_fields`` alone, equal to ``cdf`` bit for bit; a family
+        whose cdf is cheaper than its three fields overrides it."""
+        return self._fields(v, V)[0]
+
 
 class AdditiveNoiseKernel(ValuationKernel):
     """V = v + scale * noise with mean-zero noise on the whole real line.
@@ -572,6 +658,9 @@ class AdditiveNoiseKernel(ValuationKernel):
         h = f / self.scale
         return H, h, -h
 
+    def _cdf_field(self, v, V):
+        return self._dist.cdf_array((V - v) / self.scale)
+
     def quantile(self, v, p):
         return v + self.scale * self._dist.ppf(p)
 
@@ -609,6 +698,9 @@ class PowerKernel(ValuationKernel):
         H = _exact_map(pow, V, v)
         return (H, v * _exact_map(pow, V, v - 1.0),
                 _exact_map(math.log, V) * H)
+
+    def _cdf_field(self, v, V):
+        return _exact_map(pow, V, v)
 
     def quantile(self, v, p):
         return p ** (1.0 / v)
@@ -718,6 +810,8 @@ class TableKernel(ValuationKernel):
         super().__init__(Interval(V_nodes[0], V_nodes[-1]))
         self._v_nodes = np.asarray(v_nodes)
         self._V_nodes = np.asarray(V_nodes)
+        # list copies for the scalar evaluators' bisect
+        self._v_list, self._V_list = v_nodes, V_nodes
         self._H = (grid - lo) / span
 
     def check_signal_support(self, support):
@@ -733,15 +827,15 @@ class TableKernel(ValuationKernel):
             "H": self._H.tolist(),
         }
 
-    def _locate(self, nodes: np.ndarray, x: float) -> tuple[int, float]:
-        k = int(np.searchsorted(nodes, x, side="right")) - 1
+    def _locate(self, nodes: list[float], x: float) -> tuple[int, float]:
+        k = bisect.bisect_right(nodes, x) - 1
         k = min(max(k, 0), len(nodes) - 2)
         w = (x - nodes[k]) / (nodes[k + 1] - nodes[k])
         return k, w
 
     def _corners(self, v: float, V: float):
-        i, a = self._locate(self._v_nodes, v)
-        j, b = self._locate(self._V_nodes, V)
+        i, a = self._locate(self._v_list, v)
+        j, b = self._locate(self._V_list, V)
         H = self._H
         return (i, j, a, b,
                 H[i, j], H[i, j + 1], H[i + 1, j], H[i + 1, j + 1])
@@ -770,7 +864,7 @@ class TableKernel(ValuationKernel):
         dv = self._v_nodes[i + 1] - self._v_nodes[i]
         return float(((1 - b) * (h10 - h00) + b * (h11 - h01)) / dv)
 
-    def _fields(self, v, V):
+    def _cells(self, v, V):
         def locate(nodes, x):
             k = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0,
                         len(nodes) - 2)
@@ -779,13 +873,25 @@ class TableKernel(ValuationKernel):
         i, a = locate(self._v_nodes, v)
         j, b = locate(self._V_nodes, V)
         H = self._H
-        h00, h01, h10, h11 = H[i, j], H[i, j + 1], H[i + 1, j], H[i + 1, j + 1]
+        return (i, j, a, b,
+                H[i, j], H[i, j + 1], H[i + 1, j], H[i + 1, j + 1])
+
+    def _fields(self, v, V):
+        i, j, a, b, h00, h01, h10, h11 = self._cells(v, V)
         dV = self._V_nodes[j + 1] - self._V_nodes[j]
         dv = self._v_nodes[i + 1] - self._v_nodes[i]
         return (((1 - a) * ((1 - b) * h00 + b * h01)
                  + a * ((1 - b) * h10 + b * h11)),
                 ((1 - a) * (h01 - h00) + a * (h11 - h10)) / dV,
                 ((1 - b) * (h10 - h00) + b * (h11 - h01)) / dv)
+
+    def _cdf_field(self, v, V):
+        # the scalar cdf's clamps, which the interior lattice never meets
+        _, _, a, b, h00, h01, h10, h11 = self._cells(v, V)
+        H = ((1 - a) * ((1 - b) * h00 + b * h01)
+             + a * ((1 - b) * h10 + b * h11))
+        return np.where(V <= self.support.lower, 0.0,
+                        np.where(V >= self.support.upper, 1.0, H))
 
 
 _SIGNAL_FAMILIES = {"uniform", "beta", "table"}
@@ -1006,6 +1112,97 @@ def conditional_mean_derivative(model: ScreeningModel, v: float,
             f"conditional mean derivative did not converge at v={v!r}: {exc}"
         ) from exc
     return value
+
+
+def _first_failure(failures: dict[int, Exception], what: str, vs,
+                   per_v: int) -> None:
+    """Raise the failure of the lowest-numbered integral, as the scalar
+    loop over ``vs`` (``per_v`` integrals each) would have raised it."""
+    if not failures:
+        return
+    k = min(failures)
+    exc = failures[k]
+    if isinstance(exc, QuadratureError):
+        raise IntegrabilityError(
+            f"{what} did not converge at v={vs[k // per_v]!r}: {exc}") from exc
+    raise exc
+
+
+def _signals_in_support(model: ScreeningModel, vs) -> list[float]:
+    vs = [float(v) for v in vs]
+    for v in vs:
+        if not model.signal.support.contains(v):
+            raise DomainError(f"signal value {v!r} outside the signal support")
+    return vs
+
+
+def conditional_mean_many(model: ScreeningModel, vs,
+                          grid: GridSpec | None = None,
+                          tolerances: ToleranceConfig | None = None
+                          ) -> np.ndarray:
+    """``conditional_mean`` at every v of ``vs``, equal to it bit for bit.
+
+    All 2N layer-cake integrals refine together through ``integrate_many``
+    on the kernel's array cdf; a kernel without array fields loops the
+    scalar form.
+    """
+    grid, tol = resolve_config(grid, tolerances)
+    kernel = model.kernel
+    if not kernel._exact_arrays():
+        return np.array([conditional_mean(model, float(v), grid, tol)
+                         for v in vs])
+    vs = _signals_in_support(model, vs)
+    lowers, uppers, cs = [], [], []
+    for v in vs:
+        lo, hi = model.value_range(v, grid)
+        c = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
+        cs.append(c)
+        # integral 2i is the upper tail of v_i, integral 2i + 1 the lower
+        lowers += (0.0, lo - c)
+        uppers += (hi - c, 0.0)
+    v_col = np.repeat(vs, 2)[:, None]
+    c_col = np.repeat(cs, 2)[:, None]
+
+    def tails(idx, x):
+        H = kernel._cdf_field(v_col[idx], x + c_col[idx])
+        return np.where(idx[:, None] % 2 == 0, 1.0 - H, H)
+
+    values, _, failures = integrate_many(tails, lowers, uppers,
+                                         rel_tol=tol.quadrature_rel)
+    _first_failure(failures, "conditional mean", vs, 2)
+    return np.array(cs) + values[0::2] - values[1::2]
+
+
+def conditional_mean_derivative_many(model: ScreeningModel, vs,
+                                     grid: GridSpec | None = None,
+                                     tolerances: ToleranceConfig | None = None
+                                     ) -> np.ndarray:
+    """``conditional_mean_derivative`` at every v of ``vs``, equal to it bit
+    for bit; the N integrals refine together on the kernel's array
+    signal-derivative, and a kernel without array fields loops the scalar
+    form."""
+    grid, tol = resolve_config(grid, tolerances)
+    kernel = model.kernel
+    if not kernel._exact_arrays():
+        return np.array([conditional_mean_derivative(model, float(v), grid,
+                                                     tol) for v in vs])
+    vs = _signals_in_support(model, vs)
+    ranges = [model.value_range(v, grid) for v in vs]
+    v_col = np.array(vs)[:, None]
+    k_lo, k_hi = kernel.support.as_tuple()
+
+    def neg_rate(idx, V):
+        interior = (k_lo < V) & (V < k_hi)
+        if not interior.all():
+            # eval_kernel's check, raised for the first offending value
+            kernel._require_interior(float(V[~interior][0]))
+        return -kernel._fields(v_col[idx], V)[2]
+
+    values, _, failures = integrate_many(
+        neg_rate, [lo for lo, _ in ranges], [hi for _, hi in ranges],
+        rel_tol=tol.quadrature_rel)
+    _first_failure(failures, "conditional mean derivative", vs, 1)
+    return values
 
 
 # ---------------------------------------------------------------------------

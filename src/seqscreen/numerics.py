@@ -19,13 +19,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstructionError, EvaluationError, QuadratureError
+from .errors import (NUMERIC_CAUSES, ConstructionError, EvaluationError,
+                     QuadratureError)
 
 __all__ = [
     "Interval",
     "DerivativeEstimate",
     "integrate",
+    "integrate_many",
     "differentiate",
+    "stencil",
     "scan_violations",
     "kahan_prefix",
     "invert_monotone",
@@ -92,6 +95,9 @@ _GK_CENTRE_WEIGHT = 0.20948214108472782
 _GAUSS_WEIGHTS = {1: 0.1294849661688697, 3: 0.27970539148927664,
                   5: 0.3818300505051189}
 _GAUSS_CENTRE_WEIGHT = 0.4179591836734694
+# (node, Kronrod weight, Gauss weight or None) per node pair
+_GK_RULE = tuple((node, w, _GAUSS_WEIGHTS.get(i))
+                 for i, (node, w) in enumerate(zip(_GK_NODES, _GK_WEIGHTS)))
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -101,14 +107,12 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     fc = f(centre)
     kron = _GK_CENTRE_WEIGHT * fc
     gauss = _GAUSS_CENTRE_WEIGHT * fc
-    for i, node in enumerate(_GK_NODES):
+    for node, kw, gw in _GK_RULE:
         dx = halfwidth * node
-        f_hi = f(centre + dx)
-        f_lo = f(centre - dx)
-        kron += _GK_WEIGHTS[i] * (f_hi + f_lo)
-        gw = _GAUSS_WEIGHTS.get(i)
+        pair = f(centre + dx) + f(centre - dx)
+        kron += kw * pair
         if gw is not None:
-            gauss += gw * (f_hi + f_lo)
+            gauss += gw * pair
     return kron * halfwidth, abs(kron - gauss) * halfwidth
 
 
@@ -146,6 +150,74 @@ def _unbounded_map(f: Callable[[float], float], lower: float, upper: float):
     return g, t_lo, t_hi
 
 
+class _Refinement:
+    """One integral's adaptive state: its panel heap, worst-first order,
+    stopping test, give-up rules and final left-to-right sum.
+
+    ``integrate`` and ``integrate_many`` drive this one object, so a batched
+    integral refines exactly as it would alone.
+    """
+
+    __slots__ = ("heap", "value", "error", "sign", "seq", "panels", "worst")
+
+    def __init__(self, a: float, b: float, value: float, err: float,
+                 sign: float):
+        self.heap = [[-err, 0, a, b, 0, value, err]]
+        self.value, self.error, self.sign = value, err, sign
+        self.seq = 1
+        self.panels = 1
+
+    def split(self, rel_tol: float, abs_tol: float, max_depth: int,
+              max_intervals: int) -> tuple[float, float, float] | None:
+        """None once the error estimate meets the tolerance; otherwise pop
+        the worst panel and return ``(a, mid, b)`` to refine it."""
+        if not self.error > max(abs_tol, rel_tol * abs(self.value)):
+            return None
+        worst = heapq.heappop(self.heap)
+        _, _, a, b, depth, _, _ = worst
+        if depth >= max_depth:
+            raise QuadratureError(
+                f"quadrature did not converge after {max_depth} bisections "
+                f"near [{a:.6g}, {b:.6g}]",
+                partial=self.sign * self.value, error_estimate=self.error)
+        if self.panels >= max_intervals:
+            raise QuadratureError(
+                f"quadrature exceeded {max_intervals} panels",
+                partial=self.sign * self.value, error_estimate=self.error)
+        self.worst = worst
+        return a, 0.5 * (a + b), b
+
+    def absorb(self, halves: tuple[float, float, float, float]) -> None:
+        """Replace the panel ``split`` popped by its two halves, given as
+        ``(value, error)`` of the lower half followed by the upper one."""
+        v1, e1, v2, e2 = halves
+        _, _, a, b, depth, val, perr = self.worst
+        mid = 0.5 * (a + b)
+        self.value += (v1 + v2) - val
+        self.error += (e1 + e2) - perr
+        seq = self.seq
+        heapq.heappush(self.heap, [-e1, seq, a, mid, depth + 1, v1, e1])
+        heapq.heappush(self.heap, [-e2, seq + 1, mid, b, depth + 1, v2, e2])
+        self.seq = seq + 2
+        self.panels += 1
+
+    def result(self) -> tuple[float, float]:
+        # Deterministic final accumulation: sum leaves left to right.
+        leaves = sorted(self.heap, key=lambda p: p[2])
+        return (self.sign * math.fsum(p[5] for p in leaves),
+                math.fsum(p[6] for p in leaves))
+
+
+def _ordered(lower, upper) -> tuple[float, float, float]:
+    """Endpoints in increasing order and the sign a reversed pair gives."""
+    lower, upper = float(lower), float(upper)
+    if math.isnan(lower) or math.isnan(upper):
+        raise ConstructionError("integration endpoints must not be NaN")
+    if lower > upper:
+        return upper, lower, -1.0
+    return lower, upper, 1.0
+
+
 def integrate(f: Callable[[float], float],
               domain: Interval | tuple[float, float],
               rel_tol: float = 1e-10,
@@ -162,51 +234,130 @@ def integrate(f: Callable[[float], float],
     partial value. Divergent integrands end up on that path.
     """
     if isinstance(domain, Interval):
-        lower, upper = domain.lower, domain.upper
-    else:
-        lower, upper = float(domain[0]), float(domain[1])
-    if math.isnan(lower) or math.isnan(upper):
-        raise ConstructionError("integration endpoints must not be NaN")
+        domain = domain.as_tuple()
+    lower, upper, sign = _ordered(*domain)
     if lower == upper:
         return 0.0, 0.0
-    sign = 1.0
-    if lower > upper:
-        lower, upper, sign = upper, lower, -1.0
     if math.isinf(lower) or math.isinf(upper):
         f, lower, upper = _unbounded_map(f, lower, upper)
+    ref = _Refinement(lower, upper, *_gk15(f, lower, upper), sign)
+    while (cut := ref.split(rel_tol, abs_tol, max_depth,
+                            max_intervals)) is not None:
+        a, mid, b = cut
+        ref.absorb(_gk15(f, a, mid) + _gk15(f, mid, b))
+    return ref.result()
 
-    value, err = _gk15(f, lower, upper)
-    heap: list[list] = [[-err, 0, lower, upper, 0, value, err]]
-    total_value, total_error = value, err
-    seq = 1
-    panels = 1
-    while total_error > max(abs_tol, rel_tol * abs(total_value)):
-        worst = heapq.heappop(heap)
-        _, _, a, b, depth, val, perr = worst
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"quadrature did not converge after {max_depth} bisections "
-                f"near [{a:.6g}, {b:.6g}]",
-                partial=sign * total_value, error_estimate=total_error)
-        if panels >= max_intervals:
-            raise QuadratureError(
-                f"quadrature exceeded {max_intervals} panels",
-                partial=sign * total_value, error_estimate=total_error)
-        mid = 0.5 * (a + b)
-        v1, e1 = _gk15(f, a, mid)
-        v2, e2 = _gk15(f, mid, b)
-        total_value += (v1 + v2) - val
-        total_error += (e1 + e2) - perr
-        heapq.heappush(heap, [-e1, seq, a, mid, depth + 1, v1, e1])
-        heapq.heappush(heap, [-e2, seq + 1, mid, b, depth + 1, v2, e2])
-        seq += 2
-        panels += 1
 
-    # Deterministic final accumulation: sum leaves left to right.
-    leaves = sorted(heap, key=lambda p: p[2])
-    value = math.fsum(p[5] for p in leaves)
-    error = math.fsum(p[6] for p in leaves)
-    return sign * value, error
+def integrate_many(f, lowers, uppers, rel_tol: float = 1e-10,
+                   abs_tol: float = 1e-14, max_depth: int = 48,
+                   max_intervals: int = 2048):
+    """Integrate N integrands over finite bounds, refining them together.
+
+    ``f(idx, x)`` evaluates integrand ``idx[r]`` at the nodes ``x[r]`` of an
+    (m, 15) array and returns an array of that shape. Each round evaluates
+    the panels of every integral still open in one call. Each integral keeps
+    its own heap, worst-first refinement, stopping test and failure, so its
+    value, error estimate and error message equal ``integrate`` on it alone
+    bit for bit. Returns ``(values, errors, failures)``: ``failures`` maps
+    the index of each integral that failed (NaN in both arrays) to the
+    exception that ended it, a :class:`QuadratureError` or the first one its
+    integrand raised.
+    """
+    n = len(lowers)
+    values, errors = [0.0] * n, [0.0] * n
+    failures: dict[int, Exception] = {}
+    refs: dict[int, _Refinement] = {}
+    todo, lo, hi, signs = [], [], [], []
+    for k, (a, b) in enumerate(zip(lowers, uppers)):
+        a, b, sign = _ordered(a, b)
+        if a == b:
+            continue
+        if math.isinf(a) or math.isinf(b):
+            raise ConstructionError("integrate_many needs finite bounds")
+        todo.append(k)
+        lo.append(a)
+        hi.append(b)
+        signs.append(sign)
+    if todo:
+        vals, errs = _panels(f, todo, lo, hi, failures)
+        for r, k in enumerate(todo):
+            if k not in failures:
+                refs[k] = _Refinement(lo[r], hi[r], vals[r], errs[r],
+                                      signs[r])
+    while refs:
+        todo, lo, hi = [], [], []
+        for k, ref in list(refs.items()):
+            try:
+                cut = ref.split(rel_tol, abs_tol, max_depth, max_intervals)
+            except QuadratureError as exc:
+                failures[k] = exc
+                del refs[k]
+                continue
+            if cut is None:
+                values[k], errors[k] = ref.result()
+                del refs[k]
+                continue
+            a, mid, b = cut
+            todo += (k, k)
+            lo += (a, mid)
+            hi += (mid, b)
+        if todo:
+            vals, errs = _panels(f, todo, lo, hi, failures)
+            for r in range(0, len(todo), 2):
+                k = todo[r]
+                if k in failures:
+                    refs.pop(k, None)
+                else:
+                    refs[k].absorb((vals[r], errs[r], vals[r + 1],
+                                    errs[r + 1]))
+    for k in failures:
+        values[k] = errors[k] = math.nan
+    return np.array(values), np.array(errors), failures
+
+
+def _panels(f, todo: list[int], lo: list[float], hi: list[float],
+            failures: dict[int, Exception]) -> tuple[list[float], list[float]]:
+    """Kronrod-15 panels on ``[lo[r], hi[r]]`` of integrals ``todo[r]``.
+
+    The node array holds the centre in column 0 and the pair
+    ``centre +- dx_i`` in columns ``2i + 1`` and ``2i + 2``, the order in
+    which ``_gk15`` calls its integrand, and the sums run column by column
+    in ``_gk15``'s order, so each row equals ``_gk15`` bit for bit. When
+    ``f`` raises for a numeric cause, the nodes are evaluated one at a time
+    in that order, and an integral whose rows raise is entered in
+    ``failures`` with its first exception.
+    """
+    idx = np.array(todo)
+    a, b = np.array(lo), np.array(hi)
+    centre = 0.5 * (a + b)
+    halfwidth = 0.5 * (b - a)
+    x = np.empty((len(todo), 15))
+    x[:, 0] = centre
+    for i, node in enumerate(_GK_NODES):
+        dx = halfwidth * node
+        x[:, 2 * i + 1] = centre + dx
+        x[:, 2 * i + 2] = centre - dx
+    try:
+        fx = np.asarray(f(idx, x), dtype=float)
+    except NUMERIC_CAUSES:
+        fx = np.full(x.shape, math.nan)
+        for r, k in enumerate(todo):
+            for c in range(15):
+                if k in failures:
+                    break
+                try:
+                    fx[r, c] = f(idx[r:r + 1], x[r:r + 1, c:c + 1])[0, 0]
+                except NUMERIC_CAUSES as exc:
+                    failures[k] = exc
+    kron = _GK_CENTRE_WEIGHT * fx[:, 0]
+    gauss = _GAUSS_CENTRE_WEIGHT * fx[:, 0]
+    for i, (_, kw, gw) in enumerate(_GK_RULE):
+        pair = fx[:, 2 * i + 1] + fx[:, 2 * i + 2]
+        kron = kron + kw * pair
+        if gw is not None:
+            gauss = gauss + gw * pair
+    return ((kron * halfwidth).tolist(),
+            (np.abs(kron - gauss) * halfwidth).tolist())
 
 
 @dataclass(frozen=True)
@@ -221,11 +372,19 @@ class DerivativeEstimate:
 def _probe(f: Callable[[float], float], x: float) -> float:
     try:
         y = float(f(x))
-    except Exception as exc:
+    except NUMERIC_CAUSES as exc:
         raise EvaluationError(f"stencil evaluation failed at x={x!r}") from exc
     if math.isnan(y):
         raise EvaluationError(f"stencil evaluation returned NaN at x={x!r}")
     return y
+
+
+def stencil(x: float, step: float | None = None
+            ) -> tuple[float, tuple[float, ...]]:
+    """The step ``differentiate`` takes at x and the points it evaluates,
+    in its order: x, x + h, x - h, x + h/2, x - h/2."""
+    h = step if step is not None else max(1e-5, 1e-5 * abs(x))
+    return h, (x, x + h, x - h, x + 0.5 * h, x - 0.5 * h)
 
 
 def differentiate(f: Callable[[float], float], x: float,
@@ -239,12 +398,10 @@ def differentiate(f: Callable[[float], float], x: float,
     kink it stalls; a stalled ratio flags the estimate and inflates the error
     to the gap between one-sided slopes.
     """
-    h = step if step is not None else max(1e-5, 1e-5 * abs(x))
+    h, points = stencil(x, step)
     if h <= 0:
         raise ConstructionError("differentiation step must be positive")
-    f_c = _probe(f, x)
-    f_p, f_m = _probe(f, x + h), _probe(f, x - h)
-    f_p2, f_m2 = _probe(f, x + 0.5 * h), _probe(f, x - 0.5 * h)
+    f_c, f_p, f_m, f_p2, f_m2 = [_probe(f, p) for p in points]
 
     d_h = (f_p - f_m) / (2.0 * h)
     d_h2 = (f_p2 - f_m2) / h

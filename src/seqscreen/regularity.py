@@ -33,6 +33,7 @@ from .errors import (
     DensityUnderflowError,
     DomainError,
     EvaluationError,
+    NUMERIC_CAUSES,
     NearEndpointError,
 )
 from .model_core import (
@@ -146,7 +147,24 @@ class _Bundle:
 
 def _inverse_hazard(model: ScreeningModel, vs: np.ndarray):
     """Inverse hazard on the signal lattice, and the mask of points where
-    the hazard could not be evaluated (those hold NaN)."""
+    the hazard could not be evaluated (those hold NaN).
+
+    The signal's array forms give every point at once, equal to ``hazard``
+    bit for bit. If they raise, the points are evaluated one at a time, so
+    that each failure is marked (or raised) where ``hazard`` meets it.
+    """
+    try:
+        s = model.signal.sf_many(vs)
+        f = model.signal.pdf_many(vs)
+    except NUMERIC_CAUSES:
+        return _inverse_hazard_pointwise(model, vs)
+    failed = (s <= _SURVIVAL_FLOOR) | (f < _DENSITY_FLOOR)
+    inv = np.full(len(vs), np.nan)
+    np.divide(s, f, out=inv, where=~failed)
+    return inv, failed
+
+
+def _inverse_hazard_pointwise(model: ScreeningModel, vs: np.ndarray):
     inv = np.full(len(vs), np.nan)
     failed = np.zeros(len(vs), dtype=bool)
     for i, v in enumerate(vs.tolist()):

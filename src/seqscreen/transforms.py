@@ -32,6 +32,7 @@ inversions bracket on the construction lattice and bisect to 1e-12.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 
@@ -42,6 +43,7 @@ from .errors import (
     DensityUnderflowError,
     DomainError,
     IntegrabilityError,
+    NUMERIC_CAUSES,
     QuadratureError,
     SelfCheckError,
 )
@@ -51,9 +53,11 @@ from .model_core import (
     ValuationKernel,
     conditional_mean,
     conditional_mean_derivative,
+    conditional_mean_derivative_many,
+    conditional_mean_many,
 )
-from .numerics import (Interval, differentiate, integrate, invert_monotone,
-                       kahan_prefix)
+from .numerics import (Interval, differentiate, integrate, integrate_many,
+                       invert_monotone, kahan_prefix, stencil)
 from .regularity import gamma, virtual_value
 
 __all__ = [
@@ -100,23 +104,51 @@ def _pdf_over_sf(signal: SignalDistribution, v: float) -> float:
     return signal.pdf(v) / s
 
 
+# Array forms of the two ratios; on one point each raises what the scalar
+# form raises.
+
+def _sf_over_pdf_many(signal: SignalDistribution, v: np.ndarray) -> np.ndarray:
+    f = signal.pdf_many(v)
+    low = f < 1e-300
+    if low.any():
+        raise DensityUnderflowError(
+            f"signal density vanished at v={float(v[low][0])!r}")
+    return signal.sf_many(v) / f
+
+
+def _pdf_over_sf_many(signal: SignalDistribution, v: np.ndarray) -> np.ndarray:
+    s = signal.sf_many(v)
+    low = s < 1e-300
+    if low.any():
+        raise DensityUnderflowError(
+            f"signal survival vanished at v={float(v[low][0])!r}")
+    return signal.pdf_many(v) / s
+
+
 class Relabeling:
     """A strictly increasing signal map with cached forward/inverse values.
 
     Construct through make_relabeling. ``phi`` and ``phi_prime`` accept any
     v in the domain; ``inverse`` accepts any w in the codomain and returns
     the exact preimage for w values previously produced by ``phi``.
+    ``phi_many`` and ``phi_prime_many``, when given, are array forms equal
+    to ``phi_fn`` and ``phi_prime_fn`` bit for bit; ``fill_phis`` and
+    ``fill_slopes`` fill the caches with them.
     """
 
     def __init__(self, kind: str, domain: Interval, phi_fn, phi_prime_fn,
                  lattice_v: np.ndarray, lattice_w: np.ndarray,
-                 w_hi: float, params: dict | None = None):
+                 w_hi: float, params: dict | None = None,
+                 phi_many=None, phi_prime_many=None):
         self.kind = kind
         self.domain = domain
         self._phi_fn = phi_fn
         self._phi_prime_fn = phi_prime_fn
+        self._phi_many = phi_many
+        self._phi_prime_many = phi_prime_many
         self._lat_v = np.asarray(lattice_v, dtype=float)
         self._lat_w = np.asarray(lattice_w, dtype=float)
+        self._lat_w_list = self._lat_w.tolist()
         self.w_lo = float(lattice_w[0])
         self._w_hi = float(w_hi)
         self.params = dict(params or {})
@@ -161,6 +193,42 @@ class Relabeling:
             self._slope[v] = p
         return p
 
+    def _fill(self, cache: dict, many, vs) -> list[tuple[float, float]]:
+        """Enter the uncached domain points of ``vs`` into ``cache`` from one
+        call of the array form ``many``, and return the new pairs.
+
+        If that call raises, nothing is entered: the scalar method then
+        computes those points one at a time, so an error surfaces where the
+        point-by-point order meets it, with its own type and text.
+        """
+        if many is None:
+            return []
+        todo = list(dict.fromkeys(
+            v for v in map(float, vs)
+            if v not in cache and self.domain.contains(v)))
+        if not todo:
+            return []
+        try:
+            values = many(np.array(todo)).tolist()
+        except NUMERIC_CAUSES:
+            return []
+        cache.update(zip(todo, values))
+        return list(zip(todo, values))
+
+    def fill_phis(self, vs) -> None:
+        """Fill the forward and inverse caches at ``vs`` (see ``_fill``)."""
+        for v, w in self._fill(self._fwd, self._phi_many, vs):
+            self._inv[w] = v
+
+    def fill_slopes(self, vs) -> None:
+        """Fill the slope cache at ``vs`` (see ``_fill``)."""
+        self._fill(self._slope, self._phi_prime_many, vs)
+
+    def phi_primes(self, vs) -> np.ndarray:
+        """``phi_prime`` at every v of ``vs``, the cache filled first."""
+        self.fill_slopes(vs)
+        return np.array([self.phi_prime(v) for v in vs])
+
     def inverse(self, w: float) -> float:
         w = float(w)
         v = self._inv.get(w)
@@ -176,7 +244,7 @@ class Relabeling:
                 f"value {w!r} outside relabeling codomain "
                 f"[{self.w_lo}, {self._w_hi}]")
         w = min(max(w, self.w_lo), self._w_hi)
-        k = int(np.searchsorted(self._lat_w, w, side="right")) - 1
+        k = bisect.bisect_right(self._lat_w_list, w) - 1
         if k >= len(self._lat_w) - 1:
             lo_v, hi_v = float(self._lat_v[-1]), self.domain.upper
             f_lo, f_hi = float(self._lat_w[-1]), self._w_hi
@@ -197,8 +265,9 @@ class Relabeling:
     def table(self, n: int = _TABLE_POINTS) -> list[tuple[float, float, float]]:
         """(v, phi(v), phi'(v)) triples subsampled from the lattice."""
         idx = np.linspace(0, len(self._lat_v) - 1, n).round().astype(int)
-        return [(float(self._lat_v[i]), float(self._lat_w[i]),
-                 self.phi_prime(float(self._lat_v[i]))) for i in idx]
+        vs = self._lat_v[idx]
+        return list(zip(vs.tolist(), self._lat_w[idx].tolist(),
+                        self.phi_primes(vs).tolist()))
 
     def describe(self) -> dict:
         d = {"kind": self.kind, "w_lo": self.w_lo,
@@ -207,31 +276,37 @@ class Relabeling:
         return d
 
 
-def _kahan_cumulative(phi_prime, nodes: np.ndarray, w_lo: float,
+def _kahan_cumulative(phi_prime_many, nodes: np.ndarray, w_lo: float,
                       context: str) -> np.ndarray:
-    incs = []
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        try:
-            inc, _ = integrate(phi_prime, (float(a), float(b)),
-                               rel_tol=1e-13, abs_tol=1e-16)
-        except QuadratureError as exc:
+    """``w_lo`` and its compensated running sums of the slope integral over
+    each cell. The cells refine together; the error raised is the one of
+    the first cell that fails, as in a cell-by-cell loop."""
+    incs, _, failures = integrate_many(
+        lambda idx, x: phi_prime_many(x), nodes[:-1], nodes[1:],
+        rel_tol=1e-13, abs_tol=1e-16)
+    incs = incs.tolist()
+    for k, (a, b, inc) in enumerate(zip(nodes[:-1], nodes[1:], incs)):
+        exc = failures.get(k)
+        if isinstance(exc, QuadratureError):
             raise IntegrabilityError(
                 f"{context}: slope integral diverged on "
                 f"[{a:.6g}, {b:.6g}]") from exc
+        if exc is not None:
+            raise exc
         if not inc > 0.0:
             raise ConstructionError(
                 f"{context}: slope integral is not positive on "
                 f"[{a:.6g}, {b:.6g}]")
-        incs.append(inc)
     return np.asarray(kahan_prefix(incs, w_lo))
 
 
 def _piecewise_phi(phi_prime, lat_v: np.ndarray, lat_w: np.ndarray):
     """phi evaluated as lattice value plus a partial-cell integral."""
+    nodes = lat_v.tolist()
 
     def phi(v: float) -> float:
-        k = int(np.searchsorted(lat_v, v, side="right")) - 1
-        k = min(max(k, 0), len(lat_v) - 2)
+        k = bisect.bisect_right(nodes, v) - 1
+        k = min(max(k, 0), len(nodes) - 2)
         a = float(lat_v[k])
         if v == a:
             return float(lat_w[k])
@@ -280,25 +355,36 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
         def phi_prime(v):
             return conditional_mean_derivative(model, v)
 
+        def phi_many(vs):
+            return conditional_mean_many(model, vs)
+
+        def phi_prime_many(vs):
+            return conditional_mean_derivative_many(model, vs)
+
         lat_v = np.linspace(lo, hi, _LATTICE_N)
-        lat_w = np.array([phi(float(v)) for v in lat_v])
+        lat_w = phi_many(lat_v)
         if not np.all(np.diff(lat_w) > 0):
             raise ConstructionError(
                 "conditional mean is not strictly increasing; the mean "
                 "relabeling is undefined for this model")
         return Relabeling(kind, dom, phi, phi_prime, lat_v, lat_w,
-                          w_hi=float(lat_w[-1]))
+                          w_hi=float(lat_w[-1]), phi_many=phi_many,
+                          phi_prime_many=phi_prime_many)
 
     if kind == "inverse_hazard_integral":
         def phi_prime(v):
             return _sf_over_pdf(signal, v)
 
+        def phi_prime_many(vs):
+            return _sf_over_pdf_many(signal, vs)
+
         lat_v = np.linspace(lo, hi, _LATTICE_N)
-        lat_w = _kahan_cumulative(phi_prime, lat_v, w_lo,
+        lat_w = _kahan_cumulative(phi_prime_many, lat_v, w_lo,
                                   "inverse_hazard_integral")
         phi = _piecewise_phi(phi_prime, lat_v, lat_w)
         return Relabeling(kind, dom, phi, phi_prime, lat_v, lat_w,
-                          w_hi=float(lat_w[-1]))
+                          w_hi=float(lat_w[-1]),
+                          phi_prime_many=phi_prime_many)
 
     if kind == "integrated_hazard":
         def phi(v):
@@ -310,11 +396,14 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
         def phi_prime(v):
             return _pdf_over_sf(signal, v)
 
+        def phi_prime_many(vs):
+            return _pdf_over_sf_many(signal, vs)
+
         v_cap = hi - _TAIL_GAP * span
         lat_v = np.linspace(lo, v_cap, _LATTICE_N)
         lat_w = np.array([phi(float(v)) for v in lat_v])
         return Relabeling(kind, dom, phi, phi_prime, lat_v, lat_w,
-                          w_hi=phi(hi))
+                          w_hi=phi(hi), phi_prime_many=phi_prime_many)
 
     # runningmax_hazard
     v_cap = hi - _TAIL_GAP * span
@@ -322,6 +411,7 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
     haz = np.array([_pdf_over_sf(signal, float(v)) for v in g_nodes])
     g_vals = np.maximum.accumulate(haz)
     g_last = float(g_vals[-1])
+    g_list = g_nodes.tolist()
 
     def phi_prime(v):
         if v >= v_cap:
@@ -330,8 +420,8 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
                 return 1.0
             h = signal.pdf(v) / s
             return 1.0 if h >= g_last else h / g_last
-        k = int(np.searchsorted(g_nodes, v, side="right")) - 1
-        k = min(max(k, 0), len(g_nodes) - 1)
+        k = bisect.bisect_right(g_list, v) - 1
+        k = min(max(k, 0), len(g_list) - 1)
         g = float(g_vals[k])
         if g == 0.0:
             # A hazard that starts at 0 (a density vanishing at the lower
@@ -339,7 +429,19 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
             return 1.0
         return _pdf_over_sf(signal, v) / g
 
-    lat_w = _kahan_cumulative(phi_prime, g_nodes, w_lo, "runningmax_hazard")
+    def phi_prime_many(v):
+        k = np.clip(np.searchsorted(g_nodes, v, side="right") - 1, 0,
+                    len(g_nodes) - 1)
+        g = g_vals[k]
+        tail = v >= v_cap
+        ratio = (g != 0.0) & ~tail
+        out = np.ones(v.shape)
+        out[ratio] = _pdf_over_sf_many(signal, v[ratio]) / g[ratio]
+        out[tail] = [phi_prime(x) for x in v[tail].tolist()]
+        return out
+
+    lat_w = _kahan_cumulative(phi_prime_many, g_nodes, w_lo,
+                              "runningmax_hazard")
     phi_body = _piecewise_phi(phi_prime, g_nodes, lat_w)
 
     def phi(v):
@@ -350,11 +452,24 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
         return float(lat_w[-1]) + inc
 
     return Relabeling("runningmax_hazard", dom, phi, phi_prime,
-                      g_nodes, lat_w, w_hi=phi(hi))
+                      g_nodes, lat_w, w_hi=phi(hi),
+                      phi_prime_many=phi_prime_many)
 
 
 # ---------------------------------------------------------------------------
 # the induced model
+
+
+def _preimages(rel: Relabeling, w: np.ndarray) -> np.ndarray:
+    return np.array([rel.inverse(x) for x in w.ravel().tolist()]).reshape(
+        w.shape)
+
+
+def _over_slope(x: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """x / slope, raising where the scalar forms' float division does."""
+    if (slope == 0.0).any():
+        raise ZeroDivisionError("float division by zero")
+    return x / slope
 
 
 class _RelabeledSignal(SignalDistribution):
@@ -381,6 +496,14 @@ class _RelabeledSignal(SignalDistribution):
         self._require_in_support(w)
         v = self.rel.inverse(w)
         return self.base.pdf(v) / self.rel.phi_prime(v)
+
+    def _sf_array(self, w):
+        return self.base.sf_many(_preimages(self.rel, w))
+
+    def _pdf_array(self, w):
+        v = _preimages(self.rel, w)
+        return _over_slope(self.base.pdf_many(v),
+                           self.rel.phi_primes(v.ravel()).reshape(v.shape))
 
     def params(self):
         return {"relabeling": self.rel.describe(),
@@ -420,10 +543,12 @@ class _RelabeledKernel(ValuationKernel):
 
     def _fields(self, w, V):
         # One inverse and one slope per row of the lattice, not per point.
-        v = np.array([self.rel.inverse(x) for x in w[:, 0].tolist()])
+        v = _preimages(self.rel, w[:, 0])
         H, h, dHdv = self.base._fields(v[:, None], V)
-        slope = np.array([self.rel.phi_prime(x) for x in v.tolist()])
-        return H, h, dHdv / slope[:, None]
+        return H, h, _over_slope(dHdv, self.rel.phi_primes(v)[:, None])
+
+    def _cdf_field(self, w, V):
+        return self.base._cdf_field(_preimages(self.rel, w), V)
 
     def quantile(self, w, p):
         return self.base.quantile(self.rel.inverse(w), p)
@@ -455,8 +580,9 @@ class TransformedModel(ScreeningModel):
         self.relabeling = relabeling
 
     def signal_grid(self, grid=None):
-        return np.array([self.relabeling.phi(float(v))
-                         for v in self.base.signal_grid(grid)])
+        vs = self.base.signal_grid(grid).tolist()
+        self.relabeling.fill_phis(vs)
+        return np.array([self.relabeling.phi(v) for v in vs])
 
 
 def _self_check(base: ScreeningModel, tm: TransformedModel,
@@ -464,13 +590,19 @@ def _self_check(base: ScreeningModel, tm: TransformedModel,
     rng = random.Random(_SELF_CHECK_SEED)
     lo, hi = base.signal.support.as_tuple()
     span = hi - lo
-    worst = 0.0
-    worst_at = None
-    n_bad = 0
+    probes = []
     for _ in range(_SELF_CHECK_POINTS):
         v = lo + span * (0.02 + 0.96 * rng.random())
         V_lo, V_hi = base.value_range(v)
-        V = V_lo + (V_hi - V_lo) * (0.02 + 0.96 * rng.random())
+        probes.append((v, V_lo + (V_hi - V_lo) * (0.02 + 0.96 * rng.random())))
+    # phi at every probe and difference-stencil point, and the slopes, each
+    # from one array call where the kind has one
+    rel.fill_phis([x for v, _ in probes for x in stencil(v)[1]])
+    rel.fill_slopes([v for v, _ in probes])
+    worst = 0.0
+    worst_at = None
+    n_bad = 0
+    for v, V in probes:
         w = rel.phi(v)
         p = rel.phi_prime(v)
         errs = []
@@ -596,7 +728,15 @@ def rebuild_from_section(base: ScreeningModel,
                 f"{want_hi!r}")
 
     if "phi_table" in section:
-        for tok in section["phi_table"].split():
+        tokens = section["phi_table"].split()
+        table_vs = []
+        for tok in tokens:
+            try:
+                table_vs.append(float(tok.split(":")[0]))
+            except ValueError:
+                break
+        rel.fill_slopes(table_vs)
+        for tok in tokens:
             pieces = tok.split(":")
             if len(pieces) != 3:
                 raise ConstructionError(

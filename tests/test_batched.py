@@ -1,0 +1,464 @@
+"""Batched quadrature and the array forms built on it.
+
+Every batched result is compared with its scalar counterpart under ``==``
+or ``np.array_equal``, never a tolerance: the batch must give what the
+scalar loop gives, value, error estimate and error message alike.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from seqscreen import modelfile
+from seqscreen.errors import (
+    ConstructionError,
+    DensityUnderflowError,
+    DomainError,
+    IntegrabilityError,
+    QuadratureError,
+)
+from seqscreen.model_core import (
+    AdditiveNoiseKernel,
+    BetaSignal,
+    GridSpec,
+    PowerKernel,
+    ScreeningModel,
+    TableKernel,
+    TableSignal,
+    UniformSignal,
+    conditional_mean,
+    conditional_mean_derivative,
+    conditional_mean_derivative_many,
+    conditional_mean_many,
+    make_kernel,
+    make_signal,
+)
+from seqscreen.numerics import (Interval, integrate, integrate_many,
+                                kahan_prefix)
+from seqscreen.regularity import (
+    _inverse_hazard,
+    _inverse_hazard_pointwise,
+    regularity_report,
+)
+from seqscreen.transforms import (
+    RELABELING_KINDS,
+    Relabeling,
+    TransformedModel,
+    _sf_over_pdf,
+    make_relabeling,
+    relabel,
+    transform_section,
+)
+
+SMALL = GridSpec(v_points=17, V_points=17)
+
+# integrand k is sqrt|x - c_k| + 1/(1 + x^2): a kink that forces refinement
+CENTRES = np.array([0.1, 0.1, 0.5, 0.8, 0.95, 0.2])
+BOUNDS = [(0.0, 1.0), (1.0, 0.0), (0.3, 0.3), (-2.0, 3.0), (0.5, 0.5000001),
+          (0.25, -0.75)]
+
+
+def _scalar_integrand(k):
+    c = float(CENTRES[k])
+    return lambda x: math.sqrt(abs(x - c)) + 1.0 / (1.0 + x * x)
+
+
+def _batch_integrand(idx, x):
+    return np.sqrt(np.abs(x - CENTRES[idx][:, None])) + 1.0 / (1.0 + x * x)
+
+
+class TestIntegrateMany:
+    def test_equals_integrate_per_integral(self):
+        lowers, uppers = zip(*BOUNDS)
+        values, errors, failures = integrate_many(
+            _batch_integrand, lowers, uppers, rel_tol=1e-12)
+        assert failures == {}
+        for k, bounds in enumerate(BOUNDS):
+            want = integrate(_scalar_integrand(k), bounds, rel_tol=1e-12)
+            assert (values[k], errors[k]) == want
+        # reversed bounds flip the sign, zero width gives exact zeros
+        assert values[1] == -values[0] and errors[1] == errors[0]
+        assert (values[2], errors[2]) == (0.0, 0.0)
+
+    def test_max_depth_failure_on_the_power_singularity(self):
+        # stress_power05: the kernel density 0.5 * V^(-1/2) on (0, 1) makes
+        # the bisection chase the singularity until max_depth
+        kernel = PowerKernel()
+        vs = np.array([1.0, 0.5, 1.4999, 0.5])
+        values, errors, failures = integrate_many(
+            lambda idx, V: kernel._fields(vs[idx][:, None], V)[1],
+            [0.0] * 4, [1.0] * 4)
+        assert sorted(failures) == [1, 3]
+        for k, v in enumerate(vs.tolist()):
+            f = lambda V, v=v: kernel.pdf(v, V)  # noqa: E731
+            if k in failures:
+                with pytest.raises(QuadratureError) as want:
+                    integrate(f, (0.0, 1.0))
+                got = failures[k]
+                assert isinstance(got, QuadratureError)
+                assert str(got) == str(want.value)
+                assert "48 bisections" in str(got)
+                assert got.partial == want.value.partial
+                assert got.error_estimate == want.value.error_estimate
+                assert math.isnan(values[k]) and math.isnan(errors[k])
+            else:
+                assert (values[k], errors[k]) == integrate(f, (0.0, 1.0))
+
+    def test_max_intervals_failure_has_the_same_message(self):
+        values, _, failures = integrate_many(
+            _batch_integrand, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-15,
+            max_intervals=5)
+        for k in range(2):
+            with pytest.raises(QuadratureError) as want:
+                integrate(_scalar_integrand(k), (0.0, 1.0), rel_tol=1e-15,
+                          max_intervals=5)
+            assert str(failures[k]) == str(want.value)
+            assert failures[k].partial == want.value.partial
+
+    def test_integrand_error_is_the_first_the_scalar_order_meets(self):
+        limits = np.array([2.0, 0.7, 2.0, 0.4])
+
+        def scalar(k):
+            def f(x):
+                if x > limits[k]:
+                    raise DensityUnderflowError(f"vanished at x={x!r}")
+                return x * x
+            return f
+
+        def batch(idx, x):
+            bad = x > limits[idx][:, None]
+            if bad.any():
+                # the last offending node, not the first the scalar meets
+                raise DensityUnderflowError(
+                    f"vanished at x={float(x[bad][-1])!r}")
+            return x * x
+
+        values, _, failures = integrate_many(batch, [0.0] * 4, [1.0] * 4)
+        assert sorted(failures) == [1, 3]
+        for k in range(4):
+            if k in failures:
+                with pytest.raises(DensityUnderflowError) as want:
+                    integrate(scalar(k), (0.0, 1.0))
+                assert type(failures[k]) is DensityUnderflowError
+                assert str(failures[k]) == str(want.value)
+            else:
+                assert values[k] == integrate(scalar(k), (0.0, 1.0))[0]
+
+    def test_other_exceptions_propagate(self):
+        class Bug(RuntimeError):
+            pass
+
+        def batch(idx, x):
+            raise Bug("not a numeric cause")
+
+        with pytest.raises(Bug):
+            integrate_many(batch, [0.0], [1.0])
+
+    def test_bounds_are_checked(self):
+        with pytest.raises(ConstructionError, match="finite"):
+            integrate_many(_batch_integrand, [0.0], [math.inf])
+        with pytest.raises(ConstructionError, match="NaN"):
+            integrate_many(_batch_integrand, [math.nan], [1.0])
+        values, errors, failures = integrate_many(_batch_integrand, [], [])
+        assert len(values) == len(errors) == 0 and failures == {}
+
+
+# ---------------------------------------------------------------------------
+# conditional means
+
+
+class _OpaqueKernel(AdditiveNoiseKernel):
+    """Same law, but no array fields of its own: the scalar loop."""
+
+    def cdf_dv(self, v, V):
+        return None
+
+
+def _table_kernel():
+    V_nodes = np.linspace(-4.0, 5.0, 17)
+    rows = [1.0 / (1.0 + np.exp(-(V_nodes - v))) for v in (0.0, 0.5, 1.0)]
+    return TableKernel([0.0, 0.5, 1.0], V_nodes, rows)
+
+
+def _mean_models():
+    uniform = make_signal("uniform", (0.0, 1.0))
+    logistic = ScreeningModel(uniform, make_kernel("additive_noise",
+                                                   noise="logistic"))
+    return {
+        "normal": ScreeningModel(uniform, make_kernel(
+            "additive_noise", noise="normal", scale=0.5)),
+        "logistic": logistic,
+        "laplace": ScreeningModel(uniform, make_kernel(
+            "additive_noise", noise="laplace", scale=0.05)),
+        "power": ScreeningModel(make_signal("uniform", (0.5, 2.0)),
+                                make_kernel("power")),
+        # starts inside exp_tilt's small-signal branch
+        "exp_tilt": ScreeningModel(make_signal("uniform", (0.0, 0.05)),
+                                   make_kernel("exp_tilt")),
+        "table": ScreeningModel(uniform, _table_kernel()),
+        "relabeled": relabel(logistic, "inverse_hazard_integral"),
+        "opaque": ScreeningModel(uniform, _OpaqueKernel(noise="logistic")),
+    }
+
+
+MEAN_MODELS = _mean_models()
+
+
+def _signals(model):
+    inner = model.signal_grid(GridSpec(v_points=9, V_points=2)).tolist()
+    if isinstance(model, TransformedModel):
+        # phi' = S/f vanishes at the top, where the scalar forms divide by
+        # it (see test_zero_slope_raises_the_scalar_error)
+        return [model.signal.support.lower, *inner]
+    return [*model.signal.support.as_tuple(), *inner]
+
+
+class TestConditionalMeanMany:
+    @pytest.mark.parametrize("name", sorted(MEAN_MODELS))
+    def test_mean_equals_scalar_loop(self, name):
+        model = MEAN_MODELS[name]
+        vs = _signals(model)
+        want = [conditional_mean(model, v) for v in vs]
+        assert np.array_equal(conditional_mean_many(model, vs), want)
+
+    @pytest.mark.parametrize("name", sorted(MEAN_MODELS))
+    def test_slope_equals_scalar_loop(self, name):
+        model = MEAN_MODELS[name]
+        vs = _signals(model)
+        want = [conditional_mean_derivative(model, v) for v in vs]
+        assert np.array_equal(conditional_mean_derivative_many(model, vs),
+                              want)
+
+    def test_zero_slope_raises_the_scalar_error(self):
+        model = MEAN_MODELS["relabeled"]
+        w_hi = model.signal.support.upper
+        with pytest.raises(ZeroDivisionError):
+            conditional_mean_derivative(model, w_hi)
+        with pytest.raises(ZeroDivisionError):
+            conditional_mean_derivative_many(model, [0.5, w_hi])
+        with pytest.raises(ZeroDivisionError):
+            model.signal.pdf(w_hi)
+        with pytest.raises(ZeroDivisionError):
+            model.signal.pdf_many(np.array([0.5, w_hi]))
+
+    def test_outside_the_support_raises_the_scalar_error(self):
+        model = MEAN_MODELS["logistic"]
+        for many, one in ((conditional_mean_many, conditional_mean),
+                          (conditional_mean_derivative_many,
+                           conditional_mean_derivative)):
+            with pytest.raises(DomainError) as want:
+                one(model, 1.5)
+            with pytest.raises(DomainError, match=str(want.value)):
+                many(model, [0.5, 1.5])
+
+    def test_table_cdf_field_keeps_the_scalar_clamps(self):
+        kernel = _table_kernel()
+        Vs = np.array([-5.0, -4.0, -1.3, 0.0, 2.7, 5.0, 6.0])
+        for v in (0.0, 0.3, 1.0):
+            got = kernel._cdf_field(np.array([[v]]), Vs[None, :])[0]
+            assert np.array_equal(got, [kernel.cdf(v, V) for V in Vs])
+
+    def test_mean_relabeling_lattice_equals_scalar_means(self):
+        model = ScreeningModel(UniformSignal(Interval(1.0, 2.0)),
+                               PowerKernel())
+        rel = make_relabeling(model, "mean")
+        assert np.array_equal(
+            rel._lat_w, [conditional_mean(model, v) for v in rel._lat_v])
+        table = rel.table(17)
+        assert [p for _, _, p in table] == [
+            conditional_mean_derivative(model, v) for v, _, _ in table]
+
+
+# ---------------------------------------------------------------------------
+# signals
+
+
+def _signal_cases():
+    return {
+        "uniform": UniformSignal(Interval(-1.0, 2.0)),
+        "beta22": BetaSignal(2.0, 2.0, Interval(0.0, 3.0)),
+        "beta0502": BetaSignal(0.5, 2.0),
+        "beta0305": BetaSignal(3.0, 0.5),
+        "table": TableSignal([0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
+                             [3.0, 1.2, 0.7, 0.55, 0.8, 1.6]),
+        "relabeled": relabel(
+            ScreeningModel(UniformSignal(Interval(0.0, 1.0)),
+                           AdditiveNoiseKernel()),
+            "inverse_hazard_integral").signal,
+    }
+
+
+SIGNALS = _signal_cases()
+
+
+def _points(signal, endpoints):
+    rng = np.random.default_rng(7)
+    lo, hi = signal.support.as_tuple()
+    inner = np.concatenate([np.linspace(lo, hi, 19)[1:-1],
+                            rng.uniform(lo, hi, 41)])
+    return np.concatenate([[lo, hi], inner]) if endpoints else inner
+
+
+class TestSignalArrays:
+    @pytest.mark.parametrize("name", sorted(SIGNALS))
+    def test_sf_and_pdf_equal_scalar_forms(self, name):
+        signal = SIGNALS[name]
+        # the beta densities with a shape below 1 raise at the endpoints,
+        # the relabeled one divides by phi' = 0 at the top
+        endpoints = name not in ("beta0502", "beta0305", "relabeled")
+        vs = _points(signal, endpoints)
+        for many, one in ((signal.sf_many, signal.sf),
+                          (signal.pdf_many, signal.pdf)):
+            got = many(vs)
+            assert np.array_equal(got, [one(v) for v in vs.tolist()])
+            grid = many(vs[:40].reshape(5, 8))
+            assert np.array_equal(grid.ravel(), got[:40])
+
+    @pytest.mark.parametrize("name", sorted(SIGNALS))
+    def test_outside_the_support_raises_the_scalar_error(self, name):
+        signal = SIGNALS[name]
+        lo, hi = signal.support.as_tuple()
+        outside = hi + 1.0 if math.isfinite(hi) else lo - 1.0
+        mid = float(_points(signal, False)[0])
+        for many, one in ((signal.sf_many, signal.sf),
+                          (signal.pdf_many, signal.pdf)):
+            with pytest.raises(DomainError) as want:
+                one(outside)
+            with pytest.raises(DomainError) as got:
+                many(np.array([mid, outside]))
+            assert str(got.value) == str(want.value)
+
+    def test_beta_endpoint_raises_the_scalar_error(self):
+        signal = SIGNALS["beta0502"]
+        with pytest.raises(DomainError) as want:
+            signal.pdf(0.0)
+        with pytest.raises(DomainError) as got:
+            signal.pdf_many(np.array([0.5, 0.0, 1.0]))
+        assert str(got.value) == str(want.value)
+
+    def test_subclass_overriding_the_scalar_form_loops_it(self):
+        class Doubled(UniformSignal):
+            def pdf(self, v):
+                return 2.0 * super().pdf(v)
+
+        signal = Doubled(Interval(0.0, 2.0))
+        assert np.array_equal(signal.pdf_many(np.array([0.5, 1.0])),
+                              [2.0 * 0.5, 2.0 * 0.5])
+
+
+# ---------------------------------------------------------------------------
+# relabelings: cells, slope cache, derived files
+
+
+def _cell_reference(phi_prime, nodes, context):
+    """The cell-by-cell loop the batched cumulative integral replaces."""
+    incs = []
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        try:
+            inc, _ = integrate(phi_prime, (float(a), float(b)),
+                               rel_tol=1e-13, abs_tol=1e-16)
+        except QuadratureError as exc:
+            raise IntegrabilityError(
+                f"{context}: slope integral diverged on "
+                f"[{a:.6g}, {b:.6g}]") from exc
+        incs.append(inc)
+    return kahan_prefix(incs, 0.0)
+
+
+def _decreasing_hazard_model():
+    sig = TableSignal([0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
+                      [3.0, 1.2, 0.7, 0.55, 0.8, 1.6])
+    return ScreeningModel(sig, AdditiveNoiseKernel(noise="logistic"))
+
+
+class TestRelabelingCells:
+    @pytest.mark.parametrize("kind", ["inverse_hazard_integral",
+                                      "runningmax_hazard"])
+    def test_lattice_equals_cell_by_cell_loop(self, kind):
+        model = _decreasing_hazard_model()
+        rel = make_relabeling(model, kind)
+        want = _cell_reference(rel._phi_prime_fn, rel._lat_v, kind)
+        assert np.array_equal(rel._lat_w, want)
+
+    def test_divergent_cell_reports_the_first_failing_cell(self):
+        model = ScreeningModel(BetaSignal(2.0, 2.0),
+                               AdditiveNoiseKernel(noise="normal"))
+        with pytest.raises(IntegrabilityError) as got:
+            make_relabeling(model, "inverse_hazard_integral")
+        with pytest.raises(IntegrabilityError) as want:
+            _cell_reference(lambda v: _sf_over_pdf(model.signal, v),
+                            np.linspace(0.0, 1.0, 513),
+                            "inverse_hazard_integral")
+        assert str(got.value) == str(want.value)
+
+
+def _failing_slope_relabeling(threshold):
+    """phi(v) = 2v whose slope underflows above ``threshold``; its array
+    form names the last offending point, the scalar loop the first."""
+
+    def phi_prime(v):
+        if v > threshold:
+            raise DensityUnderflowError(f"slope vanished at v={v!r}")
+        return 2.0
+
+    def phi_prime_many(vs):
+        bad = vs > threshold
+        if bad.any():
+            raise DensityUnderflowError(
+                f"slope vanished at v={float(vs[bad][-1])!r}")
+        return np.full(vs.shape, 2.0)
+
+    lat_v = np.linspace(0.0, 1.0, 33)
+    return Relabeling("affine", Interval(0.0, 1.0), lambda v: 2.0 * v,
+                      phi_prime, lat_v, 2.0 * lat_v, w_hi=2.0,
+                      phi_prime_many=phi_prime_many)
+
+
+class TestSlopeCache:
+    def test_fill_equals_scalar_slopes(self):
+        base = MEAN_MODELS["logistic"]
+        vs = np.linspace(0.0, 1.0, 23)
+        filled = make_relabeling(base, "mean")
+        scalar = make_relabeling(base, "mean")
+        assert np.array_equal(filled.phi_primes(vs),
+                              [scalar.phi_prime(v) for v in vs.tolist()])
+        assert filled._slope == scalar._slope
+
+    def test_error_is_the_first_the_point_order_meets(self):
+        vs = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(DensityUnderflowError) as want:
+            scalar = _failing_slope_relabeling(0.6)
+            for v in vs.tolist():
+                scalar.phi_prime(v)
+        with pytest.raises(DensityUnderflowError) as got:
+            _failing_slope_relabeling(0.6).phi_primes(vs)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"slope vanished at v={float(vs[6])!r}"
+
+    def test_lattice_hazard_marks_the_scalar_failures(self):
+        base = ScreeningModel(UniformSignal(Interval(0.0, 1.0)),
+                              AdditiveNoiseKernel())
+        tm = TransformedModel(base, _failing_slope_relabeling(0.6))
+        ws = tm.signal_grid(SMALL)
+        inv, failed = _inverse_hazard(tm, ws)
+        want_inv, want_failed = _inverse_hazard_pointwise(tm, ws)
+        assert failed.any() and not failed.all()
+        assert np.array_equal(failed, want_failed)
+        assert np.array_equal(inv, want_inv, equal_nan=True)
+
+
+class TestDerivedFileRoundTrip:
+    @pytest.mark.parametrize("kind", RELABELING_KINDS)
+    def test_load_gives_the_same_reports(self, kind):
+        base = (ScreeningModel(UniformSignal(Interval(1.0, 2.0)),
+                               PowerKernel())
+                if kind == "mean" else _decreasing_hazard_model())
+        tm = relabel(base, kind)
+        section = transform_section(tm)
+        text = modelfile.dumps(base, transform_section=section)
+        loaded, _, _ = modelfile.loads(text)
+        assert isinstance(loaded, TransformedModel)
+        assert transform_section(loaded) == section
+        assert (regularity_report(loaded, SMALL).to_json()
+                == regularity_report(tm, SMALL).to_json())

@@ -16,6 +16,8 @@ import pytest
 
 import seqscreen
 from seqscreen.cli import main
+from seqscreen.errors import DomainError
+from seqscreen.model_core import PowerKernel
 from seqscreen.modelfile import load, loads
 from seqscreen.regularity import compute_field
 from seqscreen.transforms import TransformedModel
@@ -169,6 +171,40 @@ class TestCheck:
                          "--out", str(tmp_path / "no" / "dir.json"))
         assert rc == 2
         assert "cannot write" in err
+
+    @staticmethod
+    def _stencil_failure(monkeypatch, exc_type):
+        """The power kernel without its analytic slope, so validation's
+        stochastic-ordering sample differentiates its cdf, and a cdf that
+        raises just above the top of that sample, where only a difference
+        stencil reaches."""
+        original = PowerKernel.cdf
+
+        def cdf(self, v, V):
+            if v > 1.99991:
+                raise exc_type(f"signal {v!r} beyond the sample")
+            return original(self, v, V)
+
+        monkeypatch.setattr(PowerKernel, "cdf_dv", lambda self, v, V: None)
+        monkeypatch.setattr(PowerKernel, "cdf", cdf)
+
+    def test_domain_error_in_stencil_exits_two(self, files, capsys,
+                                               monkeypatch):
+        self._stencil_failure(monkeypatch, DomainError)
+        rc, out, err = run(capsys, "check", files["power"])
+        assert rc == 2 and out == ""
+        assert err.startswith(
+            "seqscreen: error: stencil evaluation failed at x=")
+        assert err.count("\n") == 1
+
+    def test_non_numeric_error_in_stencil_propagates(self, files, capsys,
+                                                     monkeypatch):
+        class Interrupted(RuntimeError):
+            pass
+
+        self._stencil_failure(monkeypatch, Interrupted)
+        with pytest.raises(Interrupted):
+            main(["check", files["power"]])
 
 
 class TestVerify:

@@ -12,7 +12,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqscreen.errors import ConstructionError, EvaluationError, QuadratureError
+from seqscreen.errors import (
+    ConstructionError,
+    DomainError,
+    EvaluationError,
+    QuadratureError,
+)
 from seqscreen.numerics import (
     DerivativeEstimate,
     Interval,
@@ -145,6 +150,26 @@ class TestDifferentiate:
 
         with pytest.raises(EvaluationError, match="x="):
             differentiate(partial, 1.0)
+
+    def test_domain_error_in_stencil_becomes_evaluation_error(self):
+        def partial(x):
+            if x > 1.0:
+                raise DomainError(f"outside at {x!r}")
+            return x
+
+        with pytest.raises(EvaluationError, match="x=") as exc:
+            differentiate(partial, 1.0)
+        assert isinstance(exc.value.__cause__, DomainError)
+
+    def test_non_numeric_exception_propagates_as_itself(self):
+        class Interrupted(RuntimeError):
+            pass
+
+        def interrupted(x):
+            raise Interrupted("not a numeric cause")
+
+        with pytest.raises(Interrupted):
+            differentiate(interrupted, 1.0)
 
     def test_explicit_step_honoured(self):
         est = differentiate(math.sin, 0.3, step=1e-4)
