@@ -394,7 +394,8 @@ class BetaSignal(SignalDistribution):
     def pdf(self, v):
         x = self._unit(v)
         if x == 0.0 or x == 1.0:
-            if self.alpha < 1 or self.beta < 1:
+            # only a shape below 1 at its own endpoint makes it unbounded
+            if (self.alpha if x == 0.0 else self.beta) < 1:
                 raise DomainError(
                     f"beta density unbounded at the support endpoint v={v!r}")
             return (math.exp(self._log_norm) * x ** (self.alpha - 1.0)
@@ -1143,12 +1144,13 @@ def conditional_mean_many(model: ScreeningModel, vs,
     """``conditional_mean`` at every v of ``vs``, equal to it bit for bit.
 
     All 2N layer-cake integrals refine together through ``integrate_many``
-    on the kernel's array cdf; a kernel without array fields loops the
-    scalar form.
+    on the kernel's array cdf. A kernel without array fields loops the
+    scalar form, and so does a single v: there, the batch's array work per
+    refinement round costs more than the scalar rule's calls.
     """
     grid, tol = resolve_config(grid, tolerances)
     kernel = model.kernel
-    if not kernel._exact_arrays():
+    if not kernel._exact_arrays() or len(vs) == 1:
         return np.array([conditional_mean(model, float(v), grid, tol)
                          for v in vs])
     vs = _signals_in_support(model, vs)
@@ -1231,9 +1233,6 @@ def validate_model(model: ScreeningModel, grid: GridSpec | None = None,
     """
     grid, tol = resolve_config(grid, tolerances)
     checks: list[dict] = []
-    v_lo, v_hi = model.signal.support.as_tuple()
-    window = model.signal_grid(grid)
-    a, b = float(window[0]), float(window[-1])
 
     def record(name, passed, **detail):
         checks.append({"name": name, "passed": bool(passed), **detail})
@@ -1242,7 +1241,9 @@ def validate_model(model: ScreeningModel, grid: GridSpec | None = None,
     # integrable singularity at a support endpoint is never integrated up
     # to; the slivers outside the window come from the cdf and survival. A
     # relabeled model is checked on its base axis, where quadrature does not
-    # meet the slope's step discontinuities.
+    # meet the slope's step discontinuities, and so is its kernel: the
+    # relabeled kernel at phi(v) is the base kernel at v, and phi' > 0 keeps
+    # the sign of dH/dv.
     rel = getattr(model, "relabeling", None)
     base = getattr(model, "base", None)
     relabeled = rel is not None and base is not None
@@ -1283,10 +1284,10 @@ def validate_model(model: ScreeningModel, grid: GridSpec | None = None,
 
     # Kernel mass at a few signals; the truncated tails are allowed for.
     mass_tol = 2.0 * grid.tail_mass_cut + 1e-7
-    for v in (a, 0.5 * (a + b), b):
-        lo, hi = model.value_range(v, grid)
+    for v in (sa, 0.5 * (sa + sb), sb):
+        lo, hi = checked.value_range(v, grid)
         try:
-            mass, _ = integrate(lambda V: model.kernel.pdf(v, V), (lo, hi),
+            mass, _ = integrate(lambda V: checked.kernel.pdf(v, V), (lo, hi),
                                 rel_tol=tol.quadrature_rel)
             record("kernel_mass", abs(mass - 1.0) <= mass_tol, at=v, value=mass)
         except QuadratureError as exc:
@@ -1294,28 +1295,28 @@ def validate_model(model: ScreeningModel, grid: GridSpec | None = None,
 
     # Strict stochastic ordering on a coarse interior sample.
     fosd_bad = 0
-    vs = np.linspace(a, b, 8)
-    Vs = model.value_grid(GridSpec(v_points=8, V_points=8,
-                                   endpoint_margin=grid.endpoint_margin,
-                                   tail_mass_cut=grid.tail_mass_cut))
+    vs = np.linspace(sa, sb, 8)
+    Vs = checked.value_grid(GridSpec(v_points=8, V_points=8,
+                                     endpoint_margin=grid.endpoint_margin,
+                                     tail_mass_cut=grid.tail_mass_cut))
     for v in vs:
         for V in Vs:
-            if eval_kernel(model, float(v), float(V), tol).fosd_violation:
+            if eval_kernel(checked, float(v), float(V), tol).fosd_violation:
                 fosd_bad += 1
     record("fosd_sample", fosd_bad == 0, violations=int(fosd_bad),
            sampled=int(len(vs) * len(Vs)))
     fosd_ok = fosd_bad == 0
 
     # Declared dominating bound, spot-checked on 64 deterministic pairs.
-    probe = model.kernel.tail_bound(0.5 * (Vs[0] + Vs[-1]), v_lo, v_hi)
+    probe = checked.kernel.tail_bound(0.5 * (Vs[0] + Vs[-1]), s_lo, s_hi)
     if probe is not None:
         bad = 0
         rng = random.Random(414213562)
         for _ in range(64):
-            v = a + (b - a) * rng.random()
+            v = sa + (sb - sa) * rng.random()
             V = Vs[0] + (Vs[-1] - Vs[0]) * rng.random()
-            ke = eval_kernel(model, v, float(V), tol)
-            bound = model.kernel.tail_bound(float(V), v_lo, v_hi)
+            ke = eval_kernel(checked, v, float(V), tol)
+            bound = checked.kernel.tail_bound(float(V), s_lo, s_hi)
             if bound is not None and abs(ke.dHdv) > bound * (1 + 1e-9) + 1e-12:
                 bad += 1
         record("tail_bound_spot_check", bad == 0, violations=bad, sampled=64)

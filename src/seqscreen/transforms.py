@@ -25,8 +25,11 @@ Available kinds:
                               mean-normalized by construction
     affine                    phi(v) = intercept + slope*v with slope > 0
 
-Forward evaluations are memoized both ways, so inverting phi at a point that
-was produced by phi costs a dictionary lookup and is exact to the bit; fresh
+Each kind defines its map and its slope once, as functions of an array of
+signal values; a value at one point is that function called on one point, so
+batched and point-by-point evaluations agree bit for bit. Forward
+evaluations are memoized both ways, so inverting phi at a point that was
+produced by phi costs a dictionary lookup and is exact to the bit; fresh
 inversions bracket on the construction lattice and bisect to 1e-12.
 """
 
@@ -51,12 +54,11 @@ from .model_core import (
     ScreeningModel,
     SignalDistribution,
     ValuationKernel,
-    conditional_mean,
-    conditional_mean_derivative,
+    _exact_map,
     conditional_mean_derivative_many,
     conditional_mean_many,
 )
-from .numerics import (Interval, differentiate, integrate, integrate_many,
+from .numerics import (Interval, differentiate, integrate_many,
                        invert_monotone, kahan_prefix, stencil)
 from .regularity import gamma, virtual_value
 
@@ -89,25 +91,7 @@ _SELF_CHECK_SEED = 271828182
 _TABLE_POINTS = 257
 
 
-def _sf_over_pdf(signal: SignalDistribution, v: float) -> float:
-    f = signal.pdf(v)
-    if f < 1e-300:
-        raise DensityUnderflowError(f"signal density vanished at v={v!r}")
-    return signal.sf(v) / f
-
-
-def _pdf_over_sf(signal: SignalDistribution, v: float) -> float:
-    s = signal.sf(v)
-    if s < 1e-300:
-        raise DensityUnderflowError(
-            f"signal survival vanished at v={v!r}")
-    return signal.pdf(v) / s
-
-
-# Array forms of the two ratios; on one point each raises what the scalar
-# form raises.
-
-def _sf_over_pdf_many(signal: SignalDistribution, v: np.ndarray) -> np.ndarray:
+def _sf_over_pdf(signal: SignalDistribution, v: np.ndarray) -> np.ndarray:
     f = signal.pdf_many(v)
     low = f < 1e-300
     if low.any():
@@ -116,7 +100,7 @@ def _sf_over_pdf_many(signal: SignalDistribution, v: np.ndarray) -> np.ndarray:
     return signal.sf_many(v) / f
 
 
-def _pdf_over_sf_many(signal: SignalDistribution, v: np.ndarray) -> np.ndarray:
+def _pdf_over_sf(signal: SignalDistribution, v: np.ndarray) -> np.ndarray:
     s = signal.sf_many(v)
     low = s < 1e-300
     if low.any():
@@ -128,22 +112,21 @@ def _pdf_over_sf_many(signal: SignalDistribution, v: np.ndarray) -> np.ndarray:
 class Relabeling:
     """A strictly increasing signal map with cached forward/inverse values.
 
-    Construct through make_relabeling. ``phi`` and ``phi_prime`` accept any
-    v in the domain; ``inverse`` accepts any w in the codomain and returns
-    the exact preimage for w values previously produced by ``phi``.
-    ``phi_many`` and ``phi_prime_many``, when given, are array forms equal
-    to ``phi_fn`` and ``phi_prime_fn`` bit for bit; ``fill_phis`` and
-    ``fill_slopes`` fill the caches with them.
+    Construct through make_relabeling. The map and its slope are given once
+    each, as array functions ``phi_many`` and ``phi_prime_many`` of an array
+    of domain points. ``phi`` and ``phi_prime`` accept any v in the domain
+    and are cached one-point calls of them; ``fill_phis`` and
+    ``fill_slopes`` fill the caches from one call over many points.
+    ``inverse`` accepts any w in the codomain and returns the exact preimage
+    for w values previously produced by ``phi``; other w values bisect on
+    the one-point map.
     """
 
-    def __init__(self, kind: str, domain: Interval, phi_fn, phi_prime_fn,
+    def __init__(self, kind: str, domain: Interval, phi_many, phi_prime_many,
                  lattice_v: np.ndarray, lattice_w: np.ndarray,
-                 w_hi: float, params: dict | None = None,
-                 phi_many=None, phi_prime_many=None):
+                 w_hi: float, params: dict | None = None):
         self.kind = kind
         self.domain = domain
-        self._phi_fn = phi_fn
-        self._phi_prime_fn = phi_prime_fn
         self._phi_many = phi_many
         self._phi_prime_many = phi_prime_many
         self._lat_v = np.asarray(lattice_v, dtype=float)
@@ -177,10 +160,13 @@ class Relabeling:
         self._require_domain(v)
         w = self._fwd.get(v)
         if w is None:
-            w = float(self._phi_fn(v))
+            w = self._phi_at(v)
             self._fwd[v] = w
             self._inv[w] = v
         return w
+
+    def _phi_at(self, v: float) -> float:
+        return float(self._phi_many(np.array([v]))[0])
 
     def phi_prime(self, v: float) -> float:
         # Cached per point: some slopes are quadratures (the conditional-
@@ -189,7 +175,7 @@ class Relabeling:
         self._require_domain(v)
         p = self._slope.get(v)
         if p is None:
-            p = float(self._phi_prime_fn(v))
+            p = float(self._phi_prime_many(np.array([v]))[0])
             self._slope[v] = p
         return p
 
@@ -201,8 +187,6 @@ class Relabeling:
         computes those points one at a time, so an error surfaces where the
         point-by-point order meets it, with its own type and text.
         """
-        if many is None:
-            return []
         todo = list(dict.fromkeys(
             v for v in map(float, vs)
             if v not in cache and self.domain.contains(v)))
@@ -257,7 +241,7 @@ class Relabeling:
         if lo_v == hi_v:
             v = lo_v
         else:
-            v = invert_monotone(self._phi_fn, w, lo_v, hi_v,
+            v = invert_monotone(self._phi_at, w, lo_v, hi_v,
                                 tol=_INVERSE_TOL, f_lower=f_lo, f_upper=f_hi)
         self._inv[w] = v
         return v
@@ -276,13 +260,13 @@ class Relabeling:
         return d
 
 
-def _kahan_cumulative(phi_prime_many, nodes: np.ndarray, w_lo: float,
+def _kahan_cumulative(phi_prime, nodes: np.ndarray, w_lo: float,
                       context: str) -> np.ndarray:
     """``w_lo`` and its compensated running sums of the slope integral over
     each cell. The cells refine together; the error raised is the one of
     the first cell that fails, as in a cell-by-cell loop."""
     incs, _, failures = integrate_many(
-        lambda idx, x: phi_prime_many(x), nodes[:-1], nodes[1:],
+        lambda idx, x: phi_prime(x), nodes[:-1], nodes[1:],
         rel_tol=1e-13, abs_tol=1e-16)
     incs = incs.tolist()
     for k, (a, b, inc) in enumerate(zip(nodes[:-1], nodes[1:], incs)):
@@ -301,17 +285,22 @@ def _kahan_cumulative(phi_prime_many, nodes: np.ndarray, w_lo: float,
 
 
 def _piecewise_phi(phi_prime, lat_v: np.ndarray, lat_w: np.ndarray):
-    """phi evaluated as lattice value plus a partial-cell integral."""
-    nodes = lat_v.tolist()
+    """phi as the lattice value at the start of each point's cell plus the
+    slope integral over the partial cell, all points in one
+    ``integrate_many`` call. Past the last node, the integral runs from that
+    node. A failing integral raises as it would alone, the first in point
+    order."""
+    last = len(lat_v) - 1
 
-    def phi(v: float) -> float:
-        k = bisect.bisect_right(nodes, v) - 1
-        k = min(max(k, 0), len(nodes) - 2)
-        a = float(lat_v[k])
-        if v == a:
-            return float(lat_w[k])
-        inc, _ = integrate(phi_prime, (a, v), rel_tol=1e-13, abs_tol=1e-16)
-        return float(lat_w[k]) + inc
+    def phi(v: np.ndarray) -> np.ndarray:
+        k = np.clip(np.searchsorted(lat_v, v, side="right") - 1, 0, last - 1)
+        k[v > lat_v[last]] = last
+        a = lat_v[k]
+        incs, _, failures = integrate_many(
+            lambda idx, x: phi_prime(x), a, v, rel_tol=1e-13, abs_tol=1e-16)
+        if failures:
+            raise failures[min(failures)]
+        return lat_w[k] + incs
 
     return phi
 
@@ -341,7 +330,8 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
             raise ConstructionError("affine relabeling needs slope > 0")
         lat_v = np.linspace(lo, hi, _LATTICE_N)
         lat_w = b + a * lat_v
-        return Relabeling(kind, dom, lambda v: b + a * v, lambda v: a,
+        return Relabeling(kind, dom, lambda v: b + a * v,
+                          lambda v: np.full(v.shape, a),
                           lat_v, lat_w, w_hi=b + a * hi,
                           params={"slope": a, "intercept": b})
     if slope is not None or intercept is not None:
@@ -349,111 +339,81 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
             f"slope/intercept only apply to the affine kind, not {kind!r}")
 
     if kind == "mean":
-        def phi(v):
-            return conditional_mean(model, v)
-
-        def phi_prime(v):
-            return conditional_mean_derivative(model, v)
-
-        def phi_many(vs):
+        def phi(vs):
             return conditional_mean_many(model, vs)
 
-        def phi_prime_many(vs):
+        def phi_prime(vs):
             return conditional_mean_derivative_many(model, vs)
 
         lat_v = np.linspace(lo, hi, _LATTICE_N)
-        lat_w = phi_many(lat_v)
+        lat_w = phi(lat_v)
         if not np.all(np.diff(lat_w) > 0):
             raise ConstructionError(
                 "conditional mean is not strictly increasing; the mean "
                 "relabeling is undefined for this model")
         return Relabeling(kind, dom, phi, phi_prime, lat_v, lat_w,
-                          w_hi=float(lat_w[-1]), phi_many=phi_many,
-                          phi_prime_many=phi_prime_many)
+                          w_hi=float(lat_w[-1]))
 
     if kind == "inverse_hazard_integral":
-        def phi_prime(v):
-            return _sf_over_pdf(signal, v)
-
-        def phi_prime_many(vs):
-            return _sf_over_pdf_many(signal, vs)
+        def phi_prime(vs):
+            return _sf_over_pdf(signal, vs)
 
         lat_v = np.linspace(lo, hi, _LATTICE_N)
-        lat_w = _kahan_cumulative(phi_prime_many, lat_v, w_lo,
+        lat_w = _kahan_cumulative(phi_prime, lat_v, w_lo,
                                   "inverse_hazard_integral")
-        phi = _piecewise_phi(phi_prime, lat_v, lat_w)
-        return Relabeling(kind, dom, phi, phi_prime, lat_v, lat_w,
-                          w_hi=float(lat_w[-1]),
-                          phi_prime_many=phi_prime_many)
+        return Relabeling(kind, dom, _piecewise_phi(phi_prime, lat_v, lat_w),
+                          phi_prime, lat_v, lat_w, w_hi=float(lat_w[-1]))
 
     if kind == "integrated_hazard":
-        def phi(v):
-            s = signal.sf(v)
-            if s <= 0.0:
-                return math.inf
-            return w_lo - math.log(s)
+        def phi(vs):
+            s = signal.sf_many(vs)
+            w = np.full(vs.shape, math.inf)
+            live = ~(s <= 0.0)
+            w[live] = w_lo - _exact_map(math.log, s[live])
+            return w
 
-        def phi_prime(v):
-            return _pdf_over_sf(signal, v)
-
-        def phi_prime_many(vs):
-            return _pdf_over_sf_many(signal, vs)
+        def phi_prime(vs):
+            return _pdf_over_sf(signal, vs)
 
         v_cap = hi - _TAIL_GAP * span
         lat_v = np.linspace(lo, v_cap, _LATTICE_N)
-        lat_w = np.array([phi(float(v)) for v in lat_v])
-        return Relabeling(kind, dom, phi, phi_prime, lat_v, lat_w,
-                          w_hi=phi(hi), phi_prime_many=phi_prime_many)
+        return Relabeling(kind, dom, phi, phi_prime, lat_v, phi(lat_v),
+                          w_hi=float(phi(np.array([hi]))[0]))
 
     # runningmax_hazard
     v_cap = hi - _TAIL_GAP * span
     g_nodes = np.linspace(lo, v_cap, _RUNNINGMAX_N)
-    haz = np.array([_pdf_over_sf(signal, float(v)) for v in g_nodes])
-    g_vals = np.maximum.accumulate(haz)
+    g_vals = np.maximum.accumulate(_pdf_over_sf(signal, g_nodes))
     g_last = float(g_vals[-1])
-    g_list = g_nodes.tolist()
 
     def phi_prime(v):
-        if v >= v_cap:
-            s = signal.sf(v)
-            if s <= 0.0:
-                return 1.0
-            h = signal.pdf(v) / s
-            return 1.0 if h >= g_last else h / g_last
-        k = bisect.bisect_right(g_list, v) - 1
-        k = min(max(k, 0), len(g_list) - 1)
-        g = float(g_vals[k])
-        if g == 0.0:
-            # A hazard that starts at 0 (a density vanishing at the lower
-            # endpoint): the ratio's limit as the hazard rises from 0.
-            return 1.0
-        return _pdf_over_sf(signal, v) / g
-
-    def phi_prime_many(v):
         k = np.clip(np.searchsorted(g_nodes, v, side="right") - 1, 0,
                     len(g_nodes) - 1)
         g = g_vals[k]
         tail = v >= v_cap
+        # A hazard that starts at 0 (a density vanishing at the lower
+        # endpoint) takes the ratio's limit 1 as it rises from 0.
         ratio = (g != 0.0) & ~tail
         out = np.ones(v.shape)
-        out[ratio] = _pdf_over_sf_many(signal, v[ratio]) / g[ratio]
-        out[tail] = [phi_prime(x) for x in v[tail].tolist()]
+        out[ratio] = _pdf_over_sf(signal, v[ratio]) / g[ratio]
+        # Past v_cap the hazard is measured against the last running
+        # maximum, and phi' = 1 where the survival has vanished.
+        v_tail = v[tail]
+        s = signal.sf_many(v_tail)
+        live = ~(s <= 0.0)
+        h = signal.pdf_many(v_tail[live]) / s[live]
+        at_max = h >= g_last
+        h[at_max] = 1.0
+        h[~at_max] /= g_last
+        slope_tail = np.ones(v_tail.shape)
+        slope_tail[live] = h
+        out[tail] = slope_tail
         return out
 
-    lat_w = _kahan_cumulative(phi_prime_many, g_nodes, w_lo,
-                              "runningmax_hazard")
-    phi_body = _piecewise_phi(phi_prime, g_nodes, lat_w)
-
-    def phi(v):
-        if v <= v_cap:
-            return phi_body(v)
-        inc, _ = integrate(phi_prime, (v_cap, v), rel_tol=1e-13,
-                           abs_tol=1e-16)
-        return float(lat_w[-1]) + inc
-
+    lat_w = _kahan_cumulative(phi_prime, g_nodes, w_lo, "runningmax_hazard")
+    phi = _piecewise_phi(phi_prime, g_nodes, lat_w)
     return Relabeling("runningmax_hazard", dom, phi, phi_prime,
-                      g_nodes, lat_w, w_hi=phi(hi),
-                      phi_prime_many=phi_prime_many)
+                      g_nodes, lat_w, w_hi=float(phi(np.array([hi]))[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +513,6 @@ class _RelabeledKernel(ValuationKernel):
     def quantile(self, w, p):
         return self.base.quantile(self.rel.inverse(w), p)
 
-    def tail_bound(self, V, v_lo, v_hi):
-        return None
-
     def params(self):
         return {"relabeling": self.rel.describe(),
                 "base": self.base.describe()}
@@ -585,6 +542,10 @@ class TransformedModel(ScreeningModel):
         return np.array([self.relabeling.phi(v) for v in vs])
 
 
+def _hazard_at(signal: SignalDistribution, x: float) -> float:
+    return float(_pdf_over_sf(signal, np.array([x]))[0])
+
+
 def _self_check(base: ScreeningModel, tm: TransformedModel,
                 rel: Relabeling) -> None:
     rng = random.Random(_SELF_CHECK_SEED)
@@ -596,7 +557,7 @@ def _self_check(base: ScreeningModel, tm: TransformedModel,
         V_lo, V_hi = base.value_range(v)
         probes.append((v, V_lo + (V_hi - V_lo) * (0.02 + 0.96 * rng.random())))
     # phi at every probe and difference-stencil point, and the slopes, each
-    # from one array call where the kind has one
+    # from one array call
     rel.fill_phis([x for v, _ in probes for x in stencil(v)[1]])
     rel.fill_slopes([v for v, _ in probes])
     worst = 0.0
@@ -616,8 +577,8 @@ def _self_check(base: ScreeningModel, tm: TransformedModel,
             slope_err = abs(est.value - p) / max(1.0, abs(p))
             if slope_err > slope_tol:
                 errs.append(slope_err)
-        base_haz = _pdf_over_sf(base.signal, v)
-        tm_haz = _pdf_over_sf(tm.signal, w)
+        base_haz = _hazard_at(base.signal, v)
+        tm_haz = _hazard_at(tm.signal, w)
         want = base_haz / p
         errs.append(abs(tm_haz - want) / max(1.0, abs(want)))
         g_b = gamma(base, v, V)

@@ -5,6 +5,8 @@ or ``np.array_equal``, never a tolerance: the batch must give what the
 scalar loop gives, value, error estimate and error message alike.
 """
 
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -45,7 +47,6 @@ from seqscreen.transforms import (
     RELABELING_KINDS,
     Relabeling,
     TransformedModel,
-    _sf_over_pdf,
     make_relabeling,
     relabel,
     transform_section,
@@ -337,6 +338,21 @@ class TestSignalArrays:
             signal.pdf_many(np.array([0.5, 0.0, 1.0]))
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("shapes, bounded_end, unbounded_end", [
+        ((3.0, 0.5), 0.0, 1.0), ((0.5, 2.0), 1.0, 0.0)])
+    def test_beta_raises_only_at_an_unbounded_endpoint(
+            self, shapes, bounded_end, unbounded_end):
+        signal = BetaSignal(*shapes)
+        assert signal.pdf(bounded_end) == 0.0
+        assert np.array_equal(signal.pdf_many(np.array([0.5, bounded_end])),
+                              [signal.pdf(0.5), 0.0])
+        with pytest.raises(DomainError) as want:
+            signal.pdf(unbounded_end)
+        assert str(want.value).endswith(f"v={unbounded_end!r}")
+        with pytest.raises(DomainError) as got:
+            signal.pdf_many(np.array([0.5, bounded_end, unbounded_end]))
+        assert str(got.value) == str(want.value)
+
     def test_subclass_overriding_the_scalar_form_loops_it(self):
         class Doubled(UniformSignal):
             def pdf(self, v):
@@ -372,13 +388,63 @@ def _decreasing_hazard_model():
     return ScreeningModel(sig, AdditiveNoiseKernel(noise="logistic"))
 
 
+def _inverse_hazard_slope(signal, nodes):
+    return lambda v: signal.sf(v) / signal.pdf(v)
+
+
+def _runningmax_slope(signal, nodes):
+    """hazard(v) / g(v), g the running maximum of the hazard at ``nodes``;
+    past the last node, the hazard over g's last value, capped at 1."""
+    nodes = nodes.tolist()
+    g = list(itertools.accumulate(
+        (signal.pdf(v) / signal.sf(v) for v in nodes), max))
+
+    def slope(v):
+        if v >= nodes[-1]:
+            s = signal.sf(v)
+            if s <= 0.0:
+                return 1.0
+            h = signal.pdf(v) / s
+            return 1.0 if h >= g[-1] else h / g[-1]
+        k = bisect.bisect_right(nodes, v) - 1
+        if g[k] == 0.0:
+            return 1.0
+        return signal.pdf(v) / signal.sf(v) / g[k]
+
+    return slope
+
+
+def _scalar_piecewise_phi(slope, nodes, lat_w):
+    """phi as the lattice value at the start of the point's cell plus a
+    scalar ``integrate`` of ``slope`` over the partial cell; past the last
+    node, the integral runs from that node."""
+    nodes = nodes.tolist()
+
+    def phi(v):
+        k = min(max(bisect.bisect_right(nodes, v) - 1, 0), len(nodes) - 2)
+        if v > nodes[-1]:
+            k = len(nodes) - 1
+        if v == nodes[k]:
+            return float(lat_w[k])
+        inc, _ = integrate(slope, (nodes[k], v), rel_tol=1e-13,
+                           abs_tol=1e-16)
+        return float(lat_w[k]) + inc
+
+    return phi
+
+
+# the scalar slope of each cumulative kind, given the signal and the nodes
+SCALAR_SLOPES = {"inverse_hazard_integral": _inverse_hazard_slope,
+                 "runningmax_hazard": _runningmax_slope}
+
+
 class TestRelabelingCells:
-    @pytest.mark.parametrize("kind", ["inverse_hazard_integral",
-                                      "runningmax_hazard"])
+    @pytest.mark.parametrize("kind", sorted(SCALAR_SLOPES))
     def test_lattice_equals_cell_by_cell_loop(self, kind):
         model = _decreasing_hazard_model()
         rel = make_relabeling(model, kind)
-        want = _cell_reference(rel._phi_prime_fn, rel._lat_v, kind)
+        want = _cell_reference(SCALAR_SLOPES[kind](model.signal, rel._lat_v),
+                               rel._lat_v, kind)
         assert np.array_equal(rel._lat_w, want)
 
     def test_divergent_cell_reports_the_first_failing_cell(self):
@@ -387,22 +453,67 @@ class TestRelabelingCells:
         with pytest.raises(IntegrabilityError) as got:
             make_relabeling(model, "inverse_hazard_integral")
         with pytest.raises(IntegrabilityError) as want:
-            _cell_reference(lambda v: _sf_over_pdf(model.signal, v),
+            _cell_reference(lambda v: model.signal.sf(v) / model.signal.pdf(v),
                             np.linspace(0.0, 1.0, 513),
                             "inverse_hazard_integral")
         assert str(got.value) == str(want.value)
 
 
+# off-lattice signals; the last two lie past the running-max lattice's end
+OFF_LATTICE = [0.0, 0.1234567, 0.2000123, 0.50123, 0.77777, 0.9999985,
+               1.0 - 5e-7, 1.0 - 1e-9]
+
+
+class TestOnePointMaps:
+    @pytest.mark.parametrize("kind", sorted(SCALAR_SLOPES))
+    def test_piecewise_phi_equals_the_scalar_integral(self, kind):
+        model = _decreasing_hazard_model()
+        rel = make_relabeling(model, kind)
+        fn = SCALAR_SLOPES[kind](model.signal, rel._lat_v)
+        want = _scalar_piecewise_phi(fn, rel._lat_v, rel._lat_w)
+        assert [rel.phi(v) for v in OFF_LATTICE] == [want(v)
+                                                     for v in OFF_LATTICE]
+        assert [rel.phi_prime(v) for v in OFF_LATTICE] == [
+            fn(v) for v in OFF_LATTICE]
+        if kind == "runningmax_hazard":
+            assert rel._lat_v[-1] < OFF_LATTICE[-2]
+            assert rel.codomain.upper == want(1.0)
+
+    def test_integrated_hazard_is_w_lo_minus_log_survival(self):
+        model = _decreasing_hazard_model()
+        rel = make_relabeling(model, "integrated_hazard", w_lo=0.25)
+
+        def want(v):
+            s = model.signal.sf(v)
+            return math.inf if s <= 0.0 else 0.25 - math.log(s)
+
+        assert [rel.phi(v) for v in OFF_LATTICE] == [want(v)
+                                                     for v in OFF_LATTICE]
+        assert rel._lat_w.tolist() == [want(v) for v in rel._lat_v.tolist()]
+        assert rel.codomain.upper == want(1.0) == math.inf
+
+    @pytest.mark.parametrize("kind", RELABELING_KINDS)
+    def test_fill_phis_is_one_array_call(self, kind):
+        base = (MEAN_MODELS["logistic"] if kind == "mean"
+                else _decreasing_hazard_model())
+        rel = make_relabeling(base, kind)
+        calls = []
+        many = rel._phi_many
+        rel._phi_many = lambda v: calls.append(len(v)) or many(v)
+        vs = OFF_LATTICE[1:6]
+        rel.fill_phis(vs)
+        assert calls == [len(vs)]
+        one_point = make_relabeling(base, kind)
+        assert [rel.phi(v) for v in vs] == [one_point.phi(v) for v in vs]
+        assert calls == [len(vs)]
+
+
 def _failing_slope_relabeling(threshold):
-    """phi(v) = 2v whose slope underflows above ``threshold``; its array
-    form names the last offending point, the scalar loop the first."""
+    """phi(v) = 2v whose slope underflows above ``threshold``; called on
+    many points it names the last offending point, so only the point loop
+    names the first."""
 
-    def phi_prime(v):
-        if v > threshold:
-            raise DensityUnderflowError(f"slope vanished at v={v!r}")
-        return 2.0
-
-    def phi_prime_many(vs):
+    def phi_prime(vs):
         bad = vs > threshold
         if bad.any():
             raise DensityUnderflowError(
@@ -411,8 +522,7 @@ def _failing_slope_relabeling(threshold):
 
     lat_v = np.linspace(0.0, 1.0, 33)
     return Relabeling("affine", Interval(0.0, 1.0), lambda v: 2.0 * v,
-                      phi_prime, lat_v, 2.0 * lat_v, w_hi=2.0,
-                      phi_prime_many=phi_prime_many)
+                      phi_prime, lat_v, 2.0 * lat_v, w_hi=2.0)
 
 
 class TestSlopeCache:

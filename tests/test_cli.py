@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import seqscreen
+from seqscreen import transforms
 from seqscreen.cli import main
 from seqscreen.errors import DomainError
 from seqscreen.model_core import PowerKernel
@@ -144,6 +145,27 @@ class TestCheck:
         assert set(json.loads(out)["checks"]) == {"A0", "A1", "A2", "FOSD",
                                                   "PSI"}
         assert "Traceback" not in err
+
+    def test_mean_derived_model_is_validated_without_bisection(
+            self, files, tmp_path, capsys, monkeypatch):
+        # validation samples a derived model's kernel on its base axis, so
+        # no signal off the relabeling's caches has to be inverted
+        derived = tmp_path / "mean.model"
+        rc, _, _ = run(capsys, "transform", files["logistic"], "--kind",
+                       "mean", "--out", str(derived))
+        assert rc == 0
+        calls = []
+        original = transforms.invert_monotone
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(transforms, "invert_monotone", counted)
+        rc, out, _ = run(capsys, "check", str(derived), "--grid", "33x33")
+        assert rc in (0, 1)
+        assert json.loads(out)["checks"]["A0"]["passed"]
+        assert calls == []
 
     def test_missing_file_exits_two(self, files, capsys):
         rc, out, err = run(capsys, "check", files["logistic"] + ".nope")
@@ -334,6 +356,25 @@ class TestTransform:
                          "--kind", "mean", "--slope", "2.0")
         assert rc == 1
 
+    @pytest.mark.parametrize("kind", ["integrated_hazard",
+                                      "runningmax_hazard"])
+    def test_beta_with_density_zero_at_the_bottom(self, tmp_path, capsys,
+                                                  kind):
+        # beta(3, 0.5) is unbounded only at v = 1; the hazard relabelings
+        # evaluate the density at v = 0, where it is 0
+        path = tmp_path / "beta0305.model"
+        path.write_text(BETA_NORMAL.replace("alpha=2.0 beta=2.0",
+                                            "alpha=3.0 beta=0.5"))
+        derived = tmp_path / "derived.model"
+        rc, out, err = run(capsys, "transform", str(path), "--kind", kind,
+                           "--out", str(derived))
+        assert (rc, out, err) == (0, "", "")
+        rc, out, err = run(capsys, "check", str(derived), "--grid", "33x33")
+        assert rc in (0, 1)
+        assert set(json.loads(out)["checks"]) == {"A0", "A1", "A2", "FOSD",
+                                                  "PSI"}
+        assert err == ""
+
     def test_chaining_refused(self, files, tmp_path, capsys):
         derived = tmp_path / "derived.model"
         run(capsys, "transform", files["logistic"], "--kind", "affine",
@@ -446,8 +487,9 @@ class TestStartup:
 
 
 def test_module_entry_point(files):
+    src = str(Path(seqscreen.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "seqscreen", "check", files["logistic"]],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["classic_regular"]

@@ -218,7 +218,7 @@ class TestScalingIdentities:
         base = uniform_logistic()
         lat_v = np.linspace(0.0, 1.0, 513)
         bad = Relabeling("affine", base.signal.support,
-                         lambda v: 2.0 * v, lambda v: 1.0,
+                         lambda v: 2.0 * v, lambda v: np.full(v.shape, 1.0),
                          lat_v, 2.0 * lat_v, w_hi=2.0,
                          params={"slope": 2.0, "intercept": 0.0})
         with pytest.raises(SelfCheckError, match="self-check failed"):
