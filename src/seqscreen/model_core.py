@@ -18,6 +18,7 @@ from 1 - F.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import functools
 import math
 import random
@@ -1296,9 +1297,7 @@ def validate_model(model: ScreeningModel, grid: GridSpec | None = None,
     # Strict stochastic ordering on a coarse interior sample.
     fosd_bad = 0
     vs = np.linspace(sa, sb, 8)
-    Vs = checked.value_grid(GridSpec(v_points=8, V_points=8,
-                                     endpoint_margin=grid.endpoint_margin,
-                                     tail_mass_cut=grid.tail_mass_cut))
+    Vs = checked.value_grid(dataclasses.replace(grid, v_points=8, V_points=8))
     for v in vs:
         for V in Vs:
             if eval_kernel(checked, float(v), float(V), tol).fosd_violation:

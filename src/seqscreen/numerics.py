@@ -1,13 +1,12 @@
 """Shared numeric substrate: adaptive quadrature, finite differences,
 monotone scans with violation witnesses, and compensated prefix sums.
 
-Everything here is pure and deterministic. Quadrature refines intervals in a
-fixed worst-error-first order and accumulates the final sum in interval
-position order, so identical inputs produce bit-identical outputs. Unbounded
-domains are mapped onto (-1, 1) by the algebraic substitution
-``x = c + t / (1 - t**2)`` before any subdivision happens; the rule used on
-each panel is the Gauss-Kronrod (7, 15) pair, whose nodes are all interior,
-so integrable endpoint singularities never get evaluated head-on.
+Everything here is pure and deterministic. Quadrature runs over finite
+bounds only, refines intervals in a fixed worst-error-first order and
+accumulates the final sum in interval position order, so identical inputs
+produce bit-identical outputs. The rule used on each panel is the
+Gauss-Kronrod (7, 15) pair, whose nodes are all interior, so integrable
+endpoint singularities never get evaluated head-on.
 """
 
 from __future__ import annotations
@@ -116,40 +115,6 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return kron * halfwidth, abs(kron - gauss) * halfwidth
 
 
-def _unbounded_map(f: Callable[[float], float], lower: float, upper: float):
-    """Rewrite an improper integral over the substitution x = c + t/(1-t^2).
-
-    Returns (g, t_lower, t_upper) with g defined on a finite interval. The
-    weight blows up only where the substituted integrand has already decayed;
-    if f returns an exact zero we short-circuit before touching the weight so
-    overflow cannot poison the panel with inf * 0.
-    """
-    if lower == -math.inf and upper == math.inf:
-        centre, t_lo, t_hi = 0.0, -1.0, 1.0
-    elif upper == math.inf:
-        centre, t_lo, t_hi = lower, 0.0, 1.0
-    elif lower == -math.inf:
-        centre, t_lo, t_hi = upper, -1.0, 0.0
-    else:  # pragma: no cover - guarded by caller
-        raise ConstructionError("unbounded map called on a bounded domain")
-
-    def g(t: float) -> float:
-        onemt2 = 1.0 - t * t
-        if onemt2 <= 0.0:
-            # boundary of the compactified axis; the substituted integrand
-            # of any integrable f has limit zero here
-            return 0.0
-        x = centre + t / onemt2
-        if not math.isfinite(x):
-            return 0.0
-        fx = f(x)
-        if fx == 0.0:
-            return 0.0
-        return fx * (1.0 + t * t) / (onemt2 * onemt2)
-
-    return g, t_lo, t_hi
-
-
 class _Refinement:
     """One integral's adaptive state: its panel heap, worst-first order,
     stopping test, give-up rules and final left-to-right sum.
@@ -213,6 +178,9 @@ def _ordered(lower, upper) -> tuple[float, float, float]:
     lower, upper = float(lower), float(upper)
     if math.isnan(lower) or math.isnan(upper):
         raise ConstructionError("integration endpoints must not be NaN")
+    if math.isinf(lower) or math.isinf(upper):
+        raise ConstructionError(
+            f"integration needs finite bounds, got [{lower}, {upper}]")
     if lower > upper:
         return upper, lower, -1.0
     return lower, upper, 1.0
@@ -224,7 +192,7 @@ def integrate(f: Callable[[float], float],
               abs_tol: float = 1e-14,
               max_depth: int = 48,
               max_intervals: int = 2048) -> tuple[float, float]:
-    """Adaptively integrate ``f`` over ``domain``.
+    """Adaptively integrate ``f`` over the finite ``domain``.
 
     Returns ``(value, error_estimate)`` with the error estimate satisfying
     ``error_estimate <= max(abs_tol, rel_tol * |value|)`` on success. The
@@ -238,8 +206,6 @@ def integrate(f: Callable[[float], float],
     lower, upper, sign = _ordered(*domain)
     if lower == upper:
         return 0.0, 0.0
-    if math.isinf(lower) or math.isinf(upper):
-        f, lower, upper = _unbounded_map(f, lower, upper)
     ref = _Refinement(lower, upper, *_gk15(f, lower, upper), sign)
     while (cut := ref.split(rel_tol, abs_tol, max_depth,
                             max_intervals)) is not None:
@@ -272,8 +238,6 @@ def integrate_many(f, lowers, uppers, rel_tol: float = 1e-10,
         a, b, sign = _ordered(a, b)
         if a == b:
             continue
-        if math.isinf(a) or math.isinf(b):
-            raise ConstructionError("integrate_many needs finite bounds")
         todo.append(k)
         lo.append(a)
         hi.append(b)

@@ -35,6 +35,7 @@ converse direction assumes the fingerprints and checks A1 + A2.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -66,7 +67,7 @@ from .regularity import (
     gamma,
 )
 from .regularity import hazard as _hazard
-from .transforms import make_relabeling, relabel
+from .transforms import apply_relabeling, make_relabeling, relabel
 
 __all__ = [
     "DeltaField",
@@ -145,12 +146,12 @@ def delta_diagnostic(model: ScreeningModel, n_v: int = 33,
     """
     grid, tol = resolve_config(grid, tolerances)
     v_lo, v_hi = model.signal.support.as_tuple()
-    sub = GridSpec(v_points=max(n_v, 2), V_points=2,
-                   endpoint_margin=grid.endpoint_margin,
-                   tail_mass_cut=grid.tail_mass_cut)
-    vs = model.signal_grid(sub)
+    vs = model.signal_grid(dataclasses.replace(grid, v_points=max(n_v, 2),
+                                               V_points=2))
     b_lo, b_hi, _ = model.value_bounds(grid)
-    offsets = np.linspace(b_lo - v_hi, b_hi - v_lo, max(n_offsets, 2))
+    # a half-line signal support spans its offsets from the last grid signal
+    v_top = v_hi if math.isfinite(v_hi) else float(vs[-1])
+    offsets = np.linspace(b_lo - v_top, b_hi - v_lo, max(n_offsets, 2))
     k = model.kernel.support
 
     delta = np.zeros((len(vs), len(offsets)))
@@ -253,9 +254,9 @@ def _verdict(hypothesis_checks: dict, conclusion_checks: dict) -> str:
 # suite 1: hazard relabelings
 
 
-def _hazard_profile(tm, base: ScreeningModel, grid: GridSpec) -> dict:
+def _hazard_profile(tm, grid: GridSpec) -> dict:
     """Relabeled hazard sampled where the base cdf is clear of its top."""
-    rel = tm.relabeling
+    base, rel = tm.base, tm.relabeling
     pairs = []
     dev = 0.0
     for v in base.signal_grid(grid):
@@ -298,7 +299,7 @@ def verify_prop1(model: ScreeningModel, grid: GridSpec | None = None,
     conc: dict = {}
     evidence: dict = {}
     try:
-        make_relabeling(model, "inverse_hazard_integral")
+        integral = make_relabeling(model, "inverse_hazard_integral")
         hyp["inverse_hazard_integrable"] = {"passed": True}
     except IntegrabilityError as exc:
         hyp["inverse_hazard_integrable"] = {"passed": False,
@@ -314,10 +315,11 @@ def verify_prop1(model: ScreeningModel, grid: GridSpec | None = None,
     a0_by_kind = {}
     profiles = {}
     for kind in kinds:
-        tm = relabel(model, kind)
+        tm = apply_relabeling(model, integral if kind == kinds[0]
+                              else make_relabeling(model, kind))
         rep = check_assumption(tm, "A0", grid, tol)
         a0_by_kind[kind] = rep.passed
-        profiles[kind] = _hazard_profile(tm, model, grid)
+        profiles[kind] = _hazard_profile(tm, grid)
     evidence["relabeled_hazard_profiles"] = profiles
 
     conc["a0_achievable"] = {
@@ -475,9 +477,8 @@ def _check_mean_slope_one(model, vs, tol) -> dict:
 
 
 def _check_translation_invariance(model, grid, tol) -> dict:
-    vs = model.signal_grid(GridSpec(v_points=17, V_points=2,
-                                    endpoint_margin=grid.endpoint_margin,
-                                    tail_mass_cut=grid.tail_mass_cut))
+    vs = model.signal_grid(dataclasses.replace(grid, v_points=17,
+                                               V_points=2))
     worst = 0.0
     at = None
     n = 0
@@ -540,9 +541,8 @@ def verify_prop3(model: ScreeningModel,
             raise ValueError("direction must be 'forward' or 'converse'")
     grid, tol = resolve_config(grid, tolerances)
     prov = _provenance(model, grid, tol, suite=True)
-    vs_probe = model.signal_grid(GridSpec(
-        v_points=5, V_points=2, endpoint_margin=grid.endpoint_margin,
-        tail_mass_cut=grid.tail_mass_cut))
+    vs_probe = model.signal_grid(dataclasses.replace(grid, v_points=5,
+                                                     V_points=2))
 
     mean_norm = _check_mean_normalized(model, vs_probe, tol)
     bundle = _evaluate_bundle(model, grid, tol)

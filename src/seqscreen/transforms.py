@@ -25,6 +25,12 @@ Available kinds:
                               mean-normalized by construction
     affine                    phi(v) = intercept + slope*v with slope > 0
 
+A derived model is relabeled on its base axis: make_relabeling composes the
+kind with the model's own map phi1 (the identity on a plain model) by the
+chain rule, and apply_relabeling attaches the composite to the base model.
+So a derived model holds one relabeling over a plain model, and building
+one never inverts a map.
+
 Each kind defines its map and its slope once, as functions of an array of
 signal values; a value at one point is that function called on one point, so
 batched and point-by-point evaluations agree bit for bit. Forward
@@ -100,11 +106,15 @@ def _sf_over_pdf(signal: SignalDistribution, v: np.ndarray) -> np.ndarray:
     return signal.sf_many(v) / f
 
 
+class _SurvivalVanished(DensityUnderflowError):
+    """The survival vanished, so the hazard and slopes built on it diverge."""
+
+
 def _pdf_over_sf(signal: SignalDistribution, v: np.ndarray) -> np.ndarray:
     s = signal.sf_many(v)
     low = s < 1e-300
     if low.any():
-        raise DensityUnderflowError(
+        raise _SurvivalVanished(
             f"signal survival vanished at v={float(v[low][0])!r}")
     return signal.pdf_many(v) / s
 
@@ -232,9 +242,6 @@ class Relabeling:
         if k >= len(self._lat_w) - 1:
             lo_v, hi_v = float(self._lat_v[-1]), self.domain.upper
             f_lo, f_hi = float(self._lat_w[-1]), self._w_hi
-        elif k < 0:
-            lo_v, hi_v = self.domain.lower, float(self._lat_v[0])
-            f_lo, f_hi = self.w_lo, float(self._lat_w[0])
         else:
             lo_v, hi_v = float(self._lat_v[k]), float(self._lat_v[k + 1])
             f_lo, f_hi = float(self._lat_w[k]), float(self._lat_w[k + 1])
@@ -264,14 +271,15 @@ def _kahan_cumulative(phi_prime, nodes: np.ndarray, w_lo: float,
                       context: str) -> np.ndarray:
     """``w_lo`` and its compensated running sums of the slope integral over
     each cell. The cells refine together; the error raised is the one of
-    the first cell that fails, as in a cell-by-cell loop."""
+    the first cell that fails, as in a cell-by-cell loop. A cell whose
+    quadrature gives up, or meets a vanished survival, diverges."""
     incs, _, failures = integrate_many(
-        lambda idx, x: phi_prime(x), nodes[:-1], nodes[1:],
-        rel_tol=1e-13, abs_tol=1e-16)
+        lambda idx, x: phi_prime(x.ravel()).reshape(x.shape),
+        nodes[:-1], nodes[1:], rel_tol=1e-13, abs_tol=1e-16)
     incs = incs.tolist()
     for k, (a, b, inc) in enumerate(zip(nodes[:-1], nodes[1:], incs)):
         exc = failures.get(k)
-        if isinstance(exc, QuadratureError):
+        if isinstance(exc, (QuadratureError, _SurvivalVanished)):
             raise IntegrabilityError(
                 f"{context}: slope integral diverged on "
                 f"[{a:.6g}, {b:.6g}]") from exc
@@ -297,7 +305,8 @@ def _piecewise_phi(phi_prime, lat_v: np.ndarray, lat_w: np.ndarray):
         k[v > lat_v[last]] = last
         a = lat_v[k]
         incs, _, failures = integrate_many(
-            lambda idx, x: phi_prime(x), a, v, rel_tol=1e-13, abs_tol=1e-16)
+            lambda idx, x: phi_prime(x.ravel()).reshape(x.shape), a, v,
+            rel_tol=1e-13, abs_tol=1e-16)
         if failures:
             raise failures[min(failures)]
         return lat_w[k] + incs
@@ -312,13 +321,24 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
 
     ``w_lo`` anchors the codomain's lower end for the two hazard-integral
     kinds and the running-max kind; the mean and affine kinds define their
-    own images and ignore it.
+    own images and ignore it. On a derived model, the map takes base
+    signals and names the model's own map as ``inner`` in its params.
     """
     if kind not in RELABELING_KINDS:
         raise ConstructionError(
             f"unknown relabeling kind {kind!r}; choose from "
             f"{RELABELING_KINDS}")
-    signal = model.signal
+    if isinstance(model, TransformedModel):
+        base, inner = model.base, model.relabeling
+        params = {"inner": inner.describe()}
+    else:  # the identity, on the lattice of an affine map
+        base, params, dom = model, {}, model.signal.support
+        lat = np.linspace(dom.lower, dom.upper, _LATTICE_N)
+        inner = Relabeling("identity", dom, lambda v: v,
+                           lambda v: np.ones(v.shape), lat, lat, dom.upper)
+    # the inner map phi1 and its slope, as array functions of base signals
+    phi1, dphi1 = inner._phi_many, inner._phi_prime_many
+    signal = base.signal
     dom = signal.support
     lo, hi = dom.as_tuple()
     span = hi - lo
@@ -328,22 +348,22 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
         b = 0.0 if intercept is None else float(intercept)
         if not a > 0:
             raise ConstructionError("affine relabeling needs slope > 0")
-        lat_v = np.linspace(lo, hi, _LATTICE_N)
-        lat_w = b + a * lat_v
-        return Relabeling(kind, dom, lambda v: b + a * v,
-                          lambda v: np.full(v.shape, a),
-                          lat_v, lat_w, w_hi=b + a * hi,
-                          params={"slope": a, "intercept": b})
+        return Relabeling(kind, dom, lambda v: b + a * phi1(v),
+                          lambda v: a * dphi1(v), inner._lat_v,
+                          b + a * inner._lat_w,
+                          w_hi=b + a * inner.codomain.upper,
+                          params={**params, "slope": a, "intercept": b})
     if slope is not None or intercept is not None:
         raise ConstructionError(
             f"slope/intercept only apply to the affine kind, not {kind!r}")
 
     if kind == "mean":
+        # E[V | phi1(v)] = E[V | v]: the base model's map, whatever phi1 is
         def phi(vs):
-            return conditional_mean_many(model, vs)
+            return conditional_mean_many(base, vs)
 
         def phi_prime(vs):
-            return conditional_mean_derivative_many(model, vs)
+            return conditional_mean_derivative_many(base, vs)
 
         lat_v = np.linspace(lo, hi, _LATTICE_N)
         lat_w = phi(lat_v)
@@ -352,19 +372,22 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
                 "conditional mean is not strictly increasing; the mean "
                 "relabeling is undefined for this model")
         return Relabeling(kind, dom, phi, phi_prime, lat_v, lat_w,
-                          w_hi=float(lat_w[-1]))
+                          w_hi=float(lat_w[-1]), params=params)
 
     if kind == "inverse_hazard_integral":
+        # the inverse hazard on phi1's axis is S/f * phi1'
         def phi_prime(vs):
-            return _sf_over_pdf(signal, vs)
+            return dphi1(vs) ** 2 * _sf_over_pdf(signal, vs)
 
         lat_v = np.linspace(lo, hi, _LATTICE_N)
         lat_w = _kahan_cumulative(phi_prime, lat_v, w_lo,
                                   "inverse_hazard_integral")
         return Relabeling(kind, dom, _piecewise_phi(phi_prime, lat_v, lat_w),
-                          phi_prime, lat_v, lat_w, w_hi=float(lat_w[-1]))
+                          phi_prime, lat_v, lat_w, w_hi=float(lat_w[-1]),
+                          params=params)
 
     if kind == "integrated_hazard":
+        # -log of the survival, which phi1 leaves where it was
         def phi(vs):
             s = signal.sf_many(vs)
             w = np.full(vs.shape, math.inf)
@@ -378,15 +401,17 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
         v_cap = hi - _TAIL_GAP * span
         lat_v = np.linspace(lo, v_cap, _LATTICE_N)
         return Relabeling(kind, dom, phi, phi_prime, lat_v, phi(lat_v),
-                          w_hi=float(phi(np.array([hi]))[0]))
+                          w_hi=float(phi(np.array([hi]))[0]), params=params)
 
-    # runningmax_hazard
+    # runningmax_hazard, of the hazard f / (S * phi1') on phi1's axis
     v_cap = hi - _TAIL_GAP * span
     g_nodes = np.linspace(lo, v_cap, _RUNNINGMAX_N)
-    g_vals = np.maximum.accumulate(_pdf_over_sf(signal, g_nodes))
+    g_vals = np.maximum.accumulate(
+        _pdf_over_sf(signal, g_nodes) / dphi1(g_nodes))
     g_last = float(g_vals[-1])
 
     def phi_prime(v):
+        d = dphi1(v)
         k = np.clip(np.searchsorted(g_nodes, v, side="right") - 1, 0,
                     len(g_nodes) - 1)
         g = g_vals[k]
@@ -395,25 +420,26 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
         # endpoint) takes the ratio's limit 1 as it rises from 0.
         ratio = (g != 0.0) & ~tail
         out = np.ones(v.shape)
-        out[ratio] = _pdf_over_sf(signal, v[ratio]) / g[ratio]
+        out[ratio] = _pdf_over_sf(signal, v[ratio]) / d[ratio] / g[ratio]
         # Past v_cap the hazard is measured against the last running
-        # maximum, and phi' = 1 where the survival has vanished.
+        # maximum, and the ratio is 1 where the survival has vanished.
         v_tail = v[tail]
         s = signal.sf_many(v_tail)
         live = ~(s <= 0.0)
-        h = signal.pdf_many(v_tail[live]) / s[live]
+        h = signal.pdf_many(v_tail[live]) / s[live] / d[tail][live]
         at_max = h >= g_last
         h[at_max] = 1.0
         h[~at_max] /= g_last
         slope_tail = np.ones(v_tail.shape)
         slope_tail[live] = h
         out[tail] = slope_tail
-        return out
+        return out * d
 
     lat_w = _kahan_cumulative(phi_prime, g_nodes, w_lo, "runningmax_hazard")
     phi = _piecewise_phi(phi_prime, g_nodes, lat_w)
-    return Relabeling("runningmax_hazard", dom, phi, phi_prime,
-                      g_nodes, lat_w, w_hi=float(phi(np.array([hi]))[0]))
+    return Relabeling("runningmax_hazard", dom, phi, phi_prime, g_nodes,
+                      lat_w, w_hi=float(phi(np.array([hi]))[0]),
+                      params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +554,9 @@ class TransformedModel(ScreeningModel):
     """
 
     def __init__(self, base: ScreeningModel, relabeling: Relabeling):
+        if isinstance(base, TransformedModel):
+            raise ConstructionError(
+                "a derived model is relabeled on its base axis")
         if relabeling.domain.as_tuple() != base.signal.support.as_tuple():
             raise ConstructionError(
                 "relabeling domain does not match the model's signal support")
@@ -605,8 +634,11 @@ def apply_relabeling(model: ScreeningModel, relabeling: Relabeling,
 
     The probes confirm that the relabeled hazard equals the base hazard over
     phi', the relabeled ratio times phi' equals the base ratio, and the
-    virtual value is unchanged. Failure raises SelfCheckError.
+    virtual value is unchanged. Failure raises SelfCheckError. A derived
+    model is relabeled on its base axis, so the result is over its base.
     """
+    if isinstance(model, TransformedModel):
+        model = model.base
     tm = TransformedModel(model, relabeling)
     if self_check:
         _self_check(model, tm, relabeling)
@@ -629,6 +661,9 @@ def _fmt(x: float) -> str:
 def transform_section(tm: TransformedModel) -> dict[str, str]:
     """The [transform] section payload describing how tm was derived."""
     rel = tm.relabeling
+    if "inner" in rel.params:
+        raise ConstructionError(
+            "a relabeling of a derived model has no [transform] section")
     out = {"kind": rel.kind, "w_lo": _fmt(rel.w_lo)}
     if rel.kind == "affine":
         out["slope"] = _fmt(rel.params["slope"])

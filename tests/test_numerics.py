@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,13 +24,10 @@ from seqscreen.numerics import (
     Interval,
     differentiate,
     integrate,
+    integrate_many,
     invert_monotone,
     scan_violations,
 )
-
-
-def _normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 class TestInterval:
@@ -59,11 +57,6 @@ class TestIntegrate:
         assert value == pytest.approx(1.0, abs=1e-14)
         assert err <= 1e-10
 
-    def test_normal_density_over_real_line(self):
-        value, err = integrate(_normal_pdf, Interval(-math.inf, math.inf),
-                               rel_tol=1e-12)
-        assert value == pytest.approx(1.0, rel=1e-11)
-
     def test_log_kernel_moment(self):
         # integral_0^1 -log(V) * V dV = 1/4 (antiderivative
         # V^2/2 log V - V^2/4 evaluated at the endpoints).
@@ -71,16 +64,14 @@ class TestIntegrate:
                              rel_tol=1e-12)
         assert value == pytest.approx(0.25, rel=1e-10)
 
-    def test_half_infinite_domain(self):
-        # integral_0^inf e^-x dx = 1
-        value, _ = integrate(lambda x: math.exp(-x), Interval(0.0, math.inf),
-                             rel_tol=1e-12)
-        assert value == pytest.approx(1.0, rel=1e-11)
-
-    def test_lower_half_infinite_domain(self):
-        value, _ = integrate(lambda x: math.exp(x), Interval(-math.inf, 0.0),
-                             rel_tol=1e-12)
-        assert value == pytest.approx(1.0, rel=1e-11)
+    def test_infinite_bound_rejected(self):
+        for lower, upper in ((-math.inf, math.inf), (0.0, math.inf),
+                             (-math.inf, 0.0)):
+            with pytest.raises(ConstructionError, match="finite bounds"):
+                integrate(lambda x: 1.0, Interval(lower, upper))
+            with pytest.raises(ConstructionError, match="finite bounds"):
+                integrate_many(lambda idx, x: np.ones(x.shape), [lower],
+                               [upper])
 
     def test_error_contract(self):
         value, err = integrate(lambda x: math.sin(x) ** 2, (0.0, 10.0),

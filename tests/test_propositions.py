@@ -44,7 +44,8 @@ from seqscreen.propositions import (
     verify_prop2,
     verify_prop3,
 )
-from seqscreen.transforms import relabel
+from seqscreen import transforms
+from seqscreen.transforms import RELABELING_KINDS, relabel
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +203,48 @@ class TestProp1:
 
 # ---------------------------------------------------------------------------
 # suite 2
+
+
+class TestDerivedModels:
+    """The suites relabel a derived model on its base axis, so no map is
+    inverted while they build their relabelings."""
+
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        calls = []
+        original = transforms.invert_monotone
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(transforms, "invert_monotone", counted)
+        return calls
+
+    # the mean-derived case costs seconds, so it runs on one base model
+    @pytest.mark.parametrize("base, kind", [
+        (b, k) for b in ("power", "logistic") for k in RELABELING_KINDS
+        if k != "mean" or b == "logistic"])
+    def test_prop1_gives_a_verdict_without_inversions(
+            self, base, kind, power_model, logistic_model, inversions):
+        model = {"power": power_model, "logistic": logistic_model}[base]
+        rep = verify_prop1(relabel(model, kind), GridSpec(17, 17))
+        assert rep.verdict in ("consistent", "discrepancy",
+                               "hypothesis-failed")
+        assert inversions == []
+
+    def test_prop1_on_integrated_hazard_fails_integrability(
+            self, power_model):
+        rep = verify_prop1(relabel(power_model, "integrated_hazard"),
+                           GridSpec(17, 17))
+        assert rep.verdict == "hypothesis-failed"
+        assert not rep.hypothesis_checks["inverse_hazard_integrable"][
+            "passed"]
+
+    def test_prop2_on_integrated_hazard_evaluates_routes(self, power_model):
+        rep = verify_prop2(relabel(power_model, "integrated_hazard"),
+                           GridSpec(33, 33))
+        assert rep.evidence["delta1_route_agreement"]["n_evaluable"] > 0
 
 
 class TestProp2:

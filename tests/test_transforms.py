@@ -255,6 +255,55 @@ class TestRelabelingSurface:
             assert tm.base is m
 
 
+class TestRelabelDerivedModel:
+    """A derived model is relabeled on its base axis, one level deep."""
+
+    @pytest.mark.parametrize("kind", ["mean", "integrated_hazard"])
+    def test_kinds_that_ignore_the_inner_map_equal_the_base_map(self, kind):
+        base = power_model()
+        tm = relabel(base, "inverse_hazard_integral")
+        got = make_relabeling(tm, kind)
+        want = make_relabeling(base, kind)
+        assert got.table() == want.table()
+        for v in (1.0, 1.013, 1.37, 1.5001, 1.999):
+            assert got.phi(v) == want.phi(v)
+            assert got.phi_prime(v) == want.phi_prime(v)
+
+    def test_affine_on_affine(self):
+        tm = relabel(uniform_logistic(), "affine", slope=1.7, intercept=-0.3)
+        rel = make_relabeling(tm, "affine", slope=0.4, intercept=2.0)
+        assert rel.params["inner"] == tm.relabeling.describe()
+        for v in (0.0, 0.013, 0.37, 0.5, 1.0):
+            assert rel.phi(v) == 2.0 + 0.4 * (-0.3 + 1.7 * v)
+
+    @pytest.mark.parametrize("inner", ["affine", "inverse_hazard_integral"])
+    def test_relabel_attaches_to_the_base_model(self, inner):
+        tm = relabel(power_model(), inner)
+        for kind in RELABELING_KINDS:
+            derived = relabel(tm, kind)
+            assert derived.base is tm.base
+            assert not isinstance(derived.base, TransformedModel)
+
+    def test_affine_on_half_line_codomain(self):
+        tm = relabel(power_model(), "integrated_hazard")
+        rel = make_relabeling(tm, "affine", slope=0.5, intercept=1.0)
+        assert rel.codomain.as_tuple() == (1.0, math.inf)
+        assert rel.phi(1.5) == 1.0 + 0.5 * tm.relabeling.phi(1.5)
+
+    def test_derived_base_refused(self):
+        tm = relabel(power_model(), "affine", slope=2.0)
+        rel = make_relabeling(tm, "affine", slope=3.0)
+        with pytest.raises(ConstructionError, match="base axis"):
+            TransformedModel(tm, rel)
+        with pytest.raises(ConstructionError, match="derived model"):
+            transform_section(apply_relabeling(tm, rel))
+
+    def test_divergent_composite_slope_is_not_integrable(self):
+        tm = relabel(power_model(), "integrated_hazard")
+        with pytest.raises(IntegrabilityError, match="diverged"):
+            make_relabeling(tm, "inverse_hazard_integral")
+
+
 class TestDerivedFiles:
     def round_trip(self, base, kind, **kwargs):
         tm = relabel(base, kind, **kwargs)
