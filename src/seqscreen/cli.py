@@ -38,7 +38,6 @@ from .transforms import (
     TransformedModel,
     apply_relabeling,
     make_relabeling,
-    transform_section,
 )
 
 __all__ = ["main"]
@@ -135,8 +134,7 @@ def _cmd_transform(args) -> int:
         tm = apply_relabeling(model, rel)
     except (IntegrabilityError, ConstructionError, SelfCheckError) as exc:
         return _fail(str(exc), 1)
-    text = dumps(model, grid, tol, transform_section=transform_section(tm))
-    return _emit([text], args.out)
+    return _emit([dumps(tm, grid, tol)], args.out)
 
 
 def _cmd_grid(args) -> int:

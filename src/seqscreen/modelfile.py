@@ -43,6 +43,7 @@ from .model_core import (
     make_kernel,
     make_signal,
 )
+from .transforms import TransformedModel, rebuild_from_section, transform_section
 
 __all__ = ["load", "loads", "dumps"]
 
@@ -311,7 +312,6 @@ def loads(text: str) -> tuple[ScreeningModel, GridSpec, ToleranceConfig]:
     except ConstructionError as exc:
         raise LoadError(str(exc)) from exc
     if "transform" in sections:
-        from .transforms import rebuild_from_section
         plain = {k: e.value for k, e in sections["transform"].items()}
         try:
             model = rebuild_from_section(model, plain)
@@ -390,13 +390,16 @@ def _kernel_lines(kernel) -> list[str]:
 
 
 def dumps(model: ScreeningModel, grid: GridSpec | None = None,
-          tolerances: ToleranceConfig | None = None,
-          transform_section: dict[str, str] | None = None) -> str:
+          tolerances: ToleranceConfig | None = None) -> str:
     """Render a model (plus optional grid/tolerance overrides) as file text.
 
-    ``transform_section`` is emitted verbatim under ``[transform]``; callers
-    that relabel models are responsible for its contents.
+    A derived model is written as its base model followed by the
+    ``[transform]`` section that rebuilds it.
     """
+    section = None
+    if isinstance(model, TransformedModel):
+        section = transform_section(model)
+        model = model.base
     grid = grid or GridSpec()
     tolerances = tolerances or ToleranceConfig()
     lines: list[str] = []
@@ -415,10 +418,10 @@ def dumps(model: ScreeningModel, grid: GridSpec | None = None,
         f"monotonicity = {_fmt(tolerances.monotonicity_slack)}",
         f"quadrature_rel = {_fmt(tolerances.quadrature_rel)}",
     ])
-    if transform_section:
+    if section is not None:
         lines.append("")
         lines.append("[transform]")
-        for key, value in transform_section.items():
+        for key, value in section.items():
             if "\n" in value:
                 lines.append(f"{key} =")
                 lines.extend("    " + part for part in value.split("\n"))

@@ -53,18 +53,17 @@ from .model_core import (
     GridSpec,
     ScreeningModel,
     ToleranceConfig,
-    conditional_mean,
-    conditional_mean_derivative,
-    eval_kernel,
+    conditional_mean_derivative_many,
+    conditional_mean_many,
     resolve_config,
 )
 from .numerics import differentiate
 from .regularity import (
     _evaluate_bundle,
     _provenance,
+    _ratio,
     check_assumption,
     compute_field,
-    gamma,
 )
 from .regularity import hazard as _hazard
 from .transforms import apply_relabeling, make_relabeling, relabel
@@ -98,7 +97,8 @@ class DeltaField:
     ``delta1`` is the factored form h * (1 - gamma) evaluated pointwise;
     ``delta1_fd`` re-derives it by differencing v -> H_v(v + x) directly.
     Offsets that land outside the value support record delta 0 or 1 and a
-    zero derivative; they are excluded from the comparison.
+    zero derivative; they are excluded from the comparison. Points whose
+    evaluation failed hold NaN in both fields.
     """
 
     v: np.ndarray
@@ -124,15 +124,6 @@ class DeltaField:
         }
 
 
-def _clamped_cdf(model: ScreeningModel, v: float, V: float) -> float:
-    k = model.kernel.support
-    if V <= k.lower:
-        return 0.0
-    if V >= k.upper:
-        return 1.0
-    return model.kernel.cdf(v, V)
-
-
 def delta_diagnostic(model: ScreeningModel, n_v: int = 33,
                      n_offsets: int = 33, grid: GridSpec | None = None,
                      tolerances: ToleranceConfig | None = None,
@@ -154,51 +145,42 @@ def delta_diagnostic(model: ScreeningModel, n_v: int = 33,
     offsets = np.linspace(b_lo - v_top, b_hi - v_lo, max(n_offsets, 2))
     k = model.kernel.support
 
-    delta = np.zeros((len(vs), len(offsets)))
-    delta1 = np.zeros_like(delta)
+    # one sheared row per signal: row i holds the values vs[i] + offsets
+    Vs = vs[:, None] + offsets[None, :]
+    rows = [model.kernel.eval_lattice(model, vs[i:i + 1, None], Vs[i:i + 1],
+                                      tol) for i in range(len(vs))]
+    H, h, dHdv, failed = map(np.vstack, zip(*rows))
+    below, above = Vs <= k.lower, Vs >= k.upper
+    outside = below | above
+    delta = np.where(below, 0.0, np.where(above, 1.0, H))
+    delta1 = np.where(outside, 0.0, h + dHdv)
     fd = np.full_like(delta, np.nan)
-    n_interior = 0
+    n_interior = int(np.count_nonzero(~outside))
     n_evaluable = 0
     n_bad = 0
     max_residual = 0.0
-    for i, v in enumerate(vs):
-        v = float(v)
-        for j, x in enumerate(offsets):
-            x = float(x)
-            V = v + x
-            if V <= k.lower or V >= k.upper:
-                delta[i, j] = 0.0 if V <= k.lower else 1.0
-                continue
-            n_interior += 1
-            try:
-                ke = eval_kernel(model, v, V, tol)
-            except (DomainError, EvaluationError, DensityUnderflowError):
-                delta[i, j] = np.nan
-                delta1[i, j] = np.nan
-                continue
-            delta[i, j] = ke.H
-            delta1[i, j] = ke.h + ke.dHdv
-            if not fd_check:
-                continue
-            room_v = min(v - v_lo, v_hi - v)
-            room_V = min(V - k.lower if math.isfinite(k.lower) else math.inf,
-                         k.upper - V if math.isfinite(k.upper) else math.inf)
-            step = min(tol.derivative_step(v), 0.4 * min(room_v, room_V))
-            if step < 1e-9:
-                continue
-            est = differentiate(
-                lambda s: _clamped_cdf(model, s, s + x), v, step=step)
-            if est.nonsmooth:
-                # the stencil straddles a kink (table interpolants have
-                # them along cell edges); differencing says nothing there
-                continue
-            fd[i, j] = est.value
-            n_evaluable += 1
-            residual = (abs(est.value - delta1[i, j])
-                        / max(1.0, abs(delta1[i, j])))
-            max_residual = max(max_residual, residual)
-            if residual > _DELTA_RESIDUAL_TOL:
-                n_bad += 1
+    for i, j in zip(*np.nonzero(~failed & fd_check)):
+        v, x, V = float(vs[i]), float(offsets[j]), float(Vs[i, j])
+        room_v = min(v - v_lo, v_hi - v)
+        room_V = min(V - k.lower if math.isfinite(k.lower) else math.inf,
+                     k.upper - V if math.isfinite(k.upper) else math.inf)
+        # the stencil stays inside both supports, so the cdf needs no clamp
+        step = min(tol.derivative_step(v), 0.4 * min(room_v, room_V))
+        if step < 1e-9:
+            continue
+        est = differentiate(lambda s: model.kernel.cdf(s, s + x), v,
+                            step=step)
+        if est.nonsmooth:
+            # the stencil straddles a kink (table interpolants have
+            # them along cell edges); differencing says nothing there
+            continue
+        fd[i, j] = est.value
+        n_evaluable += 1
+        residual = (abs(est.value - delta1[i, j])
+                    / max(1.0, abs(delta1[i, j])))
+        max_residual = max(max_residual, residual)
+        if residual > _DELTA_RESIDUAL_TOL:
+            n_bad += 1
     if fd_check and n_evaluable and n_bad > _DELTA_FD_FRACTION * n_evaluable:
         raise EvaluationError(
             f"shifted-cdf derivative routes disagree at {n_bad} of "
@@ -378,21 +360,21 @@ def verify_prop2(model: ScreeningModel, grid: GridSpec | None = None,
     }}
 
     evidence: dict = {}
-    # Mechanism 1: the ratio collapses toward zero at the lower edge.
+    # One lattice serves both mechanisms: three signal levels against three
+    # offsets above the lower edge and the three value quartiles.
     _, b_hi, _ = model.value_bounds(grid)
     span = b_hi - k.lower
     vs = model.signal_grid(grid)
-    levels = [float(vs[len(vs) // 4]), float(vs[len(vs) // 2]),
-              float(vs[(3 * len(vs)) // 4])]
+    levels = vs[[len(vs) // 4, len(vs) // 2, (3 * len(vs)) // 4]]
+    Vs = k.lower + np.array([1e-2, 1e-3, 1e-4, 0.25, 0.5, 0.75]) * span
+    _, h, dHdv, failed = model.kernel.eval_lattice(
+        model, levels[:, None], Vs[None, :], tol)
+    G, _ = _ratio(h, dHdv, failed)
+
+    # Mechanism 1: the ratio collapses toward zero at the lower edge.
     trend = []
-    for v in levels:
-        row = []
-        for scale in (1e-2, 1e-3, 1e-4):
-            V = k.lower + scale * span
-            try:
-                row.append(gamma(model, v, V, tol))
-            except (DensityUnderflowError, EvaluationError, DomainError):
-                row.append(None)
+    for v, edge in zip(levels.tolist(), G[:, :3].tolist()):
+        row = [None if math.isnan(g) else g for g in edge]
         vals = [g for g in row if g is not None]
         trend.append({
             "v": v,
@@ -404,14 +386,8 @@ def verify_prop2(model: ScreeningModel, grid: GridSpec | None = None,
 
     # Mechanism 2: after an affine rescale that pushes the ratio above one
     # somewhere, the shifted-cdf derivative takes both signs.
-    gmax = 0.0
-    for v in levels:
-        for q in (0.25, 0.5, 0.75):
-            V = k.lower + q * span
-            try:
-                gmax = max(gmax, gamma(model, v, V, tol))
-            except (DensityUnderflowError, EvaluationError, DomainError):
-                continue
+    quartiles = G[:, 3:]
+    gmax = max([0.0, *quartiles[~np.isnan(quartiles)].tolist()])
     if gmax > 0:
         tm = relabel(model, "affine", slope=gmax / 2.0)
         dfield = delta_diagnostic(tm, n_v=17, n_offsets=17, grid=grid,
@@ -439,15 +415,19 @@ def verify_prop2(model: ScreeningModel, grid: GridSpec | None = None,
 # suite 3: additive-translation structure
 
 
-def _check_mean_normalized(model, vs, tol) -> dict:
-    worst = 0.0
-    at = None
-    for v in vs:
-        v = float(v)
-        err = abs(conditional_mean(model, v, tolerances=tol) - v) / max(
-            1.0, abs(v))
+def _worst(errors, vs) -> tuple[float, float | None]:
+    """The largest error and the first v that reaches it; (0.0, None) when
+    no error is positive."""
+    worst, at = 0.0, None
+    for err, v in zip(errors.tolist(), vs.tolist()):
         if err > worst:
             worst, at = err, v
+    return worst, at
+
+
+def _check_mean_normalized(model, vs, tol) -> dict:
+    means = conditional_mean_many(model, vs, tolerances=tol)
+    worst, at = _worst(np.abs(means - vs) / np.maximum(1.0, np.abs(vs)), vs)
     return {"passed": worst <= _MEAN_NORMALIZED_TOL,
             "max_relative_error": worst, "worst_at": at}
 
@@ -465,13 +445,8 @@ def _check_gamma_one(model, grid, tol, bundle) -> dict:
 
 
 def _check_mean_slope_one(model, vs, tol) -> dict:
-    worst = 0.0
-    at = None
-    for v in vs:
-        v = float(v)
-        err = abs(conditional_mean_derivative(model, v, tolerances=tol) - 1.0)
-        if err > worst:
-            worst, at = err, v
+    slopes = conditional_mean_derivative_many(model, vs, tolerances=tol)
+    worst, at = _worst(np.abs(slopes - 1.0), vs)
     return {"passed": worst <= _MEAN_SLOPE_TOL, "max_abs_error": worst,
             "worst_at": at}
 

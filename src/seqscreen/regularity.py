@@ -175,6 +175,16 @@ def _inverse_hazard_pointwise(model: ScreeningModel, vs: np.ndarray):
     return inv, failed
 
 
+def _ratio(h: np.ndarray, dHdv: np.ndarray, failed: np.ndarray):
+    """The information ratio of lattice arrays, equal to ``gamma`` bit for
+    bit, and the mask of points where it is defined. A failed evaluation or
+    a density below the floor (or NaN) leaves NaN there."""
+    ok = ~failed & (h >= _DENSITY_FLOOR)
+    G = np.full_like(h, np.nan)
+    np.divide(-dHdv, h, out=G, where=ok)
+    return G, ok
+
+
 def _evaluate_bundle(model: ScreeningModel, grid: GridSpec,
                      tol: ToleranceConfig) -> _Bundle:
     vs = model.signal_grid(grid)
@@ -182,10 +192,7 @@ def _evaluate_bundle(model: ScreeningModel, grid: GridSpec,
     inv_haz, hazard_failed = _inverse_hazard(model, vs)
     H, h, dHdv, failed = model.kernel.eval_lattice(model, vs[:, None],
                                                    Vs[None, :], tol)
-    # a density below the floor (or NaN) leaves gamma undefined there
-    ok = ~failed & (h >= _DENSITY_FLOOR)
-    G = np.full_like(h, np.nan)
-    np.divide(-dHdv, h, out=G, where=ok)
+    G, ok = _ratio(h, dHdv, failed)
     v_list, V_list = vs.tolist(), Vs.tolist()
     kernel_failures = [(v_list[i], V_list[j])
                        for i, j in zip(*np.nonzero(~ok))]

@@ -437,9 +437,11 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
 
     lat_w = _kahan_cumulative(phi_prime, g_nodes, w_lo, "runningmax_hazard")
     phi = _piecewise_phi(phi_prime, g_nodes, lat_w)
+    # over a half-line inner codomain the slope integral diverges at hi
+    w_hi = (math.inf if math.isinf(inner.codomain.upper)
+            else float(phi(np.array([hi]))[0]))
     return Relabeling("runningmax_hazard", dom, phi, phi_prime, g_nodes,
-                      lat_w, w_hi=float(phi(np.array([hi]))[0]),
-                      params=params)
+                      lat_w, w_hi=w_hi, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +630,8 @@ def _self_check(base: ScreeningModel, tm: TransformedModel,
             f"{worst:.3e} at (v, V) = {worst_at}")
 
 
-def apply_relabeling(model: ScreeningModel, relabeling: Relabeling,
-                     self_check: bool = True) -> TransformedModel:
+def apply_relabeling(model: ScreeningModel,
+                     relabeling: Relabeling) -> TransformedModel:
     """Relabel the model and verify the scaling identities at probe points.
 
     The probes confirm that the relabeled hazard equals the base hazard over
@@ -640,8 +642,7 @@ def apply_relabeling(model: ScreeningModel, relabeling: Relabeling,
     if isinstance(model, TransformedModel):
         model = model.base
     tm = TransformedModel(model, relabeling)
-    if self_check:
-        _self_check(model, tm, relabeling)
+    _self_check(model, tm, relabeling)
     return tm
 
 

@@ -566,7 +566,7 @@ class TestDerivedFileRoundTrip:
                 if kind == "mean" else _decreasing_hazard_model())
         tm = relabel(base, kind)
         section = transform_section(tm)
-        text = modelfile.dumps(base, transform_section=section)
+        text = modelfile.dumps(tm)
         loaded, _, _ = modelfile.loads(text)
         assert isinstance(loaded, TransformedModel)
         assert transform_section(loaded) == section

@@ -1,0 +1,215 @@
+"""The suites read the kernel through its array forms: each figure they take
+from ``eval_lattice`` or the batched conditional means equals the scalar
+evaluators' bit for bit, failed points included."""
+
+import numpy as np
+import pytest
+
+from seqscreen.errors import DensityUnderflowError, DomainError, EvaluationError
+from seqscreen.model_core import (
+    AdditiveNoiseKernel,
+    DEFAULT_TOLERANCES,
+    GridSpec,
+    PowerKernel,
+    ScreeningModel,
+    TableKernel,
+    conditional_mean,
+    conditional_mean_derivative,
+    eval_kernel,
+    make_kernel,
+    make_signal,
+)
+from seqscreen.propositions import (
+    _check_mean_normalized,
+    _check_mean_slope_one,
+    delta_diagnostic,
+    verify_prop2,
+)
+from seqscreen.regularity import gamma
+from seqscreen.transforms import relabel
+
+TOL = DEFAULT_TOLERANCES
+SMALL = GridSpec(v_points=17, V_points=17)
+_SCALAR_FAILURES = (DomainError, EvaluationError, DensityUnderflowError)
+
+
+class _Banded:
+    """A kernel whose density refuses the values in ``band``; the subclass
+    has no array form of its own, so the lattice falls back to
+    eval_kernel."""
+
+    band = (0.0, 0.0)
+
+    def pdf(self, v, V):
+        if self.band[0] < V < self.band[1]:
+            raise DomainError(f"no density at V={V!r}")
+        return super().pdf(v, V)
+
+
+class _BandedLogistic(_Banded, AdditiveNoiseKernel):
+    pass
+
+
+class _BandedPower(_Banded, PowerKernel):
+    pass
+
+
+def _banded(kernel, V):
+    kernel.band = (V - 1e-12, V + 1e-12)
+    return kernel
+
+
+def _power():
+    return ScreeningModel(make_signal("uniform", (1.0, 2.0)),
+                          make_kernel("power"))
+
+
+def _logistic():
+    return ScreeningModel(make_signal("uniform", (0.0, 1.0)),
+                          make_kernel("additive_noise", noise="logistic"))
+
+
+def _table():
+    V_nodes = np.linspace(-4.0, 5.0, 17)
+    rows = [1.0 / (1.0 + np.exp(-(V_nodes - v))) for v in (0.0, 0.5, 1.0)]
+    return ScreeningModel(make_signal("uniform", (0.0, 1.0)),
+                          TableKernel([0.0, 0.5, 1.0], V_nodes, rows))
+
+
+def _banded_logistic():
+    plain = _logistic()
+    f = delta_diagnostic(plain, n_v=9, n_offsets=9, fd_check=False)
+    V = float(f.v[4] + f.offsets[3])
+    return ScreeningModel(plain.signal, _banded(_BandedLogistic(), V))
+
+
+DELTA_MODELS = {
+    "power": _power,
+    "logistic": _logistic,
+    "table": _table,
+    "ihi_power": lambda: relabel(_power(), "inverse_hazard_integral"),
+    "banded": _banded_logistic,
+}
+
+
+def _scalar_delta(model, f):
+    """delta and delta1 of a field, one eval_kernel call per point."""
+    k = model.kernel.support
+    delta = np.zeros(f.delta.shape)
+    delta1 = np.zeros(f.delta.shape)
+    n_interior = 0
+    for i, v in enumerate(f.v.tolist()):
+        for j, x in enumerate(f.offsets.tolist()):
+            V = v + x
+            if V <= k.lower or V >= k.upper:
+                delta[i, j] = 0.0 if V <= k.lower else 1.0
+                continue
+            n_interior += 1
+            try:
+                ke = eval_kernel(model, v, V, TOL)
+            except _SCALAR_FAILURES:
+                delta[i, j] = delta1[i, j] = np.nan
+                continue
+            delta[i, j], delta1[i, j] = ke.H, ke.h + ke.dHdv
+    return delta, delta1, n_interior
+
+
+class TestDeltaDiagnostic:
+    @pytest.mark.parametrize("name", DELTA_MODELS)
+    def test_fields_equal_scalar_loop(self, name):
+        model = DELTA_MODELS[name]()
+        f = delta_diagnostic(model, n_v=9, n_offsets=9, fd_check=False)
+        delta, delta1, n_interior = _scalar_delta(model, f)
+        assert np.array_equal(f.delta, delta, equal_nan=True)
+        assert np.array_equal(f.delta1, delta1, equal_nan=True)
+        assert f.n_interior == n_interior
+
+    def test_banded_point_is_nan(self):
+        model = _banded_logistic()
+        assert not model.kernel._exact_arrays()
+        f = delta_diagnostic(model, n_v=9, n_offsets=9)
+        assert np.argwhere(np.isnan(f.delta)).tolist() == [[4, 3]]
+        assert np.isnan(f.delta1[4, 3]) and np.isnan(f.delta1_fd[4, 3])
+
+
+def _scalar_gamma(model, v, V):
+    try:
+        return gamma(model, v, V, TOL)
+    except _SCALAR_FAILURES:
+        return None
+
+
+def _banded_power():
+    """Refuses the middle lower-edge offset of suite 2's lattice."""
+    plain = _power()
+    k_lower = plain.kernel.support.lower
+    _, b_hi, _ = plain.value_bounds(SMALL)
+    V = k_lower + 1e-3 * (b_hi - k_lower)
+    return ScreeningModel(plain.signal, _banded(_BandedPower(), V))
+
+
+class TestProp2Lattice:
+    @pytest.mark.parametrize("make", [
+        _power, _table, _banded_power,
+        lambda: relabel(_power(), "integrated_hazard")])
+    def test_trend_and_gmax_equal_scalar_gamma(self, make):
+        model = make()
+        rep = verify_prop2(model, SMALL, TOL)
+        k = model.kernel.support
+        _, b_hi, _ = model.value_bounds(SMALL)
+        span = b_hi - k.lower
+        trend = rep.evidence["gamma_lower_edge_trend"]
+        gmax = 0.0
+        for row in trend:
+            v = row["v"]
+            want = [_scalar_gamma(model, v, k.lower + s * span)
+                    for s in (1e-2, 1e-3, 1e-4)]
+            assert row["gamma_at_offsets"] == want
+            for q in (0.25, 0.5, 0.75):
+                g = _scalar_gamma(model, v, k.lower + q * span)
+                if g is not None:
+                    gmax = max(gmax, g)
+        assert rep.evidence["rescaled_delta1_signs"]["slope"] == gmax / 2.0
+
+    def test_refused_point_is_null(self):
+        rep = verify_prop2(_banded_power(), SMALL, TOL)
+        for row in rep.evidence["gamma_lower_edge_trend"]:
+            assert row["gamma_at_offsets"][1] is None
+            assert not row["vanishing"]
+
+
+def _scalar_worst(errors, vs):
+    worst, at = 0.0, None
+    for err, v in zip(errors, vs):
+        if err > worst:
+            worst, at = err, v
+    return worst, at
+
+
+MEAN_MODELS = {
+    "power": _power,
+    "logistic": _logistic,
+    "table": _table,
+    "mean_power": lambda: relabel(_power(), "mean"),
+    "banded": _banded_logistic,
+}
+
+
+class TestMeanChecks:
+    @pytest.mark.parametrize("name", MEAN_MODELS)
+    def test_checks_equal_scalar_loops(self, name):
+        model = MEAN_MODELS[name]()
+        vs = model.signal_grid(GridSpec(v_points=5, V_points=2))
+        v_list = vs.tolist()
+        means = [conditional_mean(model, v, tolerances=TOL) for v in v_list]
+        worst, at = _scalar_worst(
+            [abs(m - v) / max(1.0, abs(v)) for m, v in zip(means, v_list)],
+            v_list)
+        assert _check_mean_normalized(model, vs, TOL) == {
+            "passed": worst <= 1e-6, "max_relative_error": worst,
+            "worst_at": at}
+        slopes = [conditional_mean_derivative(model, v, tolerances=TOL)
+                  for v in v_list]
+        worst, at = _scalar_worst([abs(d - 1.0) for d in slopes], v_list)
+        assert _check_mean_slope_one(model, vs, TOL) == {
+            "passed": worst <= 1e-7, "max_abs_error": worst, "worst_at": at}

@@ -303,11 +303,21 @@ class TestRelabelDerivedModel:
         with pytest.raises(IntegrabilityError, match="diverged"):
             make_relabeling(tm, "inverse_hazard_integral")
 
+    @pytest.mark.parametrize("base", [power_model, uniform_logistic,
+                                      decreasing_hazard_model])
+    def test_runningmax_over_half_line_codomain(self, base):
+        # the inner slope f/S diverges at the top, so the composite's
+        # codomain is a half line, as for the affine kind
+        tm = relabel(base(), "integrated_hazard")
+        derived = relabel(tm, "runningmax_hazard")
+        assert derived.relabeling.codomain.upper == math.inf
+        assert check_assumption(derived, "A0").passed
+
 
 class TestDerivedFiles:
     def round_trip(self, base, kind, **kwargs):
         tm = relabel(base, kind, **kwargs)
-        text = modelfile.dumps(base, transform_section=transform_section(tm))
+        text = modelfile.dumps(tm)
         loaded, _, _ = modelfile.loads(text)
         assert isinstance(loaded, TransformedModel)
         assert loaded.relabeling.kind == kind
