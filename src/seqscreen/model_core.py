@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -86,12 +85,63 @@ def _exact_map(fn, *arrays) -> np.ndarray:
     return np.frompyfunc(fn, len(arrays), 1)(*arrays).astype(float)
 
 
-@functools.cache
-def _special():
-    """``scipy.special``, imported on first use: only the beta signal and
-    the normal-noise quantile need it, and it is most of start-up."""
-    import scipy.special
-    return scipy.special
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_BETAINC_MAX_TERMS = 10_000
+_BETAINC_EPS = 1e-15
+_LENTZ_TINY = 1e-300
+
+
+def _stirling_gap(z: float) -> float:
+    """lgamma(z) less its Stirling form (z - 1/2) log z - z + log sqrt(2 pi);
+    the asymptotic series from z = 20 on, where five terms reach 1e-17."""
+    if z < 20.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _LOG_SQRT_2PI
+    r = 1.0 / (z * z)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680
+                                                      - r / 1188)))) / z
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b), by the modified Lentz
+    continued fraction (Lentz 1976; Numerical Recipes, section 6.4).
+
+    Above x = (a + 1)/(a + b + 2) it takes 1 - I_{1-x}(b, a), where the
+    fraction converges fast. The prefactor x^a (1-x)^b / (a B(a, b)) is
+    expanded about x0 = a/(a + b), so large shapes cancel no lgamma terms.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    swap = x >= (a + 1.0) / (a + b + 2.0)
+    p, q, t = (b, a, 1.0 - x) if swap else (a, b, x)
+    t0, s0 = p / (p + q), q / (p + q)
+    log_front = (p * (math.log1p((t - t0) / t0) if t > 0.5 * t0
+                      else math.log(t / t0))
+                 + q * math.log1p((t0 - t) / s0)
+                 + 0.5 * math.log(p * s0) - _LOG_SQRT_2PI
+                 - _stirling_gap(p) - _stirling_gap(q) + _stirling_gap(p + q))
+    # Lentz's guard turns a zero denominator into a tiny one
+    c, d = 1.0, 1.0 / ((1.0 - (p + q) * t / (p + 1.0)) or _LENTZ_TINY)
+    h = d
+    for m in range(1, _BETAINC_MAX_TERMS + 1):
+        # one step takes the even, then the odd, partial numerator
+        k = p + 2 * m
+        num = m * (q - m) * t / ((k - 1.0) * k)
+        d = 1.0 / ((1.0 + num * d) or _LENTZ_TINY)
+        c = (1.0 + num / c) or _LENTZ_TINY
+        h *= c * d
+        num = -(p + m) * (p + q + m) * t / (k * (k + 1.0))
+        d = 1.0 / ((1.0 + num * d) or _LENTZ_TINY)
+        c = (1.0 + num / c) or _LENTZ_TINY
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= _BETAINC_EPS:
+            front = math.exp(log_front) * h / p
+            return 1.0 - front if swap else front
+    raise EvaluationError(
+        f"regularized incomplete beta did not converge in "
+        f"{_BETAINC_MAX_TERMS} terms at (a, b, x) = ({a!r}, {b!r}, {x!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +257,8 @@ class _NormalNoise(_Noise):
         return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
     def ppf(self, p):
-        return float(_special().ndtri(p))
+        from scipy.special import ndtri  # SciPy loads for this quantile only
+        return float(ndtri(p))
 
     def cdf_pdf(self, x):
         return (self.cdf_array(x),
@@ -385,12 +436,11 @@ class BetaSignal(SignalDistribution):
         return (v - self.support.lower) / self.support.width
 
     def cdf(self, v):
-        return float(_special().betainc(self.alpha, self.beta, self._unit(v)))
+        return _betainc(self.alpha, self.beta, self._unit(v))
 
     def sf(self, v):
         # Regularized incomplete beta symmetry keeps the upper tail accurate.
-        return float(_special().betainc(self.beta, self.alpha,
-                                        1.0 - self._unit(v)))
+        return _betainc(self.beta, self.alpha, 1.0 - self._unit(v))
 
     def pdf(self, v):
         x = self._unit(v)
@@ -406,9 +456,8 @@ class BetaSignal(SignalDistribution):
         return math.exp(log_pdf) / self.support.width
 
     def _sf_array(self, v):
-        return _special().betainc(
-            self.beta, self.alpha,
-            1.0 - (v - self.support.lower) / self.support.width)
+        return _exact_map(_betainc, self.beta, self.alpha,
+                          1.0 - (v - self.support.lower) / self.support.width)
 
     def _pdf_array(self, v):
         x = (v - self.support.lower) / self.support.width

@@ -406,8 +406,11 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
     # runningmax_hazard, of the hazard f / (S * phi1') on phi1's axis
     v_cap = hi - _TAIL_GAP * span
     g_nodes = np.linspace(lo, v_cap, _RUNNINGMAX_N)
-    g_vals = np.maximum.accumulate(
-        _pdf_over_sf(signal, g_nodes) / dphi1(g_nodes))
+    hazard, d_nodes = _pdf_over_sf(signal, g_nodes), dphi1(g_nodes)
+    # where f/S and phi1' vanish together the hazard starts at 0, as below
+    g_vals = np.maximum.accumulate(np.divide(
+        hazard, d_nodes, out=np.zeros(g_nodes.shape),
+        where=(hazard != 0.0) | (d_nodes != 0.0)))
     g_last = float(g_vals[-1])
 
     def phi_prime(v):

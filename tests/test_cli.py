@@ -62,6 +62,8 @@ family = additive_noise
 noise.family = normal
 """
 
+BETA_LOGISTIC = BETA_NORMAL.replace("normal", "logistic")
+
 # The value density underflows far from the diagonal, so gamma and psi
 # hold NaN at two corners of a 3x4 lattice.
 THIN_LAPLACE = """\
@@ -83,6 +85,7 @@ def files(tmp_path_factory):
     for name, text in [("logistic", LOGISTIC), ("power", POWER),
                        ("dechaz", DECREASING_HAZARD),
                        ("beta", BETA_NORMAL),
+                       ("beta_logistic", BETA_LOGISTIC),
                        ("thin", THIN_LAPLACE)]:
         p = root / f"{name}.model"
         p.write_text(text)
@@ -444,7 +447,8 @@ class TestGrid:
 
 
 class TestStartup:
-    """SciPy is imported only by a model that calls betainc or ndtri."""
+    """SciPy is imported only by a model that needs a normal-noise quantile
+    (ndtri); the beta signal's incomplete beta is computed in the package."""
 
     def scipy_loaded(self, code):
         src = str(Path(seqscreen.__file__).resolve().parents[1])
@@ -463,6 +467,17 @@ class TestStartup:
         code = ("from seqscreen.cli import main\n"
                 f"assert main(['check', {files['power']!r}, "
                 "'--grid', '17x17']) in (0, 1)")
+        assert not self.scipy_loaded(code)
+
+    def test_beta_logistic_model_leaves_scipy_out(self, files, tmp_path):
+        path = files["beta_logistic"]
+        code = ("from seqscreen.cli import main\n"
+                f"assert main(['check', {path!r}, '--grid', '9x9']) == 0\n"
+                f"assert main(['verify', {path!r}, '--prop', '1', "
+                "'--grid', '9x9']) in (0, 1)\n"
+                f"assert main(['transform', {path!r}, '--kind', "
+                f"'runningmax_hazard', '--out', {str(tmp_path / 'd')!r}]) "
+                "== 0")
         assert not self.scipy_loaded(code)
 
     def test_beta_normal_model_loads_scipy(self, files):

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqscreen.errors import ConstructionError, DomainError
+from seqscreen import model_core
+from seqscreen.cli import main
+from seqscreen.errors import ConstructionError, DomainError, EvaluationError
 from seqscreen.model_core import (
     AdditiveNoiseKernel,
     BetaSignal,
@@ -29,6 +31,7 @@ from seqscreen.model_core import (
     eval_kernel,
     make_kernel,
     make_signal,
+    _betainc,
     validate_model,
 )
 from seqscreen.numerics import Interval, integrate
@@ -115,6 +118,135 @@ class TestSignals:
     def test_beta_cdf_plus_sf_is_one(self, v):
         sig = BetaSignal(2.0, 2.0)
         assert sig.cdf(v) + sig.sf(v) == pytest.approx(1.0, abs=1e-12)
+
+
+# I_x(a, b) from scipy.special.betainc (SciPy 1.17), stored as literals so
+# the tests import no SciPy; each agrees with a 40-digit mpmath series to
+# 1e-14 (small shapes) or 1e-12 (large shapes) relative.
+_BETAINC_XS = (1e-12, 1e-6, 0.03, 0.25, 0.5, 0.8, 1 - 1e-6, 1 - 1e-12)
+_BETAINC_SMALL = {
+    (2.371, 2.887): (
+        2.411399764991928e-28, 4.057594450080787e-14, 0.0016071734704101938,
+        0.17778355635161852, 0.5964031969777249, 0.9568168150485153, 1.0, 1.0),
+    (4.636, 2.435): (
+        2.313118042992016e-55, 1.5142489584308052e-27, 8.328422540593332e-07,
+        0.011530899881857163, 0.18729792057019198, 0.7823518709739367,
+        0.9999999999999537, 1.0),
+    (2.638, 3.019): (
+        1.8882145321824063e-31, 1.2707224418463603e-15, 0.0007860138461355185,
+        0.14798696712464393, 0.5685352524020031, 0.9555441731787693, 1.0, 1.0),
+    (1.086, 2.657): (
+        2.6252731519682873e-13, 8.613390212573763e-07, 0.06109671038875052,
+        0.499539567658716, 0.8240093685459353, 0.9841676291261164,
+        0.9999999999999999, 1.0),
+    (2.0, 2.0): (
+        2.9999999999979998e-24, 2.9999979999999998e-12, 0.002646, 0.15625,
+        0.5, 0.896, 0.999999999997, 1.0),
+    (0.5, 2.0): (
+        1.4999999999994997e-06, 0.0014999994999999996, 0.25720954492397824,
+        0.6875000000000002, 0.8838834764831843, 0.9838699100999074,
+        0.999999999999625, 1.0),
+    (0.3, 0.5): (
+        0.0001838414622817461, 0.011599613423080616, 0.25650743868850767,
+        0.4985281286927201, 0.6392894541544524, 0.7933742529966188,
+        0.9995608682712532, 0.9999995608732309),
+    (2.887, 2.371): (
+        1.2727818815033232e-34, 2.671489933900738e-17, 0.0002181674671292602,
+        0.07739404408270074, 0.4035968030222748, 0.8868359767568478,
+        0.9999999999999595, 1.0),
+    (2.435, 4.636): (
+        1.1372141582248333e-28, 4.632774256092545e-14, 0.003418061569214101,
+        0.32425024776288075, 0.812702079429808, 0.9955952095305322, 1.0, 1.0),
+    (3.019, 2.638): (
+        4.420414694501535e-36, 5.747281636420584e-18, 0.00018183835602096738,
+        0.0810347217912217, 0.43146474759799686, 0.9104981020305849,
+        0.9999999999999988, 1.0),
+    (2.657, 1.086): (
+        1.5087343144994648e-32, 1.3201179638304346e-16,
+        0.00010363350081809755, 0.028535567324035303, 0.17599063145406468,
+        0.5889256053957919, 0.9999991386609788, 0.9999999999997374),
+    (2.0, 0.5): (
+        3.75000000000125e-25, 3.7500012500007017e-13, 0.00034093311769537056,
+        0.025721420742506513, 0.11611652351681556, 0.37390096630005887,
+        0.9985000004999784, 0.9999985000165914),
+    (0.5, 0.3): (
+        4.3913162627647215e-07, 0.00043913172874046803, 0.07660055417383173,
+        0.23432787482953918, 0.3607105458455472, 0.5369776584768396,
+        0.9884003865768193, 0.9998161597577946),
+}
+_BETAINC_LARGE = [
+    (10000.0, 10000.0, 0.489394, 0.001349322744006636),
+    (10000.0, 10000.0, 0.496465, 0.1586917978667267),
+    (10000.0, 10000.0, 0.5, 0.4999999999999989),
+    (10000.0, 10000.0, 0.503535, 0.8413082021332672),
+    (10000.0, 10000.0, 0.510606, 0.9986506772559933),
+    (3000.0, 20.0, 0.98895, 0.004870017008596945),
+    (3000.0, 20.0, 0.991902, 0.1570121262701488),
+    (3000.0, 20.0, 0.993377, 0.47042212884777956),
+    (3000.0, 20.0, 0.994853, 0.8436198682369307),
+    (3000.0, 20.0, 0.997805, 0.9999795642214071),
+    (0.7, 5000.0, 0.00013998, 0.6565584005070875),
+    (0.7, 5000.0, 0.000307261, 0.8717178531843853),
+    (0.7, 5000.0, 0.000641821, 0.9796220153174671),
+    (250.0, 9000.0, 0.0219691, 0.000725769910059627),
+    (250.0, 9000.0, 0.025341, 0.15850804801000856),
+    (250.0, 9000.0, 0.027027, 0.5080594651775426),
+    (250.0, 9000.0, 0.028713, 0.841471671926888),
+    (250.0, 9000.0, 0.032085, 0.9978515785691182),
+    (10000.0, 1.5, 0.999483, 0.015865122506343945),
+    (10000.0, 1.5, 0.999728, 0.14221796607048534),
+    (10000.0, 1.5, 0.99985, 0.39157892053394605),
+    (10000.0, 1.5, 0.999972, 0.9055202825163318),
+]
+
+
+class TestBetainc:
+    """The in-repo regularized incomplete beta against frozen references."""
+
+    @pytest.mark.parametrize("shapes", sorted(_BETAINC_SMALL))
+    def test_small_shapes_match_reference(self, shapes):
+        a, b = shapes
+        for x, want in zip(_BETAINC_XS, _BETAINC_SMALL[shapes]):
+            assert _betainc(a, b, x) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("a, b, x, want", _BETAINC_LARGE)
+    def test_large_shapes_match_reference(self, a, b, x, want):
+        assert _betainc(a, b, x) == pytest.approx(want, rel=1e-11)
+
+    @given(st.floats(0.2, 5.0), st.floats(0.2, 5.0),
+           st.integers(1, 2 ** 40 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_symmetry(self, a, b, k):
+        # x = k / 2^40 keeps 1 - x exact, so both sides see the same point
+        x = k / 2.0 ** 40
+        assert _betainc(a, b, x) + _betainc(b, a, 1.0 - x) == pytest.approx(
+            1.0, abs=5e-16)
+
+    def test_exact_at_the_ends(self):
+        for a, b in ((0.3, 0.5), (2.0, 2.0), (1e4, 1.5)):
+            assert _betainc(a, b, 0.0) == 0.0
+            assert _betainc(a, b, 1.0) == 1.0
+        sig = BetaSignal(0.5, 2.0, Interval(1.0, 3.0))
+        assert (sig.cdf(1.0), sig.sf(1.0)) == (0.0, 1.0)
+        assert (sig.cdf(3.0), sig.sf(3.0)) == (1.0, 0.0)
+        assert sig.sf_many(np.array([1.0, 3.0])).tolist() == [1.0, 0.0]
+
+    def test_non_convergence_names_the_point(self, monkeypatch):
+        monkeypatch.setattr(model_core, "_BETAINC_MAX_TERMS", 2)
+        where = r"2 terms at \(a, b, x\) = \(2.5, 3.5, 0.4\)"
+        with pytest.raises(EvaluationError, match=where):
+            _betainc(2.5, 3.5, 0.4)
+
+    def test_non_convergence_exits_2(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "beta.model"
+        path.write_text("[signal]\nfamily = beta\nparams = alpha=2.5 beta=1.5"
+                        "\n\n[kernel]\nfamily = additive_noise\n"
+                        "noise.family = logistic\n")
+        monkeypatch.setattr(model_core, "_BETAINC_MAX_TERMS", 2)
+        assert main(["check", str(path), "--grid", "5x5"]) == 2
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "(a, b, x)" in err
+        assert "Traceback" not in err
 
 
 class TestAdditiveNoiseKernel:

@@ -313,6 +313,21 @@ class TestRelabelDerivedModel:
         assert derived.relabeling.codomain.upper == math.inf
         assert check_assumption(derived, "A0").passed
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_runningmax_where_density_and_inner_slope_vanish(self):
+        # beta(2, 2) has f(0) = 0, so the hazard f/S and the inner slope
+        # f/S are both 0 at the first node. On the integrated-hazard axis
+        # the hazard is 1 throughout, so the running max keeps that map.
+        base = ScreeningModel(BetaSignal(2.0, 2.0),
+                              AdditiveNoiseKernel(noise="logistic"))
+        tm = relabel(base, "integrated_hazard")
+        derived = relabel(tm, "runningmax_hazard")
+        assert derived.relabeling.codomain.upper == math.inf
+        for v in (0.0, 0.001, 0.1, 0.5, 0.9, 0.999):
+            assert derived.relabeling.phi(v) == pytest.approx(
+                tm.relabeling.phi(v), rel=1e-10)
+        assert check_assumption(derived, "A0").passed
+
 
 class TestDerivedFiles:
     def round_trip(self, base, kind, **kwargs):
