@@ -27,6 +27,7 @@ __all__ = [
     "integrate",
     "integrate_many",
     "differentiate",
+    "richardson",
     "stencil",
     "scan_violations",
     "kahan_prefix",
@@ -343,47 +344,51 @@ def _probe(f: Callable[[float], float], x: float) -> float:
     return y
 
 
-def stencil(x: float, step: float | None = None
-            ) -> tuple[float, tuple[float, ...]]:
+def stencil(x, step=None):
     """The step ``differentiate`` takes at x and the points it evaluates,
-    in its order: x, x + h, x - h, x + h/2, x - h/2."""
+    in its order: x, x + h, x - h, x + h/2, x - h/2; x and a given step
+    may be arrays."""
     h = step if step is not None else max(1e-5, 1e-5 * abs(x))
     return h, (x, x + h, x - h, x + 0.5 * h, x - 0.5 * h)
 
 
-def differentiate(f: Callable[[float], float], x: float,
-                  step: float | None = None) -> DerivativeEstimate:
-    """Central difference with one Richardson refinement.
+def richardson(h, f_c, f_p, f_m, f_p2, f_m2):
+    """Central difference with one Richardson refinement, from the values
+    at the five stencil points; returns ``(value, error, nonsmooth)``.
 
-    The default step follows the policy ``h = max(1e-5, 1e-5 * |x|)``. The
-    reported error combines the Richardson defect with a roundoff bound. A
+    Every operation is elementwise, so floats and arrays give the same
+    bits. The error combines the Richardson defect with a roundoff bound. A
     kink detector compares second differences at two step sizes: for smooth
     functions the scaled second difference halves with the step, while at a
-    kink it stalls; a stalled ratio flags the estimate and inflates the error
-    to the gap between one-sided slopes.
+    kink it stalls; a stalled ratio flags the estimate and inflates the
+    error to the gap between one-sided slopes.
     """
-    h, points = stencil(x, step)
-    if h <= 0:
-        raise ConstructionError("differentiation step must be positive")
-    f_c, f_p, f_m, f_p2, f_m2 = [_probe(f, p) for p in points]
-
     d_h = (f_p - f_m) / (2.0 * h)
     d_h2 = (f_p2 - f_m2) / h
     value = (4.0 * d_h2 - d_h) / 3.0
 
-    scale = max(abs(f_p), abs(f_m), abs(f_c), 1e-300)
-    roundoff = 4.0 * _EPS * scale / h
-    error = abs(value - d_h2) + roundoff
+    scale = np.maximum(np.maximum(np.maximum(np.abs(f_p), np.abs(f_m)),
+                                  np.abs(f_c)), 1e-300)
+    error = np.abs(value - d_h2) + 4.0 * _EPS * scale / h
 
-    second_h = abs(f_p - 2.0 * f_c + f_m) / h
-    second_h2 = abs(f_p2 - 2.0 * f_c + f_m2) / (0.5 * h)
-    nonsmooth = (second_h > 64.0 * _EPS * scale / h
-                 and second_h2 > 0.7 * second_h)
-    if nonsmooth:
-        fwd = (f_p2 - f_c) / (0.5 * h)
-        bwd = (f_c - f_m2) / (0.5 * h)
-        error = max(error, 0.5 * abs(fwd - bwd))
-    return DerivativeEstimate(value=value, error=error, nonsmooth=nonsmooth)
+    second_h = np.abs(f_p - 2.0 * f_c + f_m) / h
+    second_h2 = np.abs(f_p2 - 2.0 * f_c + f_m2) / (0.5 * h)
+    nonsmooth = ((second_h > 64.0 * _EPS * scale / h)
+                 & (second_h2 > 0.7 * second_h))
+    gap = 0.5 * np.abs((f_p2 - f_c) / (0.5 * h) - (f_c - f_m2) / (0.5 * h))
+    error = np.where(nonsmooth, np.maximum(error, gap), error)
+    return value, error, nonsmooth
+
+
+def differentiate(f: Callable[[float], float], x: float,
+                  step: float | None = None) -> DerivativeEstimate:
+    """``richardson`` on f at the five points of ``stencil(x, step)``; the
+    default step follows the policy ``h = max(1e-5, 1e-5 * |x|)``."""
+    h, points = stencil(x, step)
+    if h <= 0:
+        raise ConstructionError("differentiation step must be positive")
+    value, error, nonsmooth = richardson(h, *[_probe(f, p) for p in points])
+    return DerivativeEstimate(float(value), float(error), bool(nonsmooth))
 
 
 def scan_violations(xs, ys, direction: str, slack: float

@@ -43,10 +43,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConstructionError,
     DensityUnderflowError,
     DomainError,
     EvaluationError,
     IntegrabilityError,
+    NUMERIC_CAUSES,
     NearEndpointError,
 )
 from .model_core import (
@@ -57,7 +59,7 @@ from .model_core import (
     conditional_mean_many,
     resolve_config,
 )
-from .numerics import differentiate
+from .numerics import _probe, richardson, stencil
 from .regularity import (
     _evaluate_bundle,
     _provenance,
@@ -156,31 +158,24 @@ def delta_diagnostic(model: ScreeningModel, n_v: int = 33,
     delta1 = np.where(outside, 0.0, h + dHdv)
     fd = np.full_like(delta, np.nan)
     n_interior = int(np.count_nonzero(~outside))
-    n_evaluable = 0
-    n_bad = 0
-    max_residual = 0.0
-    for i, j in zip(*np.nonzero(~failed & fd_check)):
-        v, x, V = float(vs[i]), float(offsets[j]), float(Vs[i, j])
-        room_v = min(v - v_lo, v_hi - v)
-        room_V = min(V - k.lower if math.isfinite(k.lower) else math.inf,
-                     k.upper - V if math.isfinite(k.upper) else math.inf)
-        # the stencil stays inside both supports, so the cdf needs no clamp
-        step = min(tol.derivative_step(v), 0.4 * min(room_v, room_V))
-        if step < 1e-9:
-            continue
-        est = differentiate(lambda s: model.kernel.cdf(s, s + x), v,
-                            step=step)
-        if est.nonsmooth:
-            # the stencil straddles a kink (table interpolants have
-            # them along cell edges); differencing says nothing there
-            continue
-        fd[i, j] = est.value
-        n_evaluable += 1
-        residual = (abs(est.value - delta1[i, j])
-                    / max(1.0, abs(delta1[i, j])))
-        max_residual = max(max_residual, residual)
-        if residual > _DELTA_RESIDUAL_TOL:
-            n_bad += 1
+    # difference v -> H_v(v + x) at every evaluable point at once; the step
+    # is at most 0.4 x the room to both supports, so the cdf needs no clamp
+    room = np.minimum(np.minimum(vs - v_lo, v_hi - vs)[:, None],
+                      np.minimum(Vs - k.lower, k.upper - Vs))
+    steps = np.array([tol.derivative_step(v) for v in vs.tolist()])
+    step = np.minimum(steps[:, None], 0.4 * room)
+    i, j = np.nonzero(~failed & fd_check & (step >= 1e-9))
+    hs, points = stencil(vs[i], step[i, j])
+    value, _, nonsmooth = richardson(hs, *_shifted_cdf(
+        model.kernel, np.stack(points, axis=1), offsets[j]).T)
+    # a stencil across a kink (a table's cell edge) says nothing
+    i, j, value = i[~nonsmooth], j[~nonsmooth], value[~nonsmooth]
+    fd[i, j] = value
+    n_evaluable = int(value.size)
+    d1 = delta1[i, j]
+    residual = np.abs(value - d1) / np.maximum(1.0, np.abs(d1))
+    max_residual = float(np.max(residual[residual > 0.0], initial=0.0))
+    n_bad = int(np.count_nonzero(residual > _DELTA_RESIDUAL_TOL))
     if fd_check and n_evaluable and n_bad > _DELTA_FD_FRACTION * n_evaluable:
         raise EvaluationError(
             f"shifted-cdf derivative routes disagree at {n_bad} of "
@@ -191,6 +186,24 @@ def delta_diagnostic(model: ScreeningModel, n_v: int = 33,
         n_residual_bad=n_bad, max_residual=max_residual,
         provenance={"grid": grid.describe(), "tolerances": tol.describe()},
     )
+
+
+def _shifted_cdf(kernel, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``kernel.cdf(s, s + x[r])`` at every point s of each row r of
+    ``s``, by one array call if the kernel has its own ``_fields``; else,
+    or if that raises or gives NaN, pair by pair through the probes of
+    ``differentiate``, so a failure raises where they would."""
+    if kernel._exact_arrays():
+        try:
+            F = kernel._cdf_field(s, s + x[:, None])
+            if not np.isnan(F).any():
+                return F
+        except NUMERIC_CAUSES:
+            pass
+    return np.array([[_probe(lambda t: kernel.cdf(t, t + shift), t)
+                      for t in row]
+                     for row, shift in zip(s.tolist(), x.tolist())]
+                    ).reshape(s.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +310,13 @@ def verify_prop1(model: ScreeningModel, grid: GridSpec | None = None,
     a0_by_kind = {}
     profiles = {}
     for kind in kinds:
-        tm = apply_relabeling(model, integral if kind == kinds[0]
-                              else make_relabeling(model, kind))
+        try:
+            rel = integral if kind == kinds[0] else make_relabeling(model, kind)
+        except ConstructionError as exc:
+            a0_by_kind[kind], profiles[kind] = False, {
+                "built": False, "detail": str(exc)}
+            continue
+        tm = apply_relabeling(model, rel)
         rep = check_assumption(tm, "A0", grid, tol)
         a0_by_kind[kind] = rep.passed
         profiles[kind] = _hazard_profile(tm, grid)

@@ -36,12 +36,11 @@ signal values; a value at one point is that function called on one point, so
 batched and point-by-point evaluations agree bit for bit. Forward
 evaluations are memoized both ways, so inverting phi at a point that was
 produced by phi costs a dictionary lookup and is exact to the bit; fresh
-inversions bracket on the construction lattice and bisect to 1e-12.
+inversions bisect together on the construction lattice to 1e-12.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 
@@ -64,8 +63,8 @@ from .model_core import (
     conditional_mean_derivative_many,
     conditional_mean_many,
 )
-from .numerics import (Interval, differentiate, integrate_many,
-                       invert_monotone, kahan_prefix, stencil)
+from .numerics import (Interval, differentiate, integrate_many, kahan_prefix,
+                       stencil)
 from .regularity import gamma, virtual_value
 
 __all__ = [
@@ -127,9 +126,9 @@ class Relabeling:
     of domain points. ``phi`` and ``phi_prime`` accept any v in the domain
     and are cached one-point calls of them; ``fill_phis`` and
     ``fill_slopes`` fill the caches from one call over many points.
-    ``inverse`` accepts any w in the codomain and returns the exact preimage
-    for w values previously produced by ``phi``; other w values bisect on
-    the one-point map.
+    ``inverses`` accepts an array of w in the codomain and returns the exact
+    preimage of each w produced by ``phi``; the others bisect together on
+    the array map. ``inverse`` is its one-point form.
     """
 
     def __init__(self, kind: str, domain: Interval, phi_many, phi_prime_many,
@@ -141,19 +140,17 @@ class Relabeling:
         self._phi_prime_many = phi_prime_many
         self._lat_v = np.asarray(lattice_v, dtype=float)
         self._lat_w = np.asarray(lattice_w, dtype=float)
-        self._lat_w_list = self._lat_w.tolist()
         self.w_lo = float(lattice_w[0])
         self._w_hi = float(w_hi)
         self.params = dict(params or {})
-        self._fwd: dict[float, float] = {}
-        self._inv: dict[float, float] = {}
+        lat_v, lat_w = self._lat_v.tolist(), self._lat_w.tolist()
+        self._fwd = dict(zip(lat_v, lat_w))
+        self._inv = dict(zip(lat_w, lat_v))
         self._slope: dict[float, float] = {}
-        for v, w in zip(self._lat_v, self._lat_w):
-            self._fwd[float(v)] = float(w)
-            self._inv[float(w)] = float(v)
+        # on a half-line codomain, +inf is the domain's top
+        self._inv[self._w_hi] = domain.upper
         if math.isfinite(self._w_hi):
             self._fwd[domain.upper] = self._w_hi
-            self._inv[self._w_hi] = domain.upper
 
     @property
     def codomain(self) -> Interval:
@@ -170,13 +167,10 @@ class Relabeling:
         self._require_domain(v)
         w = self._fwd.get(v)
         if w is None:
-            w = self._phi_at(v)
+            w = float(self._phi_many(np.array([v]))[0])
             self._fwd[v] = w
             self._inv[w] = v
         return w
-
-    def _phi_at(self, v: float) -> float:
-        return float(self._phi_many(np.array([v]))[0])
 
     def phi_prime(self, v: float) -> float:
         # Cached per point: some slopes are quadratures (the conditional-
@@ -224,34 +218,49 @@ class Relabeling:
         return np.array([self.phi_prime(v) for v in vs])
 
     def inverse(self, w: float) -> float:
-        w = float(w)
-        v = self._inv.get(w)
-        if v is not None:
-            return v
-        if math.isinf(w) and w > 0 and math.isinf(self._w_hi):
-            return self.domain.upper
-        pad_lo = 1e-9 * max(1.0, abs(self.w_lo))
-        pad_hi = (1e-9 * max(1.0, abs(self._w_hi))
-                  if math.isfinite(self._w_hi) else 0.0)
-        if w < self.w_lo - pad_lo or w > self._w_hi + pad_hi:
+        v = self._inv.get(float(w))
+        return float(self.inverses([w])[0]) if v is None else v
+
+    def inverses(self, ws) -> np.ndarray:
+        """The preimage of every w of ``ws``, any shape; the uncached ones
+        go to ``_bisect`` in one call."""
+        ws = np.asarray(ws, dtype=float)
+        flat = ws.ravel()
+        out = np.array([self._inv.get(w, math.nan) for w in flat.tolist()])
+        miss = np.isnan(out)
+        if miss.any():
+            out[miss] = self._bisect(flat[miss])
+        return out.reshape(ws.shape)
+
+    def _bisect(self, ws: np.ndarray) -> np.ndarray:
+        """Preimages of ``ws`` by one bisection over all of them, one
+        ``phi_many`` call per halving; each distinct target, clamped into
+        the codomain, bisects on its lattice cell (the last one runs up to
+        the domain's top) and enters the cache."""
+        w_lo, w_hi = self.w_lo, self._w_hi
+        bad = ((ws < w_lo - 1e-9 * max(1.0, abs(w_lo)))
+               | (ws > w_hi + 1e-9 * max(1.0, abs(w_hi))))
+        if bad.any():
             raise DomainError(
-                f"value {w!r} outside relabeling codomain "
-                f"[{self.w_lo}, {self._w_hi}]")
-        w = min(max(w, self.w_lo), self._w_hi)
-        k = bisect.bisect_right(self._lat_w_list, w) - 1
-        if k >= len(self._lat_w) - 1:
-            lo_v, hi_v = float(self._lat_v[-1]), self.domain.upper
-            f_lo, f_hi = float(self._lat_w[-1]), self._w_hi
-        else:
-            lo_v, hi_v = float(self._lat_v[k]), float(self._lat_v[k + 1])
-            f_lo, f_hi = float(self._lat_w[k]), float(self._lat_w[k + 1])
-        if lo_v == hi_v:
-            v = lo_v
-        else:
-            v = invert_monotone(self._phi_at, w, lo_v, hi_v,
-                                tol=_INVERSE_TOL, f_lower=f_lo, f_upper=f_hi)
-        self._inv[w] = v
-        return v
+                f"value {float(ws[bad][0])!r} outside relabeling codomain "
+                f"[{w_lo}, {w_hi}]")
+        targets, where = np.unique(np.clip(ws, w_lo, w_hi),
+                                   return_inverse=True)
+        k = np.searchsorted(self._lat_w, targets, side="right") - 1
+        lo = self._lat_v[k]
+        hi = np.append(self._lat_v[1:], self.domain.upper)[k]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            live = np.flatnonzero((hi - lo > _INVERSE_TOL) & (lo < mid)
+                                  & (mid < hi))
+            if not live.size:
+                break
+            below = self._phi_many(mid[live]) < targets[live]
+            lo[live[below]] = mid[live[below]]
+            hi[live[~below]] = mid[live[~below]]
+        vs = 0.5 * (lo + hi)
+        self._inv.update(zip(targets.tolist(), vs.tolist()))
+        return vs[where]
 
     def table(self, n: int = _TABLE_POINTS) -> list[tuple[float, float, float]]:
         """(v, phi(v), phi'(v)) triples subsampled from the lattice."""
@@ -406,7 +415,11 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
     # runningmax_hazard, of the hazard f / (S * phi1') on phi1's axis
     v_cap = hi - _TAIL_GAP * span
     g_nodes = np.linspace(lo, v_cap, _RUNNINGMAX_N)
-    hazard, d_nodes = _pdf_over_sf(signal, g_nodes), dphi1(g_nodes)
+    try:
+        hazard = _pdf_over_sf(signal, g_nodes)
+    except DomainError as exc:  # the density is unbounded at the first node
+        raise ConstructionError(f"runningmax_hazard: {exc}") from exc
+    d_nodes = dphi1(g_nodes)
     # where f/S and phi1' vanish together the hazard starts at 0, as below
     g_vals = np.maximum.accumulate(np.divide(
         hazard, d_nodes, out=np.zeros(g_nodes.shape),
@@ -451,11 +464,6 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
 # the induced model
 
 
-def _preimages(rel: Relabeling, w: np.ndarray) -> np.ndarray:
-    return np.array([rel.inverse(x) for x in w.ravel().tolist()]).reshape(
-        w.shape)
-
-
 def _over_slope(x: np.ndarray, slope: np.ndarray) -> np.ndarray:
     """x / slope, raising where the scalar forms' float division does."""
     if (slope == 0.0).any():
@@ -489,10 +497,10 @@ class _RelabeledSignal(SignalDistribution):
         return self.base.pdf(v) / self.rel.phi_prime(v)
 
     def _sf_array(self, w):
-        return self.base.sf_many(_preimages(self.rel, w))
+        return self.base.sf_many(self.rel.inverses(w))
 
     def _pdf_array(self, w):
-        v = _preimages(self.rel, w)
+        v = self.rel.inverses(w)
         return _over_slope(self.base.pdf_many(v),
                            self.rel.phi_primes(v.ravel()).reshape(v.shape))
 
@@ -534,12 +542,12 @@ class _RelabeledKernel(ValuationKernel):
 
     def _fields(self, w, V):
         # One inverse and one slope per row of the lattice, not per point.
-        v = _preimages(self.rel, w[:, 0])
+        v = self.rel.inverses(w[:, 0])
         H, h, dHdv = self.base._fields(v[:, None], V)
         return H, h, _over_slope(dHdv, self.rel.phi_primes(v)[:, None])
 
     def _cdf_field(self, w, V):
-        return self.base._cdf_field(_preimages(self.rel, w), V)
+        return self.base._cdf_field(self.rel.inverses(w), V)
 
     def quantile(self, w, p):
         return self.base.quantile(self.rel.inverse(w), p)

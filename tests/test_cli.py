@@ -158,13 +158,13 @@ class TestCheck:
                        "mean", "--out", str(derived))
         assert rc == 0
         calls = []
-        original = transforms.invert_monotone
+        original = transforms.Relabeling._bisect
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
+        def counted(rel, ws):
+            calls.extend(ws[np.isfinite(ws)].tolist())
+            return original(rel, ws)
 
-        monkeypatch.setattr(transforms, "invert_monotone", counted)
+        monkeypatch.setattr(transforms.Relabeling, "_bisect", counted)
         rc, out, _ = run(capsys, "check", str(derived), "--grid", "33x33")
         assert rc in (0, 1)
         assert json.loads(out)["checks"]["A0"]["passed"]
@@ -260,23 +260,34 @@ class TestVerify:
         assert rep["forward"]["verdict"] == "consistent"
         assert rep["converse"]["verdict"] == "consistent"
 
-    def test_domain_error_exits_two_without_traceback(self, tmp_path,
-                                                      capsys):
-        # beta(0.5, 2) has an unbounded density at v = 0, where the
-        # relabelings of suite 1 and the running-max transform evaluate it
+    def test_unbounded_density_fails_runningmax_build(self, tmp_path,
+                                                     capsys):
+        # beta(0.5, 2) has an unbounded density at v = 0, the first node of
+        # the running maximum of its hazard: that relabeling is not built,
+        # so transform exits 1 naming v, and suite 1 records the kind as
+        # failed and still gives a verdict
         path = tmp_path / "beta0502.model"
         path.write_text(BETA_NORMAL.replace("alpha=2.0 beta=2.0",
                                             "alpha=0.5 beta=2.0"))
-        for argv in (["verify", str(path), "--prop", "1"],
-                     ["transform", str(path), "--kind",
-                      "runningmax_hazard"]):
-            rc, out, err = run(capsys, *argv)
-            assert rc == 2
-            assert out == ""
-            assert "Traceback" not in err
-            assert err.startswith("seqscreen: error: ")
-            assert err.count("\n") == 1
-            assert "v=0.0" in err
+        rc, out, err = run(capsys, "transform", str(path), "--kind",
+                           "runningmax_hazard")
+        assert rc == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("seqscreen: error: runningmax_hazard: ")
+        assert err.count("\n") == 1
+        assert "v=0.0" in err
+        rc, out, err = run(capsys, "verify", str(path), "--prop", "1")
+        assert rc == 1
+        assert err == ""
+        rep = json.loads(out)
+        assert rep["verdict"] == "discrepancy"
+        a0 = rep["conclusion_checks"]["a0_achievable"]
+        assert a0["by_kind"]["runningmax_hazard"] is False
+        profile = rep["evidence"]["relabeled_hazard_profiles"][
+            "runningmax_hazard"]
+        assert profile["built"] is False
+        assert "v=0.0" in profile["detail"]
 
     def test_prop_flag_required(self, files, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -26,7 +26,9 @@ from seqscreen.numerics import (
     integrate,
     integrate_many,
     invert_monotone,
+    richardson,
     scan_violations,
+    stencil,
 )
 
 
@@ -165,6 +167,28 @@ class TestDifferentiate:
     def test_explicit_step_honoured(self):
         est = differentiate(math.sin, 0.3, step=1e-4)
         assert est.value == pytest.approx(math.cos(0.3), abs=1e-11)
+
+    def test_richardson_on_arrays_equals_differentiate_per_point(self):
+        # a kink at 0.3, and at x = 10 (step 1) stencil values whose
+        # Richardson error exceeds the gap between one-sided slopes
+        spiky = {10.0: 0.0, 11.0: 0.5, 9.0: 0.5, 10.5: 3.0, 9.5: -2.0}
+
+        def f(x):
+            return spiky.get(x, abs(x - 0.3) + x * x * x - 2.0 * x)
+
+        xs = np.array([-1.7, 0.0, 0.3, 0.3 + 4e-6, 0.3 - 2e-3, 0.9, 12.5,
+                       10.0])
+        steps = np.array([1e-5, 1e-3, 1e-4, 1e-5, 1e-2, 1e-9, 2e-4, 1.0])
+        h, points = stencil(xs, steps)
+        value, error, nonsmooth = richardson(
+            h, *(np.array([f(t) for t in p.tolist()]) for p in points))
+        for k, (x, step) in enumerate(zip(xs.tolist(), steps.tolist())):
+            est = differentiate(f, x, step)
+            assert value[k] == est.value
+            assert error[k] == est.error
+            assert nonsmooth[k] == est.nonsmooth
+        assert nonsmooth[2] and nonsmooth[4] and not nonsmooth[0]
+        assert nonsmooth[7] and error[7] > 1.0  # the one-sided gap is 1
 
 
 class TestMonotoneScan:

@@ -211,14 +211,15 @@ class TestDerivedModels:
 
     @pytest.fixture
     def inversions(self, monkeypatch):
+        # the finite targets that enter a relabeling's bisection
         calls = []
-        original = transforms.invert_monotone
+        original = transforms.Relabeling._bisect
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
+        def counted(rel, ws):
+            calls.extend(ws[np.isfinite(ws)].tolist())
+            return original(rel, ws)
 
-        monkeypatch.setattr(transforms, "invert_monotone", counted)
+        monkeypatch.setattr(transforms.Relabeling, "_bisect", counted)
         return calls
 
     # the mean-derived case costs seconds, so it runs on one base model

@@ -16,9 +16,11 @@ from seqscreen.model_core import (
     conditional_mean,
     conditional_mean_derivative,
     eval_kernel,
+    TableSignal,
     make_kernel,
     make_signal,
 )
+from seqscreen.numerics import differentiate
 from seqscreen.propositions import (
     _check_mean_normalized,
     _check_mean_slope_one,
@@ -130,6 +132,101 @@ class TestDeltaDiagnostic:
         f = delta_diagnostic(model, n_v=9, n_offsets=9)
         assert np.argwhere(np.isnan(f.delta)).tolist() == [[4, 3]]
         assert np.isnan(f.delta1[4, 3]) and np.isnan(f.delta1_fd[4, 3])
+
+
+class _Holed(AdditiveNoiseKernel):
+    """A logistic kernel whose cdf, scalar and array alike, is NaN on one
+    value band; it keeps the array form of its own class."""
+
+    _fields = AdditiveNoiseKernel._fields
+
+    def __init__(self, lo, hi):
+        super().__init__("logistic")
+        self.hole = (lo, hi)
+
+    def cdf(self, v, V):
+        lo, hi = self.hole
+        return np.nan if lo < V < hi else super().cdf(v, V)
+
+    def _cdf_field(self, v, V):
+        lo, hi = self.hole
+        return np.where((lo < V) & (V < hi), np.nan,
+                        super()._cdf_field(v, V))
+
+
+def _table_decreasing_hazard():
+    """The table kernel over a signal whose hazard falls, then rises."""
+    sig = TableSignal([0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
+                      [3.0, 1.2, 0.7, 0.55, 0.8, 1.6])
+    return ScreeningModel(sig, _table().kernel)
+
+
+FD_MODELS = {
+    "table": _table,
+    "mean_table": lambda: relabel(_table(), "mean"),
+    "runningmax_table": lambda: relabel(_table_decreasing_hazard(),
+                                        "runningmax_hazard"),
+}
+
+
+def _scalar_fd(model, f):
+    """delta1_fd of a field, differencing kernel.cdf(s, s + x) point by
+    point with the route's step and kink rule."""
+    v_lo, v_hi = model.signal.support.as_tuple()
+    k = model.kernel.support
+    fd = np.full(f.delta.shape, np.nan)
+    for i, v in enumerate(f.v.tolist()):
+        for j, x in enumerate(f.offsets.tolist()):
+            if np.isnan(f.delta1[i, j]):
+                continue
+            V = v + x
+            step = min(TOL.derivative_step(v),
+                       0.4 * min(v - v_lo, v_hi - v, V - k.lower,
+                                 k.upper - V))
+            if step < 1e-9:
+                continue
+            est = differentiate(lambda s: model.kernel.cdf(s, s + x), v,
+                                step)
+            if not est.nonsmooth:
+                fd[i, j] = est.value
+    return fd
+
+
+class TestDifferencedRoute:
+    @pytest.mark.parametrize("name", FD_MODELS)
+    def test_fd_equals_scalar_differentiate(self, name):
+        # the small margin puts the end rows within the step's room cap
+        model = FD_MODELS[name]()
+        f = delta_diagnostic(model, n_v=9, n_offsets=9, grid=GridSpec(
+            v_points=17, V_points=17, endpoint_margin=1e-6))
+        fd = _scalar_fd(model, f)
+        assert np.array_equal(f.delta1_fd, fd, equal_nan=True)
+        assert f.n_evaluable == np.count_nonzero(~np.isnan(fd)) > 0
+
+    def test_nan_stencil_raises_as_the_scalar_route(self):
+        # the array cdf gives NaN at one stencil point: the route falls back
+        # to the scalar probes, which name the first such point
+        plain = _logistic()
+        f = delta_diagnostic(plain, n_v=9, n_offsets=9, fd_check=False)
+        V = float(f.v[4] + f.offsets[3]) + 1e-5
+        model = ScreeningModel(plain.signal, _Holed(V - 2.5e-6, V + 2.5e-6))
+        with pytest.raises(EvaluationError) as want:
+            _scalar_fd(model, f)
+        with pytest.raises(EvaluationError, match="returned NaN") as got:
+            delta_diagnostic(model, n_v=9, n_offsets=9)
+        assert str(got.value) == str(want.value)
+
+    def test_mean_derived_stencils_bisect_together(self):
+        # every stencil point is off the relabeling's caches; they bisect
+        # in one batch, one map call per halving
+        model = relabel(_power(), "mean")
+        rel = model.relabeling
+        calls = []
+        phi_many = rel._phi_many
+        rel._phi_many = lambda v: calls.append(v.size) or phi_many(v)
+        f = delta_diagnostic(model, n_v=17, n_offsets=17)
+        assert f.n_evaluable > 0
+        assert 0 < len(calls) <= 50
 
 
 def _scalar_gamma(model, v, V):

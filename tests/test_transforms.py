@@ -5,7 +5,9 @@ are frozen here digit by digit. Identity tests then cover models without
 closed forms, since the scaling laws hold for any strictly increasing map.
 """
 
+import bisect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from seqscreen.model_core import (
     UniformSignal,
     conditional_mean,
 )
-from seqscreen.numerics import Interval
+from seqscreen.numerics import Interval, invert_monotone
 from seqscreen.regularity import check_assumption, gamma, hazard, virtual_value
 from seqscreen.transforms import (
     RELABELING_KINDS,
@@ -253,6 +255,79 @@ class TestRelabelingSurface:
         for kind in RELABELING_KINDS:
             tm = relabel(m, kind)
             assert tm.base is m
+
+
+def _reference_inverse(rel: Relabeling, w: float) -> float:
+    """w inverted alone: clamped into the codomain, then bisected by
+    invert_monotone on its lattice cell with one-point map calls."""
+    w_lo, w_hi = rel.codomain.as_tuple()
+    top = rel.domain.upper
+    if w == math.inf and math.isinf(w_hi):
+        return top
+    w = min(max(w, w_lo), w_hi)
+    lat_v = rel._lat_v.tolist() + [top]
+    lat_w = rel._lat_w.tolist() + [w_hi]
+    k = bisect.bisect_right(lat_w[:-1], w) - 1
+    if lat_v[k] == lat_v[k + 1]:
+        return lat_v[k]
+    return invert_monotone(lambda v: float(rel._phi_many(np.array([v]))[0]),
+                           w, lat_v[k], lat_v[k + 1], tol=1e-12,
+                           f_lower=lat_w[k], f_upper=lat_w[k + 1])
+
+
+# every kind over a plain model, over an affine-derived one, and over a
+# half-line codomain (integrated_hazard-derived)
+INVERSE_CASES = ([(None, k) for k in RELABELING_KINDS]
+                 + [("affine", k) for k in RELABELING_KINDS]
+                 + [("integrated_hazard", k)
+                    for k in ("integrated_hazard", "runningmax_hazard",
+                              "mean", "affine")])
+
+
+class TestInverses:
+    """``inverses`` bisects every uncached target at once, and each result
+    equals the one-point bisection of that target bit for bit."""
+
+    @pytest.mark.parametrize("inner, kind", INVERSE_CASES)
+    def test_equal_per_point_reference(self, inner, kind):
+        model = power_model()
+        if inner is not None:
+            model = relabel(model, inner, **(
+                {"slope": 2.0, "intercept": -1.0} if inner == "affine"
+                else {}))
+        rel = make_relabeling(model, kind)
+        lat_w = rel._lat_w
+        w_lo, w_hi = rel.codomain.as_tuple()
+        n = len(lat_w)
+        ws = [0.5 * (lat_w[k] + lat_w[k + 1]) for k in (0, n // 3, n - 2)]
+        ws.append(ws[1])  # a duplicate
+        ws.append(w_lo - 0.5e-9 * max(1.0, abs(w_lo)))  # clamped up
+        if math.isinf(w_hi):
+            ws += [float(lat_w[-1]) + 0.5, math.inf]
+        else:
+            ws += [0.5 * (float(lat_w[-1]) + w_hi),
+                   w_hi + 0.5e-9 * max(1.0, abs(w_hi))]  # clamped down
+        ws.append(ws[0])
+        want = [_reference_inverse(rel, w) for w in ws]
+        got = rel.inverses(np.array(ws).reshape(2, -1))
+        assert got.shape == (2, len(ws) // 2)
+        assert got.ravel().tolist() == want
+        # the targets entered the cache, and inverse reads it
+        assert [rel.inverse(w) for w in ws[:3]] == want[:3]
+
+    def test_cached_targets_are_exact(self):
+        rel = make_relabeling(power_model(), "mean")
+        vs = [1.1, 1.25, 1.7]
+        ws = [rel.phi(v) for v in vs]
+        assert rel.inverses(ws).tolist() == vs
+
+    def test_first_target_outside_the_codomain_is_named(self):
+        rel = make_relabeling(power_model(), "affine", slope=1.0)
+        ws = np.array([1.5, 0.5, 2.5, 3.5])
+        with pytest.raises(DomainError, match=re.escape("value 0.5 ")):
+            rel.inverses(ws)
+        with pytest.raises(DomainError, match=re.escape("value 2.5 ")):
+            rel.inverses(ws[2:])
 
 
 class TestRelabelDerivedModel:
