@@ -44,17 +44,16 @@ import numpy as np
 
 from .errors import (
     ConstructionError,
-    DensityUnderflowError,
     DomainError,
     EvaluationError,
     IntegrabilityError,
     NUMERIC_CAUSES,
-    NearEndpointError,
 )
 from .model_core import (
     GridSpec,
     ScreeningModel,
     ToleranceConfig,
+    _exact_map,
     conditional_mean_derivative_many,
     conditional_mean_many,
     resolve_config,
@@ -62,12 +61,12 @@ from .model_core import (
 from .numerics import _probe, richardson, stencil
 from .regularity import (
     _evaluate_bundle,
+    _inverse_hazard,
     _provenance,
     _ratio,
     check_assumption,
     compute_field,
 )
-from .regularity import hazard as _hazard
 from .transforms import apply_relabeling, make_relabeling, relabel
 
 __all__ = [
@@ -251,29 +250,24 @@ def _verdict(hypothesis_checks: dict, conclusion_checks: dict) -> str:
 
 def _hazard_profile(tm, grid: GridSpec) -> dict:
     """Relabeled hazard sampled where the base cdf is clear of its top."""
-    base, rel = tm.base, tm.relabeling
-    pairs = []
-    dev = 0.0
-    for v in base.signal_grid(grid):
-        v = float(v)
-        if base.signal.cdf(v) >= 1.0 - 1e-6:
-            continue
-        w = rel.phi(v)
-        try:
-            hz, _ = _hazard(tm, w)
-        except (DensityUnderflowError, DomainError, NearEndpointError):
-            continue
-        pairs.append((w, hz))
-        dev = max(dev, abs(hz - 1.0))
-    samples = [pairs[k] for k in
-               np.linspace(0, len(pairs) - 1, min(9, len(pairs))).astype(int)]
+    base = tm.base
+    clear = ~(_exact_map(base.signal.cdf, base.signal_grid(grid))
+              >= 1.0 - 1e-6)
+    ws = tm.signal_grid(grid)[clear]
+    # where ``hazard`` raises, the point is left out
+    ws = ws[~_inverse_hazard(tm, ws)[1]]
+    hz = tm.signal.pdf_many(ws) / tm.signal.sf_many(ws)
+    # max() from 0, which meets a NaN deviation in point order
+    dev = max([0.0] + np.abs(hz - 1.0).tolist())
+    ws, hz = ws.tolist(), hz.tolist()
+    samples = np.linspace(0, len(ws) - 1, min(9, len(ws))).astype(int)
     return {
-        "n_points": len(pairs),
+        "n_points": len(ws),
         "max_abs_deviation_from_one": dev,
-        "w_first": pairs[0][0], "w_last": pairs[-1][0],
-        "hazard_min": min(h for _, h in pairs),
-        "hazard_max": max(h for _, h in pairs),
-        "samples": [[w, h] for w, h in samples],
+        "w_first": ws[0], "w_last": ws[-1],
+        "hazard_min": min(hz),
+        "hazard_max": max(hz),
+        "samples": [[ws[k], hz[k]] for k in samples.tolist()],
     }
 
 

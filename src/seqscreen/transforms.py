@@ -50,6 +50,7 @@ from .errors import (
     ConstructionError,
     DensityUnderflowError,
     DomainError,
+    EvaluationError,
     IntegrabilityError,
     NUMERIC_CAUSES,
     QuadratureError,
@@ -62,10 +63,11 @@ from .model_core import (
     _exact_map,
     conditional_mean_derivative_many,
     conditional_mean_many,
+    eval_kernel,
 )
 from .numerics import (Interval, differentiate, integrate_many, kahan_prefix,
-                       stencil)
-from .regularity import gamma, virtual_value
+                       richardson, stencil)
+from .regularity import _inverse_hazard, gamma, hazard
 
 __all__ = [
     "RELABELING_KINDS",
@@ -124,8 +126,9 @@ class Relabeling:
     Construct through make_relabeling. The map and its slope are given once
     each, as array functions ``phi_many`` and ``phi_prime_many`` of an array
     of domain points. ``phi`` and ``phi_prime`` accept any v in the domain
-    and are cached one-point calls of them; ``fill_phis`` and
-    ``fill_slopes`` fill the caches from one call over many points.
+    and are cached one-point calls of them; ``phis`` and ``phi_primes``
+    are their values at many points, the uncached ones from one call
+    (``fill_phis`` fills the forward cache alone).
     ``inverses`` accepts an array of w in the codomain and returns the exact
     preimage of each w produced by ``phi``; the others bisect together on
     the array map. ``inverse`` is its one-point form.
@@ -208,13 +211,14 @@ class Relabeling:
         for v, w in self._fill(self._fwd, self._phi_many, vs):
             self._inv[w] = v
 
-    def fill_slopes(self, vs) -> None:
-        """Fill the slope cache at ``vs`` (see ``_fill``)."""
-        self._fill(self._slope, self._phi_prime_many, vs)
+    def phis(self, vs) -> np.ndarray:
+        """``phi`` at every v of ``vs``, the cache filled first."""
+        self.fill_phis(vs)
+        return np.array([self.phi(v) for v in vs])
 
     def phi_primes(self, vs) -> np.ndarray:
         """``phi_prime`` at every v of ``vs``, the cache filled first."""
-        self.fill_slopes(vs)
+        self._fill(self._slope, self._phi_prime_many, vs)
         return np.array([self.phi_prime(v) for v in vs])
 
     def inverse(self, w: float) -> float:
@@ -236,7 +240,8 @@ class Relabeling:
         """Preimages of ``ws`` by one bisection over all of them, one
         ``phi_many`` call per halving; each distinct target, clamped into
         the codomain, bisects on its lattice cell (the last one runs up to
-        the domain's top) and enters the cache."""
+        the domain's top) and enters the cache unless it is there already,
+        so an exact preimage (a lattice point's) stays."""
         w_lo, w_hi = self.w_lo, self._w_hi
         bad = ((ws < w_lo - 1e-9 * max(1.0, abs(w_lo)))
                | (ws > w_hi + 1e-9 * max(1.0, abs(w_hi))))
@@ -259,7 +264,9 @@ class Relabeling:
             lo[live[below]] = mid[live[below]]
             hi[live[~below]] = mid[live[~below]]
         vs = 0.5 * (lo + hi)
-        self._inv.update(zip(targets.tolist(), vs.tolist()))
+        inv = self._inv
+        inv.update((t, v) for t, v in zip(targets.tolist(), vs.tolist())
+                   if t not in inv)
         return vs[where]
 
     def table(self, n: int = _TABLE_POINTS) -> list[tuple[float, float, float]]:
@@ -579,66 +586,94 @@ class TransformedModel(ScreeningModel):
         self.relabeling = relabeling
 
     def signal_grid(self, grid=None):
-        vs = self.base.signal_grid(grid).tolist()
-        self.relabeling.fill_phis(vs)
-        return np.array([self.relabeling.phi(v) for v in vs])
-
-
-def _hazard_at(signal: SignalDistribution, x: float) -> float:
-    return float(_pdf_over_sf(signal, np.array([x]))[0])
+        return self.relabeling.phis(self.base.signal_grid(grid))
 
 
 def _self_check(base: ScreeningModel, tm: TransformedModel,
                 rel: Relabeling) -> None:
     rng = random.Random(_SELF_CHECK_SEED)
     lo, hi = base.signal.support.as_tuple()
-    span = hi - lo
-    probes = []
-    for _ in range(_SELF_CHECK_POINTS):
-        v = lo + span * (0.02 + 0.96 * rng.random())
-        V_lo, V_hi = base.value_range(v)
-        probes.append((v, V_lo + (V_hi - V_lo) * (0.02 + 0.96 * rng.random())))
-    # phi at every probe and difference-stencil point, and the slopes, each
-    # from one array call
-    rel.fill_phis([x for v, _ in probes for x in stencil(v)[1]])
-    rel.fill_slopes([v for v, _ in probes])
-    worst = 0.0
-    worst_at = None
-    n_bad = 0
-    for v, V in probes:
-        w = rel.phi(v)
-        p = rel.phi_prime(v)
-        errs = []
+    # each probe draws its signal, then its value within the range there
+    u = np.array([rng.random() for _ in range(2 * _SELF_CHECK_POINTS)])
+    vs = lo + (hi - lo) * (0.02 + 0.96 * u[0::2])
+    V_lo, V_hi = np.array([base.value_range(v) for v in vs.tolist()]).T
+    Vs = V_lo + (V_hi - V_lo) * (0.02 + 0.96 * u[1::2])
+    try:
+        err = _identity_errors(base, tm, rel, vs, Vs)
+    except NUMERIC_CAUSES:
+        # the scalar forms, probe by probe in the order of the identities,
+        # raise the error of the first evaluation that fails
+        for v, V in zip(vs.tolist(), Vs.tolist()):
+            w, p = rel.phi(v), rel.phi_prime(v)
+            differentiate(rel.phi, v)
+            haz = _pdf_over_sf(base.signal, np.array([v])).item()
+            _pdf_over_sf(tm.signal, np.array([w]))
+            haz / p  # a zero slope raises here
+            gamma(base, v, V), gamma(tm, w, V), hazard(base, v), hazard(tm, w)
+        raise
+    bad = np.flatnonzero(err > _SELF_CHECK_TOL)
+    if bad.size:
+        k = bad[np.argmax(err[bad])]
+        raise SelfCheckError(
+            f"relabeling self-check failed at {bad.size} of "
+            f"{_SELF_CHECK_POINTS} probe points; worst relative error "
+            f"{err[k]:.3e} at (v, V) = {(float(vs[k]), float(Vs[k]))}")
+
+
+def _identity_errors(base: ScreeningModel, tm: TransformedModel,
+                     rel: Relabeling, vs: np.ndarray,
+                     Vs: np.ndarray) -> np.ndarray:
+    """Each probe's largest relative error over the identities, every
+    quantity from one array call; raises if the scalar evaluation of any
+    probe would."""
+    h, points = stencil(vs, np.maximum(1e-5, 1e-5 * np.abs(vs)))
+    f = rel.phis(np.stack(points, axis=1).ravel()).reshape(-1, 5)
+    p = rel.phi_primes(vs)
+    fails = np.isnan(f).any() or (p == 0.0).any()
+    # per model: the hazard, -dH/dv, h and the inverse hazard, the last
+    # three for gamma and virtual_value at the probe pairs
+    parts = []
+    for m, x in ((base, vs), (tm, f[:, 0])):
+        dens, rate = _probe_fields(m, x, Vs)
+        inv, inv_failed = _inverse_hazard(m, x)
+        fails |= ((dens < 1e-300) | inv_failed).any()
+        parts.append((_pdf_over_sf(m.signal, x), -rate, dens, inv))
+    if fails:
+        raise EvaluationError("a self-check probe failed to evaluate")
+    with np.errstate(invalid="ignore", over="ignore"):
+        (haz_b, g_b, psi_b), (haz_t, g_t, psi_t) = [
+            (hz, num / den, Vs - inv * (num / den))
+            for hz, num, den, inv in parts]
         # The declared slope must be the actual derivative of phi; the
         # scaling identities below cannot see this because the relabeled
         # densities are defined through the same slope. Corner points
         # (running-max maps have them) are skipped via the kink flag.
-        est = differentiate(rel.phi, v)
-        if not est.nonsmooth:
-            slope_tol = max(1e-3, 20.0 * est.error / max(1.0, abs(p)))
-            slope_err = abs(est.value - p) / max(1.0, abs(p))
-            if slope_err > slope_tol:
-                errs.append(slope_err)
-        base_haz = _hazard_at(base.signal, v)
-        tm_haz = _hazard_at(tm.signal, w)
-        want = base_haz / p
-        errs.append(abs(tm_haz - want) / max(1.0, abs(want)))
-        g_b = gamma(base, v, V)
-        g_t = gamma(tm, w, V)
-        errs.append(abs(g_t * p - g_b) / max(1.0, abs(g_b)))
-        psi_b = virtual_value(base, v, V)
-        psi_t = virtual_value(tm, w, V)
-        errs.append(abs(psi_t - psi_b) / max(1.0, abs(psi_b)))
-        err = max(errs)
-        if err > _SELF_CHECK_TOL:
-            n_bad += 1
-            if err > worst:
-                worst, worst_at = err, (v, V)
-    if n_bad:
-        raise SelfCheckError(
-            f"relabeling self-check failed at {n_bad} of "
-            f"{_SELF_CHECK_POINTS} probe points; worst relative error "
-            f"{worst:.3e} at (v, V) = {worst_at}")
+        est, est_err, kink = richardson(h, *f.T)
+        scale = np.fmax(1.0, np.abs(p))
+        slope_err = np.abs(est - p) / scale
+        slope_off = ~kink & (slope_err
+                             > np.fmax(1e-3, 20.0 * est_err / scale))
+        want = haz_b / p
+        errs = [np.abs(haz_t - want) / np.fmax(1.0, np.abs(want)),
+                np.abs(g_t * p - g_b) / np.fmax(1.0, np.abs(g_b)),
+                np.abs(psi_t - psi_b) / np.fmax(1.0, np.abs(psi_b))]
+    # each probe's max() over its errors (the slope's only where it is
+    # off), which meets a NaN in list order
+    err = np.where(slope_off, slope_err, errs[0])
+    for e in errs:
+        err = np.where(e > err, e, err)
+    return err
+
+
+def _probe_fields(m: ScreeningModel, x: np.ndarray, Vs: np.ndarray):
+    """h and dHdv at the probe pairs (x[k], Vs[k]), which lie inside both
+    supports: a builtin family's array fields at those pairs alone, any
+    other kernel's ``eval_kernel`` pair by pair."""
+    if m.kernel._exact_arrays():
+        _, h, dHdv = m.kernel._fields(x[:, None], Vs[:, None])
+        return h[:, 0], dHdv[:, 0]
+    kes = [eval_kernel(m, a, b) for a, b in zip(x.tolist(), Vs.tolist())]
+    return np.array([ke.h for ke in kes]), np.array([ke.dHdv for ke in kes])
 
 
 def apply_relabeling(model: ScreeningModel,
@@ -736,33 +771,47 @@ def rebuild_from_section(base: ScreeningModel,
                 f"{want_hi!r}")
 
     if "phi_table" in section:
-        tokens = section["phi_table"].split()
-        table_vs = []
-        for tok in tokens:
-            try:
-                table_vs.append(float(tok.split(":")[0]))
-            except ValueError:
-                break
-        rel.fill_slopes(table_vs)
-        for tok in tokens:
+        _replay_table(rel, section["phi_table"])
+    return apply_relabeling(base, rel)
+
+
+def _first(mask: np.ndarray) -> int:
+    """The index of the first True of ``mask``, else its length."""
+    return int(np.argmax(np.append(mask, True)))
+
+
+def _replay_table(rel: Relabeling, table: str) -> None:
+    """Match every recorded (v, w, phi') triple against the rebuilt map,
+    from one array of phis and one of slopes. The first token that does
+    not parse, leaves the domain or does not match raises, as a replay
+    token by token meets it (a map or slope that fails to evaluate inside
+    the domain raises first)."""
+    rows, stop = [], None
+    try:
+        for tok in table.split():
             pieces = tok.split(":")
             if len(pieces) != 3:
                 raise ConstructionError(
                     f"phi_table entries need v:w:slope, got {tok!r}")
-            v_k = _parse_float(pieces[0], "phi_table")
-            w_k = _parse_float(pieces[1], "phi_table")
-            p_k = _parse_float(pieces[2], "phi_table")
-            w_got = rel.phi(v_k)
-            if abs(w_got - w_k) > 1e-8 * max(1.0, abs(w_k)):
-                raise SelfCheckError(
-                    f"rebuilt phi({v_k!r}) = {w_got!r} does not match the "
-                    f"recorded {w_k!r}")
-            p_got = rel.phi_prime(v_k)
-            if abs(p_got - p_k) > 1e-6 * max(1.0, abs(p_k)):
-                raise SelfCheckError(
-                    f"rebuilt phi'({v_k!r}) = {p_got!r} does not match the "
-                    f"recorded {p_k!r}")
-    return apply_relabeling(base, rel)
+            rows.append([_parse_float(x, "phi_table") for x in pieces])
+    except ConstructionError as exc:
+        stop = exc
+    v, w, p = np.array(rows, dtype=float).reshape(-1, 3).T
+    n = _first(~((rel.domain.lower <= v) & (v <= rel.domain.upper)))
+    w_got, p_got = rel.phis(v[:n]), rel.phi_primes(v[:n])
+    with np.errstate(invalid="ignore"):
+        w_off = np.abs(w_got - w[:n]) > 1e-8 * np.fmax(1.0, np.abs(w[:n]))
+        k = _first(w_off | (np.abs(p_got - p[:n])
+                            > 1e-6 * np.fmax(1.0, np.abs(p[:n]))))
+    if k < n:
+        name, got, want = ("phi", w_got, w) if w_off[k] else ("phi'", p_got, p)
+        raise SelfCheckError(
+            f"rebuilt {name}({float(v[k])!r}) = {float(got[k])!r} does not "
+            f"match the recorded {float(want[k])!r}")
+    if n < len(v):
+        rel.phi(v[n])  # outside the domain: raises
+    if stop is not None:
+        raise stop
 
 
 def _parse_float(text: str, key: str) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import seqscreen
-from seqscreen import transforms
+from seqscreen import model_core, transforms
 from seqscreen.cli import main
 from seqscreen.errors import DomainError
 from seqscreen.model_core import PowerKernel
@@ -199,19 +199,21 @@ class TestCheck:
 
     @staticmethod
     def _stencil_failure(monkeypatch, exc_type):
-        """The power kernel without its analytic slope, so validation's
-        stochastic-ordering sample differentiates its cdf, and a cdf that
-        raises just above the top of that sample, where only a difference
-        stencil reaches."""
-        original = PowerKernel.cdf
+        """Power models load with a subclass of the power kernel without
+        its analytic slope, so validation's stochastic-ordering sample
+        differentiates its cdf, and a cdf that raises just above the top
+        of that sample, where only a difference stencil reaches."""
 
-        def cdf(self, v, V):
-            if v > 1.99991:
-                raise exc_type(f"signal {v!r} beyond the sample")
-            return original(self, v, V)
+        class Failing(PowerKernel):
+            def cdf(self, v, V):
+                if v > 1.99991:
+                    raise exc_type(f"signal {v!r} beyond the sample")
+                return super().cdf(v, V)
 
-        monkeypatch.setattr(PowerKernel, "cdf_dv", lambda self, v, V: None)
-        monkeypatch.setattr(PowerKernel, "cdf", cdf)
+            def cdf_dv(self, v, V):
+                return None
+
+        monkeypatch.setattr(model_core, "PowerKernel", Failing)
 
     def test_domain_error_in_stencil_exits_two(self, files, capsys,
                                                monkeypatch):
