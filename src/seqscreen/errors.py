@@ -18,7 +18,6 @@ __all__ = [
     "DensityUnderflowError",
     "NearEndpointError",
     "LoadError",
-    "NUMERIC_CAUSES",
 ]
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_GRID",
     "DEFAULT_TOLERANCES",
+    "resolve_config",
     "SignalDistribution",
     "UniformSignal",
     "BetaSignal",
@@ -1076,10 +1077,7 @@ def eval_kernel(model: ScreeningModel, v: float, V: float,
     stencil shrunk to stay inside the signal support.
     """
     tol = tolerances or DEFAULT_TOLERANCES
-    if not model.signal.support.contains(v):
-        raise DomainError(
-            f"signal value {v!r} outside support "
-            f"[{model.signal.support.lower}, {model.signal.support.upper}]")
+    model.signal._require_in_support(v)
     model.kernel._require_interior(V)
     H = model.kernel.cdf(v, V)
     h = model.kernel.pdf(v, V)
@@ -1315,16 +1313,33 @@ def validate_model(model: ScreeningModel, grid: GridSpec | None = None,
             record("signal_cdf_consistency", cdf_ok and pdf_ok, at=v,
                    relabeled_at=w)
 
-    # Kernel mass at a few signals; the truncated tails are allowed for.
+    # Kernel mass at a few signals; the truncated tails are allowed for. If
+    # the quadrature gives up (an integrable density singularity at a finite
+    # value endpoint), the window the value grid keeps is integrated instead
+    # and the slivers outside it come from the cdf, as for the signal.
     mass_tol = 2.0 * grid.tail_mass_cut + 1e-7
+    k_lo, k_hi = checked.kernel.support.as_tuple()
     for v in (sa, 0.5 * (sa + sb), sb):
         lo, hi = checked.value_range(v, grid)
+        pdf = lambda V: checked.kernel.pdf(v, V)  # noqa: E731
         try:
-            mass, _ = integrate(lambda V: checked.kernel.pdf(v, V), (lo, hi),
-                                rel_tol=tol.quadrature_rel)
+            mass, _ = integrate(pdf, (lo, hi), rel_tol=tol.quadrature_rel)
             record("kernel_mass", abs(mass - 1.0) <= mass_tol, at=v, value=mass)
+            continue
         except QuadratureError as exc:
-            record("kernel_mass", False, at=v, error=str(exc))
+            failure = exc
+        pad = grid.endpoint_margin * (hi - lo)
+        wa = lo + pad if math.isfinite(k_lo) else lo
+        wb = hi - pad if math.isfinite(k_hi) else hi
+        try:
+            inner, _ = integrate(pdf, (wa, wb), rel_tol=tol.quadrature_rel)
+        except QuadratureError:
+            record("kernel_mass", False, at=v, error=str(failure))
+            continue
+        cdf = checked.kernel.cdf
+        mass = (cdf(v, wa) - cdf(v, lo)) + inner + (cdf(v, hi) - cdf(v, wb))
+        record("kernel_mass", abs(mass - 1.0) <= mass_tol, at=v, value=mass,
+               window=[wa, wb])
 
     # Strict stochastic ordering on a coarse interior sample.
     vs = np.linspace(sa, sb, 8)

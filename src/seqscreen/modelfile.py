@@ -43,18 +43,10 @@ from .model_core import (
     make_kernel,
     make_signal,
 )
-from .transforms import TransformedModel, rebuild_from_section, transform_section
+from .transforms import (TransformedModel, _fmt, rebuild_from_section,
+                         transform_section)
 
 __all__ = ["load", "loads", "dumps"]
-
-_SCHEMA: dict[str, set[str]] = {
-    "signal": {"family", "support", "params"},
-    "kernel": {"family", "params", "noise.family", "noise.scale"},
-    "grid": {"v_points", "V_points", "endpoint_margin", "tail_mass_cut"},
-    "tolerances": {"monotonicity", "quadrature_rel"},
-    "transform": {"kind", "w_lo", "slope", "intercept", "w_support",
-                  "phi_table"},
-}
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]\s*$")
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*)\s*=\s*(.*)$")
@@ -265,34 +257,36 @@ def _wrap_construction(build, entry: _Entry):
         raise LoadError(str(exc), line=entry.line) from exc
 
 
-def _build_grid(section: dict[str, _Entry]) -> GridSpec:
-    kwargs = {}
-    if "v_points" in section:
-        kwargs["v_points"] = _as_int(section["v_points"], "v_points")
-    if "V_points" in section:
-        kwargs["V_points"] = _as_int(section["V_points"], "V_points")
-    if "endpoint_margin" in section:
-        kwargs["endpoint_margin"] = _as_float(section["endpoint_margin"],
-                                              "endpoint_margin")
-    if "tail_mass_cut" in section:
-        kwargs["tail_mass_cut"] = _as_float(section["tail_mass_cut"],
-                                            "tail_mass_cut")
-    try:
-        return GridSpec(**kwargs)
-    except ConstructionError as exc:
-        raise LoadError(str(exc)) from exc
+# The [grid] and [tolerances] sections: each file key with the config field
+# it sets, its parser and its formatter, in file order.
+_CONFIG_SECTIONS = {
+    "grid": (GridSpec, {
+        "v_points": ("v_points", _as_int, str),
+        "V_points": ("V_points", _as_int, str),
+        "endpoint_margin": ("endpoint_margin", _as_float, _fmt),
+        "tail_mass_cut": ("tail_mass_cut", _as_float, _fmt),
+    }),
+    "tolerances": (ToleranceConfig, {
+        "monotonicity": ("monotonicity_slack", _as_float, _fmt),
+        "quadrature_rel": ("quadrature_rel", _as_float, _fmt),
+    }),
+}
+
+_SCHEMA: dict[str, set[str]] = {
+    "signal": {"family", "support", "params"},
+    "kernel": {"family", "params", "noise.family", "noise.scale"},
+    **{name: set(keys) for name, (_, keys) in _CONFIG_SECTIONS.items()},
+    "transform": {"kind", "w_lo", "slope", "intercept", "w_support",
+                  "phi_table"},
+}
 
 
-def _build_tolerances(section: dict[str, _Entry]) -> ToleranceConfig:
-    kwargs = {}
-    if "monotonicity" in section:
-        kwargs["monotonicity_slack"] = _as_float(section["monotonicity"],
-                                                 "monotonicity")
-    if "quadrature_rel" in section:
-        kwargs["quadrature_rel"] = _as_float(section["quadrature_rel"],
-                                             "quadrature_rel")
+def _build_config(name: str, section: dict[str, _Entry]):
+    config, keys = _CONFIG_SECTIONS[name]
+    kwargs = {field: parse(section[key], key)
+              for key, (field, parse, _) in keys.items() if key in section}
     try:
-        return ToleranceConfig(**kwargs)
+        return config(**kwargs)
     except ConstructionError as exc:
         raise LoadError(str(exc)) from exc
 
@@ -305,8 +299,8 @@ def loads(text: str) -> tuple[ScreeningModel, GridSpec, ToleranceConfig]:
             raise LoadError(f"model file is missing the [{required}] section")
     signal = _build_signal(sections["signal"])
     kernel = _build_kernel(sections["kernel"])
-    grid = _build_grid(sections.get("grid", {}))
-    tolerances = _build_tolerances(sections.get("tolerances", {}))
+    grid = _build_config("grid", sections.get("grid", {}))
+    tolerances = _build_config("tolerances", sections.get("tolerances", {}))
     try:
         model = ScreeningModel(signal, kernel)
     except ConstructionError as exc:
@@ -333,10 +327,6 @@ def load(path: str) -> tuple[ScreeningModel, GridSpec, ToleranceConfig]:
 
 # ---------------------------------------------------------------------------
 # writing
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _wrap_tokens(tokens: list[str], per_line: int) -> str:
@@ -406,18 +396,11 @@ def dumps(model: ScreeningModel, grid: GridSpec | None = None,
     lines.extend(_signal_lines(model.signal))
     lines.append("")
     lines.extend(_kernel_lines(model.kernel))
-    lines.append("")
-    lines.extend([
-        "[grid]",
-        f"v_points = {grid.v_points}",
-        f"V_points = {grid.V_points}",
-        f"endpoint_margin = {_fmt(grid.endpoint_margin)}",
-        f"tail_mass_cut = {_fmt(grid.tail_mass_cut)}",
-        "",
-        "[tolerances]",
-        f"monotonicity = {_fmt(tolerances.monotonicity_slack)}",
-        f"quadrature_rel = {_fmt(tolerances.quadrature_rel)}",
-    ])
+    for name, config in (("grid", grid), ("tolerances", tolerances)):
+        keys = _CONFIG_SECTIONS[name][1]
+        lines += ["", f"[{name}]"] + [
+            f"{key} = {fmt(getattr(config, field))}"
+            for key, (field, _, fmt) in keys.items()]
     if section is not None:
         lines.append("")
         lines.append("[transform]")

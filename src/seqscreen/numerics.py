@@ -27,14 +27,15 @@ __all__ = [
     "integrate",
     "integrate_many",
     "differentiate",
-    "richardson",
-    "stencil",
     "scan_violations",
-    "kahan_prefix",
     "invert_monotone",
 ]
 
 _EPS = 2.220446049250313e-16
+# An integral gives up when its worst panel has been bisected this often,
+# or when it holds this many panels.
+_MAX_DEPTH = 48
+_MAX_INTERVALS = 2048
 
 
 @dataclass(frozen=True)
@@ -133,22 +134,22 @@ class _Refinement:
         self.seq = 1
         self.panels = 1
 
-    def split(self, rel_tol: float, abs_tol: float, max_depth: int,
-              max_intervals: int) -> tuple[float, float, float] | None:
+    def split(self, rel_tol: float,
+              abs_tol: float) -> tuple[float, float, float] | None:
         """None once the error estimate meets the tolerance; otherwise pop
         the worst panel and return ``(a, mid, b)`` to refine it."""
         if not self.error > max(abs_tol, rel_tol * abs(self.value)):
             return None
         worst = heapq.heappop(self.heap)
         _, _, a, b, depth, _, _ = worst
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise QuadratureError(
-                f"quadrature did not converge after {max_depth} bisections "
+                f"quadrature did not converge after {_MAX_DEPTH} bisections "
                 f"near [{a:.6g}, {b:.6g}]",
                 partial=self.sign * self.value, error_estimate=self.error)
-        if self.panels >= max_intervals:
+        if self.panels >= _MAX_INTERVALS:
             raise QuadratureError(
-                f"quadrature exceeded {max_intervals} panels",
+                f"quadrature exceeded {_MAX_INTERVALS} panels",
                 partial=self.sign * self.value, error_estimate=self.error)
         self.worst = worst
         return a, 0.5 * (a + b), b
@@ -190,16 +191,14 @@ def _ordered(lower, upper) -> tuple[float, float, float]:
 def integrate(f: Callable[[float], float],
               domain: Interval | tuple[float, float],
               rel_tol: float = 1e-10,
-              abs_tol: float = 1e-14,
-              max_depth: int = 48,
-              max_intervals: int = 2048) -> tuple[float, float]:
+              abs_tol: float = 1e-14) -> tuple[float, float]:
     """Adaptively integrate ``f`` over the finite ``domain``.
 
     Returns ``(value, error_estimate)`` with the error estimate satisfying
     ``error_estimate <= max(abs_tol, rel_tol * |value|)`` on success. The
     worst interval is bisected first; an interval that still dominates the
-    error after ``max_depth`` bisections, or a refinement that exhausts
-    ``max_intervals`` panels, raises :class:`QuadratureError` carrying the
+    error after ``_MAX_DEPTH`` bisections, or a refinement that exhausts
+    ``_MAX_INTERVALS`` panels, raises :class:`QuadratureError` carrying the
     partial value. Divergent integrands end up on that path.
     """
     if isinstance(domain, Interval):
@@ -208,16 +207,14 @@ def integrate(f: Callable[[float], float],
     if lower == upper:
         return 0.0, 0.0
     ref = _Refinement(lower, upper, *_gk15(f, lower, upper), sign)
-    while (cut := ref.split(rel_tol, abs_tol, max_depth,
-                            max_intervals)) is not None:
+    while (cut := ref.split(rel_tol, abs_tol)) is not None:
         a, mid, b = cut
         ref.absorb(_gk15(f, a, mid) + _gk15(f, mid, b))
     return ref.result()
 
 
 def integrate_many(f, lowers, uppers, rel_tol: float = 1e-10,
-                   abs_tol: float = 1e-14, max_depth: int = 48,
-                   max_intervals: int = 2048):
+                   abs_tol: float = 1e-14):
     """Integrate N integrands over finite bounds, refining them together.
 
     ``f(idx, x)`` evaluates integrand ``idx[r]`` at the nodes ``x[r]`` of an
@@ -253,7 +250,7 @@ def integrate_many(f, lowers, uppers, rel_tol: float = 1e-10,
         todo, lo, hi = [], [], []
         for k, ref in list(refs.items()):
             try:
-                cut = ref.split(rel_tol, abs_tol, max_depth, max_intervals)
+                cut = ref.split(rel_tol, abs_tol)
             except QuadratureError as exc:
                 failures[k] = exc
                 del refs[k]

@@ -67,7 +67,7 @@ from .model_core import (
 )
 from .numerics import (Interval, differentiate, integrate_many, kahan_prefix,
                        richardson, stencil)
-from .regularity import _inverse_hazard, gamma, hazard
+from .regularity import _DENSITY_FLOOR, _inverse_hazard, gamma, hazard
 
 __all__ = [
     "RELABELING_KINDS",
@@ -100,7 +100,7 @@ _TABLE_POINTS = 257
 
 def _sf_over_pdf(signal: SignalDistribution, v: np.ndarray) -> np.ndarray:
     f = signal.pdf_many(v)
-    low = f < 1e-300
+    low = f < _DENSITY_FLOOR
     if low.any():
         raise DensityUnderflowError(
             f"signal density vanished at v={float(v[low][0])!r}")
@@ -269,9 +269,11 @@ class Relabeling:
                    if t not in inv)
         return vs[where]
 
-    def table(self, n: int = _TABLE_POINTS) -> list[tuple[float, float, float]]:
-        """(v, phi(v), phi'(v)) triples subsampled from the lattice."""
-        idx = np.linspace(0, len(self._lat_v) - 1, n).round().astype(int)
+    def table(self) -> list[tuple[float, float, float]]:
+        """(v, phi(v), phi'(v)) triples at ``_TABLE_POINTS`` points
+        subsampled from the lattice."""
+        idx = np.linspace(0, len(self._lat_v) - 1,
+                          _TABLE_POINTS).round().astype(int)
         vs = self._lat_v[idx]
         return list(zip(vs.tolist(), self._lat_w[idx].tolist(),
                         self.phi_primes(vs).tolist()))
@@ -283,15 +285,21 @@ class Relabeling:
         return d
 
 
+def _slope_integrals(phi_prime, lowers, uppers):
+    """``integrate_many`` of the array slope ``phi_prime`` over each
+    ``[lowers[k], uppers[k]]``, to the tolerances every map integral uses."""
+    return integrate_many(
+        lambda idx, x: phi_prime(x.ravel()).reshape(x.shape), lowers, uppers,
+        rel_tol=1e-13, abs_tol=1e-16)
+
+
 def _kahan_cumulative(phi_prime, nodes: np.ndarray, w_lo: float,
                       context: str) -> np.ndarray:
     """``w_lo`` and its compensated running sums of the slope integral over
     each cell. The cells refine together; the error raised is the one of
     the first cell that fails, as in a cell-by-cell loop. A cell whose
     quadrature gives up, or meets a vanished survival, diverges."""
-    incs, _, failures = integrate_many(
-        lambda idx, x: phi_prime(x.ravel()).reshape(x.shape),
-        nodes[:-1], nodes[1:], rel_tol=1e-13, abs_tol=1e-16)
+    incs, _, failures = _slope_integrals(phi_prime, nodes[:-1], nodes[1:])
     incs = incs.tolist()
     for k, (a, b, inc) in enumerate(zip(nodes[:-1], nodes[1:], incs)):
         exc = failures.get(k)
@@ -320,9 +328,7 @@ def _piecewise_phi(phi_prime, lat_v: np.ndarray, lat_w: np.ndarray):
         k = np.clip(np.searchsorted(lat_v, v, side="right") - 1, 0, last - 1)
         k[v > lat_v[last]] = last
         a = lat_v[k]
-        incs, _, failures = integrate_many(
-            lambda idx, x: phi_prime(x.ravel()).reshape(x.shape), a, v,
-            rel_tol=1e-13, abs_tol=1e-16)
+        incs, _, failures = _slope_integrals(phi_prime, a, v)
         if failures:
             raise failures[min(failures)]
         return lat_w[k] + incs
@@ -636,7 +642,7 @@ def _identity_errors(base: ScreeningModel, tm: TransformedModel,
     for m, x in ((base, vs), (tm, f[:, 0])):
         dens, rate = _probe_fields(m, x, Vs)
         inv, inv_failed = _inverse_hazard(m, x)
-        fails |= ((dens < 1e-300) | inv_failed).any()
+        fails |= ((dens < _DENSITY_FLOOR) | inv_failed).any()
         parts.append((_pdf_over_sf(m.signal, x), -rate, dens, inv))
     if fails:
         raise EvaluationError("a self-check probe failed to evaluate")

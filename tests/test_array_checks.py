@@ -5,6 +5,7 @@ same numbers and the same error, raised at the same point.
 """
 
 import dataclasses
+import json
 import random
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from seqscreen import modelfile, transforms
+from seqscreen.cli import main
 from seqscreen.errors import (
     DensityUnderflowError,
     DomainError,
@@ -272,15 +274,31 @@ def _scalar_validate(model, grid=None, tolerances=None):
             record("signal_cdf_consistency", cdf_ok and pdf_ok, at=v,
                    relabeled_at=w)
     mass_tol = 2.0 * grid.tail_mass_cut + 1e-7
+    kernel = checked.kernel
     for v in (sa, 0.5 * (sa + sb), sb):
         lo, hi = checked.value_range(v, grid)
         try:
-            mass, _ = integrate(lambda V: checked.kernel.pdf(v, V), (lo, hi),
+            mass, _ = integrate(lambda V: kernel.pdf(v, V), (lo, hi),
                                 rel_tol=tol.quadrature_rel)
             record("kernel_mass", abs(mass - 1.0) <= mass_tol, at=v,
                    value=mass)
+            continue
         except QuadratureError as exc:
-            record("kernel_mass", False, at=v, error=str(exc))
+            error = str(exc)
+        # the value grid's window, its slivers from the cdf
+        pad = grid.endpoint_margin * (hi - lo)
+        wa = lo + pad if np.isfinite(kernel.support.lower) else lo
+        wb = hi - pad if np.isfinite(kernel.support.upper) else hi
+        try:
+            inner, _ = integrate(lambda V: kernel.pdf(v, V), (wa, wb),
+                                 rel_tol=tol.quadrature_rel)
+        except QuadratureError:
+            record("kernel_mass", False, at=v, error=error)
+            continue
+        mass = ((kernel.cdf(v, wa) - kernel.cdf(v, lo)) + inner
+                + (kernel.cdf(v, hi) - kernel.cdf(v, wb)))
+        record("kernel_mass", abs(mass - 1.0) <= mass_tol, at=v, value=mass,
+               window=[wa, wb])
     fosd_bad = 0
     vs = np.linspace(sa, sb, 8)
     Vs = checked.value_grid(dataclasses.replace(grid, v_points=8, V_points=8))
@@ -327,6 +345,25 @@ class TestValidation:
             result = validate_model(model)
             assert result.checks == _scalar_validate(model)
         assert not validate_model(ordering).fosd_ok
+
+    @pytest.mark.parametrize("support", [(0.5, 1.5), (0.5, 1.0), (0.1, 1.0)])
+    def test_power_singularity_gets_a_verdict(self, support, tmp_path,
+                                              capsys):
+        # Below v = 1 the power kernel's density v V^(v-1) is unbounded at
+        # V = 0: the kernel mass over (0, 1) gives up, and the window the
+        # value grid keeps decides it. (0.5, 1.5) is stress_power05.
+        model = ScreeningModel(UniformSignal(Interval(*support)),
+                               PowerKernel())
+        result = validate_model(model)
+        assert result.passed
+        assert result.checks == _scalar_validate(model)
+        assert any("window" in c for c in result.checks)
+        path = tmp_path / "power.model"
+        path.write_text(modelfile.dumps(model), encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        # the paper's finite-lower-endpoint claim: A1 fails
+        assert not report["checks"]["A1"]["passed"]
 
     @pytest.mark.parametrize("first, rest", [
         (EvaluationError, EvaluationError), (ValueError, ValueError),

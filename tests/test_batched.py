@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from seqscreen import modelfile
+from seqscreen import modelfile, numerics, transforms
 from seqscreen.errors import (
     ConstructionError,
     DensityUnderflowError,
@@ -106,14 +106,13 @@ class TestIntegrateMany:
             else:
                 assert (values[k], errors[k]) == integrate(f, (0.0, 1.0))
 
-    def test_max_intervals_failure_has_the_same_message(self):
+    def test_max_intervals_failure_has_the_same_message(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_INTERVALS", 5)
         values, _, failures = integrate_many(
-            _batch_integrand, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-15,
-            max_intervals=5)
+            _batch_integrand, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-15)
         for k in range(2):
             with pytest.raises(QuadratureError) as want:
-                integrate(_scalar_integrand(k), (0.0, 1.0), rel_tol=1e-15,
-                          max_intervals=5)
+                integrate(_scalar_integrand(k), (0.0, 1.0), rel_tol=1e-15)
             assert str(failures[k]) == str(want.value)
             assert failures[k].partial == want.value.partial
 
@@ -260,13 +259,14 @@ class TestConditionalMeanMany:
             got = kernel._cdf_field(np.array([[v]]), Vs[None, :])[0]
             assert np.array_equal(got, [kernel.cdf(v, V) for V in Vs])
 
-    def test_mean_relabeling_lattice_equals_scalar_means(self):
+    def test_mean_relabeling_lattice_equals_scalar_means(self, monkeypatch):
         model = ScreeningModel(UniformSignal(Interval(1.0, 2.0)),
                                PowerKernel())
         rel = make_relabeling(model, "mean")
         assert np.array_equal(
             rel._lat_w, [conditional_mean(model, v) for v in rel._lat_v])
-        table = rel.table(17)
+        monkeypatch.setattr(transforms, "_TABLE_POINTS", 17)
+        table = rel.table()
         assert [p for _, _, p in table] == [
             conditional_mean_derivative(model, v) for v, _, _ in table]
 

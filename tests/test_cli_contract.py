@@ -1,0 +1,142 @@
+"""The command line's exit-code contract, as a property over drawn models.
+
+Every command on every model the file format accepts ends in exit 0, 1 or
+2, with no exception but ``SystemExit`` escaping ``main``. Exits 0 and 1
+print a JSON report, or the ``v,V,value`` CSV of a 17x17 grid; exit 2, and
+a ``transform`` whose relabeling cannot be built (exit 1), print one
+``seqscreen: error:`` line and nothing else.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seqscreen.cli import main
+from seqscreen.transforms import RELABELING_KINDS
+
+GRID = ["--grid", "17x17"]
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def _numbers(values) -> str:
+    return " ".join(_fmt(x) for x in values)
+
+
+@st.composite
+def _increasing(draw, lo: float, hi: float, n: int) -> list[float]:
+    """n points from lo to hi, ends included, strictly increasing."""
+    gaps = draw(st.lists(st.floats(0.2, 1.0), min_size=n - 1,
+                         max_size=n - 1))
+    total = sum(gaps)
+    points, acc = [lo], 0.0
+    for gap in gaps[:-1]:
+        acc += gap
+        points.append(lo + (hi - lo) * acc / total)
+    return points + [hi]
+
+
+KERNELS = ("additive_noise", "power", "exp_tilt", "table")
+
+
+@st.composite
+def _kernel(draw, family: str, lo: float, hi: float) -> list[str]:
+    lines = ["[kernel]", f"family = {family}"]
+    if family == "additive_noise":
+        noise = draw(st.sampled_from(["normal", "logistic", "laplace"]))
+        scale = 10.0 ** draw(st.floats(-3.0, 1.0))
+        lines += [f"noise.family = {noise}", f"noise.scale = {_fmt(scale)}"]
+    elif family == "table":
+        v_nodes = draw(_increasing(lo, hi, draw(st.integers(2, 4))))
+        V_nodes = draw(_increasing(0.0, 1.0, draw(st.integers(3, 6))))
+        rows = []
+        for _ in v_nodes:
+            steps = draw(st.lists(st.floats(0.05, 1.0),
+                                  min_size=len(V_nodes) - 1,
+                                  max_size=len(V_nodes) - 1))
+            row = [0.0]
+            for step in steps:
+                row.append(row[-1] + step)
+            rows += row
+        lines += [f"params = v {_numbers(v_nodes)} ; V {_numbers(V_nodes)}"
+                  f" ; H {_numbers(rows)}"]
+    return lines
+
+
+@st.composite
+def _model(draw, kernel: str) -> str:
+    lo = draw(st.floats(0.05, 2.0))
+    hi = lo + draw(st.floats(0.1, 3.0))
+    family = draw(st.sampled_from(["uniform", "beta", "table"]))
+    lines = ["[signal]", f"family = {family}"]
+    if family == "uniform":
+        lines.append(f"support = {_fmt(lo)} {_fmt(hi)}")
+    elif family == "beta":
+        alpha, beta = draw(st.floats(0.5, 5.0)), draw(st.floats(0.5, 5.0))
+        lines += [f"support = {_fmt(lo)} {_fmt(hi)}",
+                  f"params = alpha={_fmt(alpha)} beta={_fmt(beta)}"]
+    else:
+        nodes = draw(_increasing(lo, hi, draw(st.integers(2, 5))))
+        dens = [draw(st.floats(0.1, 3.0)) for _ in nodes]
+        lines.append("params = " + " ".join(
+            f"{_fmt(v)}:{_fmt(f)}" for v, f in zip(nodes, dens)))
+    return "\n".join(lines + [""] + draw(_kernel(kernel, lo, hi))) + "\n"
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(argv: list[str]) -> int:
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    # a relabeling that cannot be built is a finding, and names its cause
+    if code == 2 or (code == 1 and argv[0] == "transform"):
+        assert out == "", argv
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("seqscreen: error: "), (
+            argv, err)
+        return code
+    assert err == "", (argv, err)
+    if "--out" in argv:
+        assert out == ""
+    elif argv[0] == "grid":
+        rows = out.splitlines()
+        assert rows[0] == "v,V,value" and len(rows) == 1 + 17 * 17, argv
+    else:
+        json.loads(out)
+    return code
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@settings(derandomize=True, max_examples=6, deadline=None, database=None)
+@given(data=st.data())
+def test_every_command_keeps_the_exit_contract(kernel, data):
+    text = data.draw(_model(kernel), label="model")
+    kind = data.draw(st.sampled_from(RELABELING_KINDS), label="kind")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.model"
+        path.write_text(text, encoding="utf-8")
+        model = str(path)
+        _assert_contract(["check", model, *GRID])
+        for prop in ("1", "2", "3"):
+            _assert_contract(["verify", model, "--prop", prop, *GRID])
+        _assert_contract(["grid", model, "--what", "psi", *GRID])
+        derived = str(Path(tmp) / "derived.model")
+        if _assert_contract(["transform", model, "--kind", kind,
+                             "--out", derived, *GRID]) == 0:
+            _assert_contract(["check", derived, *GRID])

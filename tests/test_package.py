@@ -1,0 +1,69 @@
+"""The package's public names, and a static rule on the handlers in src/."""
+
+import ast
+from pathlib import Path
+
+import seqscreen
+
+SRC = Path(seqscreen.__file__).resolve().parent
+
+PUBLIC = {
+    "__version__",
+    # errors
+    "ToolkitError", "DomainError", "EvaluationError", "QuadratureError",
+    "IntegrabilityError", "ConstructionError", "SelfCheckError",
+    "DensityUnderflowError", "NearEndpointError", "LoadError",
+    # numerics
+    "Interval", "DerivativeEstimate", "integrate", "integrate_many",
+    "differentiate", "scan_violations", "invert_monotone",
+    # model_core
+    "GridSpec", "ToleranceConfig", "DEFAULT_GRID", "DEFAULT_TOLERANCES",
+    "resolve_config", "SignalDistribution", "UniformSignal", "BetaSignal",
+    "TableSignal", "ValuationKernel", "AdditiveNoiseKernel", "PowerKernel",
+    "ExpTiltKernel", "TableKernel", "ScreeningModel", "KernelEval",
+    "ModelValidation", "eval_kernel", "conditional_mean",
+    "conditional_mean_derivative", "conditional_mean_many",
+    "conditional_mean_derivative_many", "validate_model", "make_signal",
+    "make_kernel",
+    # modelfile
+    "load", "loads", "dumps",
+    # regularity
+    "hazard", "gamma", "virtual_value", "Field2D", "compute_field",
+    "CheckReport", "check_assumption", "RegularityReport",
+    "regularity_report", "CHECK_CODES", "FIELD_NAMES",
+    # transforms
+    "RELABELING_KINDS", "Relabeling", "make_relabeling", "TransformedModel",
+    "apply_relabeling", "relabel", "transform_section",
+    "rebuild_from_section",
+    # propositions
+    "DeltaField", "delta_diagnostic", "PropositionReport", "verify_prop1",
+    "verify_prop2", "verify_prop3", "verify",
+}
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert len(seqscreen.__all__) == len(set(seqscreen.__all__))
+    assert set(seqscreen.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(seqscreen, name) is not None, name
+
+
+def _caught(handler: ast.ExceptHandler) -> list[str]:
+    kinds = handler.type
+    elts = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+    return [ast.unparse(e) for e in elts]
+
+
+def test_no_handler_catches_everything():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            if node.type is None:
+                found.append(f"{path.name}:{node.lineno}: bare except")
+            elif {"Exception", "BaseException"} & set(_caught(node)):
+                found.append(f"{path.name}:{node.lineno}: "
+                             f"except {ast.unparse(node.type)}")
+    assert found == []
