@@ -579,6 +579,8 @@ class ValuationKernel:
     """Family of conditional value distributions H_v on a common support."""
 
     family = "abstract"
+    # values where the density jumps; validation's quadrature splits there
+    _density_jumps: Sequence[float] = ()
 
     def __init__(self, support: Interval):
         self.support = support
@@ -847,6 +849,7 @@ class TableKernel(ValuationKernel):
         self._V_nodes = np.asarray(V_nodes)
         # list copies for the scalar evaluators' bisect
         self._v_list, self._V_list = v_nodes, V_nodes
+        self._density_jumps = V_nodes[1:-1]
         self._H = (grid - lo) / span
 
     def check_signal_support(self, support):
@@ -1096,60 +1099,22 @@ def eval_kernel(model: ScreeningModel, v: float, V: float,
 def conditional_mean(model: ScreeningModel, v: float,
                      grid: GridSpec | None = None,
                      tolerances: ToleranceConfig | None = None) -> float:
-    """E[V | v] by the layer-cake identity.
-
-    After translating so the (possibly truncated) value range straddles zero,
-    the mean is the integral of the upper-tail survival minus the integral of
-    the lower-tail cdf. Only the kernel enters; v may sit anywhere in the
-    closed signal support.
-    """
-    grid, tol = resolve_config(grid, tolerances)
-    if not model.signal.support.contains(v):
-        raise DomainError(f"signal value {v!r} outside the signal support")
-    lo, hi = model.value_range(v, grid)
-    c = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
-    rel = tol.quadrature_rel
-    try:
-        upper, _ = integrate(lambda x: 1.0 - model.kernel.cdf(v, x + c),
-                             (0.0, hi - c), rel_tol=rel)
-        lower, _ = integrate(lambda x: model.kernel.cdf(v, x + c),
-                             (lo - c, 0.0), rel_tol=rel)
-    except QuadratureError as exc:
-        raise IntegrabilityError(
-            f"conditional mean did not converge at v={v!r}: {exc}") from exc
-    return c + upper - lower
+    """E[V | v]: ``conditional_mean_many`` at one v."""
+    return float(conditional_mean_many(model, [v], grid, tolerances)[0])
 
 
 def conditional_mean_derivative(model: ScreeningModel, v: float,
                                 grid: GridSpec | None = None,
                                 tolerances: ToleranceConfig | None = None) -> float:
-    """d/dv of E[V | v], via the integrated signal-derivative of the kernel.
-
-    Differentiating the layer-cake identity under the integral sign turns the
-    slope of the conditional mean into minus the integral of dH_v(V)/dv over
-    the value range.
-    """
-    grid, tol = resolve_config(grid, tolerances)
-    if not model.signal.support.contains(v):
-        raise DomainError(f"signal value {v!r} outside the signal support")
-    lo, hi = model.value_range(v, grid)
-
-    def neg_rate(V: float) -> float:
-        return -eval_kernel(model, v, V, tol).dHdv
-
-    try:
-        value, _ = integrate(neg_rate, (lo, hi), rel_tol=tol.quadrature_rel)
-    except QuadratureError as exc:
-        raise IntegrabilityError(
-            f"conditional mean derivative did not converge at v={v!r}: {exc}"
-        ) from exc
-    return value
+    """d/dv of E[V | v]: ``conditional_mean_derivative_many`` at one v."""
+    return float(conditional_mean_derivative_many(model, [v], grid,
+                                                  tolerances)[0])
 
 
 def _first_failure(failures: dict[int, Exception], what: str, vs,
                    per_v: int) -> None:
-    """Raise the failure of the lowest-numbered integral, as the scalar
-    loop over ``vs`` (``per_v`` integrals each) would have raised it."""
+    """Raise the failure of the lowest-numbered integral, as a loop over
+    ``vs`` (``per_v`` integrals each, one after another) would raise it."""
     if not failures:
         return
     k = min(failures)
@@ -1168,22 +1133,28 @@ def _signals_in_support(model: ScreeningModel, vs) -> list[float]:
     return vs
 
 
+def _pointwise(fn, v, V) -> np.ndarray:
+    """``fn(v[r, 0], V[r, c])`` at every point, called with floats in row
+    order: a kernel without array fields, inside a batched integrand."""
+    return np.array([[fn(a, b) for b in row]
+                     for a, row in zip(v[:, 0].tolist(), V.tolist())])
+
+
 def conditional_mean_many(model: ScreeningModel, vs,
                           grid: GridSpec | None = None,
                           tolerances: ToleranceConfig | None = None
                           ) -> np.ndarray:
-    """``conditional_mean`` at every v of ``vs``, equal to it bit for bit.
+    """E[V | v] at every v of ``vs`` by the layer-cake identity.
 
-    All 2N layer-cake integrals refine together through ``integrate_many``
-    on the kernel's array cdf. A kernel without array fields loops the
-    scalar form, and so does a single v: there, the batch's array work per
-    refinement round costs more than the scalar rule's calls.
+    After translating so the (possibly truncated) value range straddles
+    zero, each mean is the integral of the upper-tail survival minus the
+    integral of the lower-tail cdf. Only the kernel enters; v may sit
+    anywhere in the closed signal support. All 2N integrals refine together
+    through ``integrate_many``, on the kernel's array cdf if its class
+    defines ``_fields``, else on its scalar cdf point by point.
     """
     grid, tol = resolve_config(grid, tolerances)
     kernel = model.kernel
-    if not kernel._exact_arrays() or len(vs) == 1:
-        return np.array([conditional_mean(model, float(v), grid, tol)
-                         for v in vs])
     vs = _signals_in_support(model, vs)
     lowers, uppers, cs = [], [], []
     for v in vs:
@@ -1195,9 +1166,11 @@ def conditional_mean_many(model: ScreeningModel, vs,
         uppers += (hi - c, 0.0)
     v_col = np.repeat(vs, 2)[:, None]
     c_col = np.repeat(cs, 2)[:, None]
+    cdf = (kernel._cdf_field if kernel._exact_arrays()
+           else lambda v, V: _pointwise(kernel.cdf, v, V))
 
     def tails(idx, x):
-        H = kernel._cdf_field(v_col[idx], x + c_col[idx])
+        H = cdf(v_col[idx], x + c_col[idx])
         return np.where(idx[:, None] % 2 == 0, 1.0 - H, H)
 
     values, _, failures = integrate_many(tails, lowers, uppers,
@@ -1210,21 +1183,23 @@ def conditional_mean_derivative_many(model: ScreeningModel, vs,
                                      grid: GridSpec | None = None,
                                      tolerances: ToleranceConfig | None = None
                                      ) -> np.ndarray:
-    """``conditional_mean_derivative`` at every v of ``vs``, equal to it bit
-    for bit; the N integrals refine together on the kernel's array
-    signal-derivative, and a kernel without array fields loops the scalar
-    form."""
+    """d/dv of E[V | v] at every v of ``vs``: differentiating the layer-cake
+    identity under the integral sign gives minus the integral of dH_v(V)/dv
+    over the value range. The N integrals refine together on the kernel's
+    array signal-derivative, or on ``eval_kernel`` point by point for a
+    kernel whose class does not define ``_fields``.
+    """
     grid, tol = resolve_config(grid, tolerances)
     kernel = model.kernel
-    if not kernel._exact_arrays():
-        return np.array([conditional_mean_derivative(model, float(v), grid,
-                                                     tol) for v in vs])
     vs = _signals_in_support(model, vs)
     ranges = [model.value_range(v, grid) for v in vs]
     v_col = np.array(vs)[:, None]
     k_lo, k_hi = kernel.support.as_tuple()
 
     def neg_rate(idx, V):
+        if not kernel._exact_arrays():
+            return -_pointwise(lambda *p: eval_kernel(model, *p, tol).dHdv,
+                               v_col[idx], V)
         interior = (k_lo < V) & (V < k_hi)
         if not interior.all():
             # eval_kernel's check, raised for the first offending value
@@ -1313,17 +1288,25 @@ def validate_model(model: ScreeningModel, grid: GridSpec | None = None,
             record("signal_cdf_consistency", cdf_ok and pdf_ok, at=v,
                    relabeled_at=w)
 
-    # Kernel mass at a few signals; the truncated tails are allowed for. If
-    # the quadrature gives up (an integrable density singularity at a finite
-    # value endpoint), the window the value grid keeps is integrated instead
-    # and the slivers outside it come from the cdf, as for the signal.
+    # Kernel mass at a few signals, split where the density jumps (GK15 can
+    # converge falsely across a jump); the truncated tails are allowed for.
+    # If the quadrature gives up (an integrable density singularity at a
+    # finite value endpoint), the window the value grid keeps is integrated
+    # instead and the slivers outside it come from the cdf, as for the signal.
     mass_tol = 2.0 * grid.tail_mass_cut + 1e-7
-    k_lo, k_hi = checked.kernel.support.as_tuple()
+    kernel = checked.kernel
+    k_lo, k_hi = kernel.support.as_tuple()
+
+    def mass_over(v, a, b):
+        cuts = [a, *[x for x in kernel._density_jumps if a < x < b], b]
+        return sum(integrate(lambda V: kernel.pdf(v, V), piece,
+                             rel_tol=tol.quadrature_rel)[0]
+                   for piece in zip(cuts, cuts[1:]))
+
     for v in (sa, 0.5 * (sa + sb), sb):
         lo, hi = checked.value_range(v, grid)
-        pdf = lambda V: checked.kernel.pdf(v, V)  # noqa: E731
         try:
-            mass, _ = integrate(pdf, (lo, hi), rel_tol=tol.quadrature_rel)
+            mass = mass_over(v, lo, hi)
             record("kernel_mass", abs(mass - 1.0) <= mass_tol, at=v, value=mass)
             continue
         except QuadratureError as exc:
@@ -1332,11 +1315,11 @@ def validate_model(model: ScreeningModel, grid: GridSpec | None = None,
         wa = lo + pad if math.isfinite(k_lo) else lo
         wb = hi - pad if math.isfinite(k_hi) else hi
         try:
-            inner, _ = integrate(pdf, (wa, wb), rel_tol=tol.quadrature_rel)
+            inner = mass_over(v, wa, wb)
         except QuadratureError:
             record("kernel_mass", False, at=v, error=str(failure))
             continue
-        cdf = checked.kernel.cdf
+        cdf = kernel.cdf
         mass = (cdf(v, wa) - cdf(v, lo)) + inner + (cdf(v, hi) - cdf(v, wb))
         record("kernel_mass", abs(mass - 1.0) <= mass_tol, at=v, value=mass,
                window=[wa, wb])

@@ -96,25 +96,33 @@ _GK_CENTRE_WEIGHT = 0.20948214108472782
 _GAUSS_WEIGHTS = {1: 0.1294849661688697, 3: 0.27970539148927664,
                   5: 0.3818300505051189}
 _GAUSS_CENTRE_WEIGHT = 0.4179591836734694
-# (node, Kronrod weight, Gauss weight or None) per node pair
-_GK_RULE = tuple((node, w, _GAUSS_WEIGHTS.get(i))
-                 for i, (node, w) in enumerate(zip(_GK_NODES, _GK_WEIGHTS)))
+# (Kronrod weight, Gauss weight or None) per node pair
+_GK_RULE = tuple((w, _GAUSS_WEIGHTS.get(i)) for i, w in enumerate(_GK_WEIGHTS))
+
+
+def _kronrod(fx, halfwidth):
+    """Kronrod-15 estimate and error indicator of a panel from its values at
+    the centre, then at ``centre + dx_i`` and ``centre - dx_i`` per node i.
+    Elementwise, so floats and array columns give the same bits."""
+    kron = _GK_CENTRE_WEIGHT * fx[0]
+    gauss = _GAUSS_CENTRE_WEIGHT * fx[0]
+    for (kw, gw), plus, minus in zip(_GK_RULE, fx[1::2], fx[2::2]):
+        pair = plus + minus
+        kron = kron + kw * pair
+        if gw is not None:
+            gauss = gauss + gw * pair
+    return kron * halfwidth, abs(kron - gauss) * halfwidth
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """One Kronrod-15 panel on [a, b]; returns (estimate, error_indicator)."""
     centre = 0.5 * (a + b)
     halfwidth = 0.5 * (b - a)
-    fc = f(centre)
-    kron = _GK_CENTRE_WEIGHT * fc
-    gauss = _GAUSS_CENTRE_WEIGHT * fc
-    for node, kw, gw in _GK_RULE:
+    fx = [f(centre)]
+    for node in _GK_NODES:
         dx = halfwidth * node
-        pair = f(centre + dx) + f(centre - dx)
-        kron += kw * pair
-        if gw is not None:
-            gauss += gw * pair
-    return kron * halfwidth, abs(kron - gauss) * halfwidth
+        fx += (f(centre + dx), f(centre - dx))
+    return _kronrod(fx, halfwidth)
 
 
 class _Refinement:
@@ -281,13 +289,12 @@ def _panels(f, todo: list[int], lo: list[float], hi: list[float],
             failures: dict[int, Exception]) -> tuple[list[float], list[float]]:
     """Kronrod-15 panels on ``[lo[r], hi[r]]`` of integrals ``todo[r]``.
 
-    The node array holds the centre in column 0 and the pair
-    ``centre +- dx_i`` in columns ``2i + 1`` and ``2i + 2``, the order in
-    which ``_gk15`` calls its integrand, and the sums run column by column
-    in ``_gk15``'s order, so each row equals ``_gk15`` bit for bit. When
-    ``f`` raises for a numeric cause, the nodes are evaluated one at a time
-    in that order, and an integral whose rows raise is entered in
-    ``failures`` with its first exception.
+    Row r of the node array holds the nodes of panel r in the order in
+    which ``_gk15`` calls its integrand, and ``_kronrod`` sums its columns,
+    so each row equals ``_gk15`` bit for bit. When ``f`` raises for a
+    numeric cause, the nodes are evaluated one at a time in that order, and
+    an integral whose rows raise is entered in ``failures`` with its first
+    exception.
     """
     idx = np.array(todo)
     a, b = np.array(lo), np.array(hi)
@@ -311,15 +318,8 @@ def _panels(f, todo: list[int], lo: list[float], hi: list[float],
                     fx[r, c] = f(idx[r:r + 1], x[r:r + 1, c:c + 1])[0, 0]
                 except NUMERIC_CAUSES as exc:
                     failures[k] = exc
-    kron = _GK_CENTRE_WEIGHT * fx[:, 0]
-    gauss = _GAUSS_CENTRE_WEIGHT * fx[:, 0]
-    for i, (_, kw, gw) in enumerate(_GK_RULE):
-        pair = fx[:, 2 * i + 1] + fx[:, 2 * i + 2]
-        kron = kron + kw * pair
-        if gw is not None:
-            gauss = gauss + gw * pair
-    return ((kron * halfwidth).tolist(),
-            (np.abs(kron - gauss) * halfwidth).tolist())
+    values, errors = _kronrod(fx.T, halfwidth)
+    return values.tolist(), errors.tolist()
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""The relabeling self-check, model validation, the suite-1 hazard profile
-and the derived-file replay run on array forms. Each is held here against
-the per-point loop it replaced, kept as a reference: the same outcome, the
-same numbers and the same error, raised at the same point.
+"""The relabeling self-check, model validation, the suite-1 hazard profile,
+the derived-file replay and the conditional means run on array forms. Each
+is held here against the per-point loop it replaced, kept as a reference:
+the same outcome, the same numbers and the same error, raised at the same
+point.
 """
 
 import dataclasses
 import json
+import math
 import random
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from seqscreen.errors import (
     DensityUnderflowError,
     DomainError,
     EvaluationError,
+    IntegrabilityError,
     NearEndpointError,
     QuadratureError,
     SelfCheckError,
@@ -31,6 +34,11 @@ from seqscreen.model_core import (
     TableKernel,
     TableSignal,
     UniformSignal,
+    ValuationKernel,
+    conditional_mean,
+    conditional_mean_derivative,
+    conditional_mean_derivative_many,
+    conditional_mean_many,
     eval_kernel,
     resolve_config,
     validate_model,
@@ -275,11 +283,21 @@ def _scalar_validate(model, grid=None, tolerances=None):
                    relabeled_at=w)
     mass_tol = 2.0 * grid.tail_mass_cut + 1e-7
     kernel = checked.kernel
+
+    def mass_over(v, a, b):
+        # one integral per piece between the density's jumps, summed in order
+        cuts = [a, *[x for x in kernel._density_jumps if a < x < b], b]
+        total = 0
+        for piece in zip(cuts, cuts[1:]):
+            part, _ = integrate(lambda V: kernel.pdf(v, V), piece,
+                                rel_tol=tol.quadrature_rel)
+            total += part
+        return total
+
     for v in (sa, 0.5 * (sa + sb), sb):
         lo, hi = checked.value_range(v, grid)
         try:
-            mass, _ = integrate(lambda V: kernel.pdf(v, V), (lo, hi),
-                                rel_tol=tol.quadrature_rel)
+            mass = mass_over(v, lo, hi)
             record("kernel_mass", abs(mass - 1.0) <= mass_tol, at=v,
                    value=mass)
             continue
@@ -290,8 +308,7 @@ def _scalar_validate(model, grid=None, tolerances=None):
         wa = lo + pad if np.isfinite(kernel.support.lower) else lo
         wb = hi - pad if np.isfinite(kernel.support.upper) else hi
         try:
-            inner, _ = integrate(lambda V: kernel.pdf(v, V), (wa, wb),
-                                 rel_tol=tol.quadrature_rel)
+            inner = mass_over(v, wa, wb)
         except QuadratureError:
             record("kernel_mass", False, at=v, error=error)
             continue
@@ -364,6 +381,23 @@ class TestValidation:
         report = json.loads(capsys.readouterr().out)
         # the paper's finite-lower-endpoint claim: A1 fails
         assert not report["checks"]["A1"]["passed"]
+
+    def test_table_kernel_mass_is_split_where_the_density_jumps(self):
+        # The density is constant between value nodes. Over the support
+        # (-3.9991, 4.9991), whose ends are not nodes, one GK15 integral
+        # across the jumps converges falsely to 0.99983 with an error
+        # estimate near 1e-16; integrated node to node the mass is 1.
+        V_nodes = np.r_[-3.9991, np.linspace(-4.0, 5.0, 17)[1:-1], 4.9991]
+        rows = [1.0 / (1.0 + np.exp(v - V_nodes)) for v in (0.0, 0.5, 1.0)]
+        model = ScreeningModel(UniformSignal(Interval(0.0, 1.0)),
+                               TableKernel([0.0, 0.5, 1.0], V_nodes, rows))
+        result = validate_model(model)
+        assert result.passed
+        masses = [c["value"] for c in result.checks
+                  if c["name"] == "kernel_mass"]
+        assert len(masses) == 3
+        assert all(abs(m - 1.0) <= 1e-12 for m in masses)
+        assert result.checks == _scalar_validate(model)
 
     @pytest.mark.parametrize("first, rest", [
         (EvaluationError, EvaluationError), (ValueError, ValueError),
@@ -497,3 +531,116 @@ def test_bisected_target_keeps_the_exact_lattice_preimage():
     assert rel.inverse(rel.w_lo) == 1.0
     rel.inverses([rel.w_lo - 1e-10])
     assert rel.inverse(rel.w_lo) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# conditional means
+
+
+def _scalar_conditional_mean(model, v, grid=None, tolerances=None):
+    """E[V | v] by two scalar layer-cake integrals, the upper tail first."""
+    grid, tol = resolve_config(grid, tolerances)
+    if not model.signal.support.contains(v):
+        raise DomainError(f"signal value {v!r} outside the signal support")
+    lo, hi = model.value_range(v, grid)
+    c = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
+    rel = tol.quadrature_rel
+    try:
+        upper, _ = integrate(lambda x: 1.0 - model.kernel.cdf(v, x + c),
+                             (0.0, hi - c), rel_tol=rel)
+        lower, _ = integrate(lambda x: model.kernel.cdf(v, x + c),
+                             (lo - c, 0.0), rel_tol=rel)
+    except QuadratureError as exc:
+        raise IntegrabilityError(
+            f"conditional mean did not converge at v={v!r}: {exc}") from exc
+    return c + upper - lower
+
+
+def _scalar_conditional_mean_derivative(model, v, grid=None,
+                                        tolerances=None):
+    """d/dv of E[V | v] by one scalar integral of ``-eval_kernel().dHdv``."""
+    grid, tol = resolve_config(grid, tolerances)
+    if not model.signal.support.contains(v):
+        raise DomainError(f"signal value {v!r} outside the signal support")
+    lo, hi = model.value_range(v, grid)
+    try:
+        value, _ = integrate(lambda V: -eval_kernel(model, v, V, tol).dHdv,
+                             (lo, hi), rel_tol=tol.quadrature_rel)
+    except QuadratureError as exc:
+        raise IntegrabilityError(
+            f"conditional mean derivative did not converge at v={v!r}: {exc}"
+        ) from exc
+    return value
+
+
+class _ScalarLogistic(ValuationKernel):
+    """Logistic noise through scalar evaluators alone, no array fields.
+    A nonzero ``pole`` adds ``pole / |V - v - 0.3|`` to the cdf, so the
+    integrals of both conditional means diverge."""
+
+    family = "scalar_logistic"
+
+    def __init__(self, pole=0.0):
+        super().__init__(Interval(-math.inf, math.inf))
+        self.pole = pole
+
+    def cdf(self, v, V):
+        F = 1.0 / (1.0 + math.exp(v - V))
+        return F + self.pole / abs(V - v - 0.3) if self.pole else F
+
+    def pdf(self, v, V):
+        F = 1.0 / (1.0 + math.exp(v - V))
+        return F * (1.0 - F)
+
+    def cdf_dv(self, v, V):
+        d = V - v - 0.3
+        return -self.pdf(v, V) + (self.pole * d / abs(d) ** 3 if self.pole
+                                  else 0.0)
+
+    def quantile(self, v, p):
+        return v + math.log(p / (1.0 - p))
+
+
+class _ScalarLogisticNoSlope(_ScalarLogistic):
+    """The same, its signal-derivative left to ``eval_kernel``'s stencil."""
+
+    def cdf_dv(self, v, V):
+        return None
+
+
+MEAN_PAIRS = [(conditional_mean, conditional_mean_many,
+               _scalar_conditional_mean),
+              (conditional_mean_derivative, conditional_mean_derivative_many,
+               _scalar_conditional_mean_derivative)]
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or ``(type, text)`` of what it raises."""
+    return _raised(fn, *args) or fn(*args)
+
+
+@pytest.mark.parametrize("kernel_type", [_ScalarLogistic,
+                                         _ScalarLogisticNoSlope])
+@pytest.mark.parametrize("pole", [0.0, 1.0])
+@pytest.mark.parametrize("one, many, reference", MEAN_PAIRS,
+                         ids=["mean", "slope"])
+def test_scalar_kernel_means_equal_the_reference(kernel_type, pole, one,
+                                                 many, reference):
+    model = ScreeningModel(UniformSignal(Interval(0.0, 1.0)),
+                           kernel_type(pole))
+    vs = [0.0, 0.35, 1.0, 1.5]
+    want = [_outcome(reference, model, v) for v in vs]
+    # the last signal is outside the support
+    assert want[-1] == (DomainError,
+                        "signal value 1.5 outside the signal support")
+    failed = [w for w in want[:-1] if isinstance(w, tuple)]
+    assert len(failed) == (3 if pole else 0)
+    assert all(w[0] is IntegrabilityError for w in failed)
+    for v, w in zip(vs, want):
+        assert _outcome(one, model, v) == w
+    if failed:
+        assert _outcome(many, model, vs[:-1]) == failed[0]
+    else:
+        assert np.array_equal(many(model, vs[:-1]), want[:-1])
+    # the batch checks every signal before it integrates
+    assert _outcome(many, model, vs) == want[-1]

@@ -29,8 +29,6 @@ from seqscreen.model_core import (
     TableKernel,
     TableSignal,
     UniformSignal,
-    conditional_mean,
-    conditional_mean_derivative,
     conditional_mean_derivative_many,
     conditional_mean_many,
     make_kernel,
@@ -50,6 +48,10 @@ from seqscreen.transforms import (
     make_relabeling,
     relabel,
     transform_section,
+)
+from test_array_checks import (
+    _scalar_conditional_mean,
+    _scalar_conditional_mean_derivative,
 )
 
 SMALL = GridSpec(v_points=17, V_points=17)
@@ -169,7 +171,7 @@ class TestIntegrateMany:
 
 
 class _OpaqueKernel(AdditiveNoiseKernel):
-    """Same law, but no array fields of its own: the scalar loop."""
+    """Same law, but no array fields of its own: evaluated point by point."""
 
     def cdf_dv(self, v, V):
         return None
@@ -219,14 +221,14 @@ class TestConditionalMeanMany:
     def test_mean_equals_scalar_loop(self, name):
         model = MEAN_MODELS[name]
         vs = _signals(model)
-        want = [conditional_mean(model, v) for v in vs]
+        want = [_scalar_conditional_mean(model, v) for v in vs]
         assert np.array_equal(conditional_mean_many(model, vs), want)
 
     @pytest.mark.parametrize("name", sorted(MEAN_MODELS))
     def test_slope_equals_scalar_loop(self, name):
         model = MEAN_MODELS[name]
         vs = _signals(model)
-        want = [conditional_mean_derivative(model, v) for v in vs]
+        want = [_scalar_conditional_mean_derivative(model, v) for v in vs]
         assert np.array_equal(conditional_mean_derivative_many(model, vs),
                               want)
 
@@ -234,7 +236,7 @@ class TestConditionalMeanMany:
         model = MEAN_MODELS["relabeled"]
         w_hi = model.signal.support.upper
         with pytest.raises(ZeroDivisionError):
-            conditional_mean_derivative(model, w_hi)
+            _scalar_conditional_mean_derivative(model, w_hi)
         with pytest.raises(ZeroDivisionError):
             conditional_mean_derivative_many(model, [0.5, w_hi])
         with pytest.raises(ZeroDivisionError):
@@ -244,9 +246,9 @@ class TestConditionalMeanMany:
 
     def test_outside_the_support_raises_the_scalar_error(self):
         model = MEAN_MODELS["logistic"]
-        for many, one in ((conditional_mean_many, conditional_mean),
+        for many, one in ((conditional_mean_many, _scalar_conditional_mean),
                           (conditional_mean_derivative_many,
-                           conditional_mean_derivative)):
+                           _scalar_conditional_mean_derivative)):
             with pytest.raises(DomainError) as want:
                 one(model, 1.5)
             with pytest.raises(DomainError, match=str(want.value)):
@@ -264,11 +266,13 @@ class TestConditionalMeanMany:
                                PowerKernel())
         rel = make_relabeling(model, "mean")
         assert np.array_equal(
-            rel._lat_w, [conditional_mean(model, v) for v in rel._lat_v])
+            rel._lat_w,
+            [_scalar_conditional_mean(model, v) for v in rel._lat_v])
         monkeypatch.setattr(transforms, "_TABLE_POINTS", 17)
         table = rel.table()
         assert [p for _, _, p in table] == [
-            conditional_mean_derivative(model, v) for v, _, _ in table]
+            _scalar_conditional_mean_derivative(model, v)
+            for v, _, _ in table]
 
 
 # ---------------------------------------------------------------------------

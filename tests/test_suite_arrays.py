@@ -13,8 +13,6 @@ from seqscreen.model_core import (
     PowerKernel,
     ScreeningModel,
     TableKernel,
-    conditional_mean,
-    conditional_mean_derivative,
     eval_kernel,
     TableSignal,
     make_kernel,
@@ -29,6 +27,10 @@ from seqscreen.propositions import (
 )
 from seqscreen.regularity import gamma
 from seqscreen.transforms import relabel
+from test_array_checks import (
+    _scalar_conditional_mean,
+    _scalar_conditional_mean_derivative,
+)
 
 TOL = DEFAULT_TOLERANCES
 SMALL = GridSpec(v_points=17, V_points=17)
@@ -298,14 +300,16 @@ class TestMeanChecks:
         model = MEAN_MODELS[name]()
         vs = model.signal_grid(GridSpec(v_points=5, V_points=2))
         v_list = vs.tolist()
-        means = [conditional_mean(model, v, tolerances=TOL) for v in v_list]
+        means = [_scalar_conditional_mean(model, v, tolerances=TOL)
+                 for v in v_list]
         worst, at = _scalar_worst(
             [abs(m - v) / max(1.0, abs(v)) for m, v in zip(means, v_list)],
             v_list)
         assert _check_mean_normalized(model, vs, TOL) == {
             "passed": worst <= 1e-6, "max_relative_error": worst,
             "worst_at": at}
-        slopes = [conditional_mean_derivative(model, v, tolerances=TOL)
+        slopes = [_scalar_conditional_mean_derivative(model, v,
+                                                      tolerances=TOL)
                   for v in v_list]
         worst, at = _scalar_worst([abs(d - 1.0) for d in slopes], v_list)
         assert _check_mean_slope_one(model, vs, TOL) == {

@@ -1,0 +1,59 @@
+"""The byte-identity gate: ``tools/sweep.py --diff`` on synthetic manifests."""
+
+import copy
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+SWEEP = Path(__file__).resolve().parents[1] / "tools" / "sweep.py"
+
+
+def _load_sweep():
+    spec = importlib.util.spec_from_file_location("sweep", SWEEP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+sweep = _load_sweep()
+
+ARGVS = ["check <models>/logistic.model",
+         "verify <models>/power.model --prop 2 --grid 17x17",
+         "transform <models>/logistic.model --kind mean --out <work>/x.model"]
+
+
+def _commands(seconds):
+    def digest(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    return [{"argv": argv, "exit": 0, "exception": None, "seconds": seconds,
+             "stdout_sha256": digest(argv), "stdout_bytes": len(argv),
+             "stderr": "", "out_sha256": digest("out") if "--out" in argv
+             else None, "out_bytes": 3 if "--out" in argv else None}
+            for argv in ARGVS]
+
+
+def _diff(tmp_path, left, right):
+    paths = []
+    for name, commands in (("a.json", left), ("b.json", right)):
+        path = tmp_path / name
+        path.write_text(json.dumps({"src": name, "seconds": 1.0,
+                                    "commands": commands}))
+        paths.append(str(path))
+    return sweep.main(["--diff", *paths])
+
+
+def test_identical_manifests_differ_nowhere(tmp_path, capsys):
+    # run times are recorded but never compared
+    assert _diff(tmp_path, _commands(0.5), _commands(0.7)) == 0
+    assert capsys.readouterr().out == "0 of 3 commands differ\n"
+
+
+def test_a_changed_digest_names_its_command(tmp_path, capsys):
+    left = _commands(0.5)
+    right = copy.deepcopy(left)
+    right[1]["stdout_sha256"] = "0" * 64
+    assert _diff(tmp_path, left, right) == 1
+    assert capsys.readouterr().out == (
+        f"{ARGVS[1]}: stdout_sha256 differ\n1 of 3 commands differ\n")
