@@ -25,7 +25,6 @@ import sys
 from .errors import (
     ConstructionError,
     IntegrabilityError,
-    LoadError,
     SelfCheckError,
     ToolkitError,
 )
@@ -83,8 +82,6 @@ def _load_model(args):
         nv, nV = args.grid
         grid = dataclasses.replace(grid, v_points=nv, V_points=nV)
     if getattr(args, "slack", None) is not None:
-        if args.slack < 0:
-            raise LoadError("--slack must be nonnegative")
         tol = dataclasses.replace(tol, monotonicity_slack=args.slack)
     return model, grid, tol
 

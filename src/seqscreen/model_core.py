@@ -172,12 +172,7 @@ class GridSpec:
             raise ConstructionError("tail_mass_cut must lie in (0, 1e-3]")
 
     def describe(self) -> dict:
-        return {
-            "v_points": self.v_points,
-            "V_points": self.V_points,
-            "endpoint_margin": self.endpoint_margin,
-            "tail_mass_cut": self.tail_mass_cut,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -195,22 +190,19 @@ class ToleranceConfig:
     derivative_step_scale: float = 1e-5
 
     def __post_init__(self):
-        for name in ("monotonicity_slack", "quadrature_rel",
-                     "derivative_step_floor", "derivative_step_scale"):
-            if getattr(self, name) <= 0:
-                raise ConstructionError(f"{name} must be strictly positive")
+        # A NaN slack passes every scan (no move exceeds it) and an infinite
+        # one fails the FOSD check everywhere, so each field must be finite.
+        for f in dataclasses.fields(self):
+            if not 0.0 < getattr(self, f.name) < math.inf:
+                raise ConstructionError(
+                    f"{f.name} must be strictly positive and finite")
 
     def derivative_step(self, x: float) -> float:
         return max(self.derivative_step_floor,
                    self.derivative_step_scale * abs(x))
 
     def describe(self) -> dict:
-        return {
-            "monotonicity_slack": self.monotonicity_slack,
-            "quadrature_rel": self.quadrature_rel,
-            "derivative_step_floor": self.derivative_step_floor,
-            "derivative_step_scale": self.derivative_step_scale,
-        }
+        return dataclasses.asdict(self)
 
 
 DEFAULT_GRID = GridSpec()
@@ -330,10 +322,25 @@ _NOISE_FAMILIES: dict[str, _Noise] = {
 # signal distributions
 
 
-class SignalDistribution:
-    """Scalar signal with cdf/pdf/survival on a finite closed support."""
+class _Family:
+    """A named family on ``support``; ``describe`` serializes it for
+    reports and model files, with the subclass's ``params`` after the
+    family and support."""
 
     family = "abstract"
+
+    def params(self) -> dict:
+        return {}
+
+    def describe(self) -> dict:
+        return {"family": self.family,
+                "support": [_bound_repr(self.support.lower),
+                            _bound_repr(self.support.upper)],
+                **self.params()}
+
+
+class SignalDistribution(_Family):
+    """Scalar signal with cdf/pdf/survival on a finite closed support."""
 
     def __init__(self, support: Interval):
         if not support.bounded:
@@ -350,16 +357,6 @@ class SignalDistribution:
 
     def pdf(self, v: float) -> float:
         raise NotImplementedError
-
-    def params(self) -> dict:
-        return {}
-
-    def describe(self) -> dict:
-        d = {"family": self.family,
-             "support": [_bound_repr(self.support.lower),
-                         _bound_repr(self.support.upper)]}
-        d.update(self.params())
-        return d
 
     def _require_in_support(self, v: float) -> None:
         if not self.support.contains(v):
@@ -422,12 +419,18 @@ class BetaSignal(SignalDistribution):
     def __init__(self, alpha: float, beta: float,
                  support: Interval = Interval(0.0, 1.0)):
         super().__init__(support)
-        if alpha <= 0 or beta <= 0:
-            raise ConstructionError("beta shape parameters must be positive")
+        if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+            raise ConstructionError(
+                "beta shape parameters must be positive and finite")
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self._log_norm = (math.lgamma(alpha + beta) - math.lgamma(alpha)
-                          - math.lgamma(beta))
+        try:
+            self._log_norm = (math.lgamma(alpha + beta) - math.lgamma(alpha)
+                              - math.lgamma(beta))
+        except OverflowError:
+            raise ConstructionError(
+                "beta shapes too large: the log normalizing constant "
+                "overflows") from None
 
     def params(self):
         return {"alpha": self.alpha, "beta": self.beta}
@@ -575,10 +578,9 @@ class TableSignal(SignalDistribution):
 # valuation kernels
 
 
-class ValuationKernel:
+class ValuationKernel(_Family):
     """Family of conditional value distributions H_v on a common support."""
 
-    family = "abstract"
     # values where the density jumps; validation's quadrature splits there
     _density_jumps: Sequence[float] = ()
 
@@ -603,16 +605,6 @@ class ValuationKernel:
 
     def check_signal_support(self, support: Interval) -> None:
         """Reject signal supports this family cannot condition on."""
-
-    def params(self) -> dict:
-        return {}
-
-    def describe(self) -> dict:
-        d = {"family": self.family,
-             "support": [_bound_repr(self.support.lower),
-                         _bound_repr(self.support.upper)]}
-        d.update(self.params())
-        return d
 
     def _require_interior(self, V: float) -> None:
         if not self.support.contains(V, closed=False):
@@ -1010,27 +1002,20 @@ class ScreeningModel:
     def value_bounds(self, grid: GridSpec | None = None) -> tuple[float, float, dict]:
         """Effective value bounds once infinite tails are cut.
 
-        Returns (lo, hi, truncation_record). Finite endpoints are used as-is
-        here; infinite ones are replaced by conditional quantiles at the tail
-        mass cut, taken at the extreme signals (stochastic ordering makes
-        those the envelope).
+        Returns (lo, hi, truncation_record): lo from ``value_range`` at the
+        lowest signal and hi from it at the highest (stochastic ordering
+        makes those the envelope). The record holds each bound that a tail
+        cut replaced, and None for a finite endpoint.
         """
         grid = grid or DEFAULT_GRID
-        cut = grid.tail_mass_cut
         v_lo, v_hi = self.signal.support.as_tuple()
+        lo = self.value_range(v_lo, grid)[0]
+        hi = self.value_range(v_hi, grid)[1]
         k = self.kernel.support
-        trunc: dict = {"tail_mass_cut": cut, "lower": None, "upper": None}
-        if math.isfinite(k.lower):
-            lo = k.lower
-        else:
-            lo = self.kernel.quantile(v_lo, cut)
-            trunc["lower"] = lo
-        if math.isfinite(k.upper):
-            hi = k.upper
-        else:
-            hi = self.kernel.quantile(v_hi, 1.0 - cut)
-            trunc["upper"] = hi
-        return lo, hi, trunc
+        return lo, hi, {
+            "tail_mass_cut": grid.tail_mass_cut,
+            "lower": None if math.isfinite(k.lower) else lo,
+            "upper": None if math.isfinite(k.upper) else hi}
 
     def value_grid(self, grid: GridSpec | None = None) -> np.ndarray:
         """Interior value lattice; margins only guard finite endpoints."""
@@ -1043,7 +1028,8 @@ class ScreeningModel:
         return np.linspace(lo + lo_pad, hi - hi_pad, grid.V_points)
 
     def value_range(self, v: float, grid: GridSpec | None = None) -> tuple[float, float]:
-        """Integration range for conditional-on-v integrals."""
+        """Integration range for conditional-on-v integrals: an infinite
+        endpoint becomes H_v's quantile at the tail mass cut."""
         grid = grid or DEFAULT_GRID
         cut = grid.tail_mass_cut
         k = self.kernel.support

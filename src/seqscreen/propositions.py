@@ -212,24 +212,17 @@ def _shifted_cdf(kernel, s: np.ndarray, x: np.ndarray) -> np.ndarray:
 @dataclass
 class PropositionReport:
     proposition: int
+    direction: str | None = field(default=None, kw_only=True)
     verdict: str
     hypothesis_checks: dict = field(default_factory=dict)
     conclusion_checks: dict = field(default_factory=dict)
     evidence: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
-    direction: str | None = None
 
     def to_dict(self) -> dict:
-        d = {"proposition": self.proposition}
-        if self.direction is not None:
-            d["direction"] = self.direction
-        d.update({
-            "verdict": self.verdict,
-            "hypothesis_checks": self.hypothesis_checks,
-            "conclusion_checks": self.conclusion_checks,
-            "evidence": self.evidence,
-            "provenance": self.provenance,
-        })
+        d = dataclasses.asdict(self)
+        if d["direction"] is None:
+            del d["direction"]
         return d
 
     def to_json(self, indent: int = 2) -> str:

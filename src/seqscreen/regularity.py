@@ -25,7 +25,7 @@ built on holes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -238,16 +238,7 @@ class CheckReport:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "n_violations": self.n_violations,
-            "worst_violation": self.worst_violation,
-            "witnesses": self.witnesses,
-            "n_evaluated": self.n_evaluated,
-            "n_failed": self.n_failed,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
 
 def _abort_if_holey(name: str, n_failed: int, n_total: int,
@@ -430,14 +421,7 @@ class RegularityReport:
     provenance: dict
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "checks": {k: r.to_dict() for k, r in self.checks.items()},
-            "classic_regular": self.classic_regular,
-            "psi_regular": self.psi_regular,
-            "fosd_ok": self.fosd_ok,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

@@ -484,10 +484,19 @@ def _over_slope(x: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return x / slope
 
 
-class _RelabeledSignal(SignalDistribution):
-    """Pushforward of the base signal through the relabeling."""
+class _Relabeled:
+    """The ``family`` and ``params`` of a base family seen through a
+    relabeling ``rel``."""
 
     family = "relabeled"
+
+    def params(self):
+        return {"relabeling": self.rel.describe(),
+                "base": self.base.describe()}
+
+
+class _RelabeledSignal(_Relabeled, SignalDistribution):
+    """Pushforward of the base signal through the relabeling."""
 
     def __init__(self, base: SignalDistribution, rel: Relabeling):
         # The codomain may be a half line (integrated hazard), so skip the
@@ -517,15 +526,9 @@ class _RelabeledSignal(SignalDistribution):
         return _over_slope(self.base.pdf_many(v),
                            self.rel.phi_primes(v.ravel()).reshape(v.shape))
 
-    def params(self):
-        return {"relabeling": self.rel.describe(),
-                "base": self.base.describe()}
 
-
-class _RelabeledKernel(ValuationKernel):
+class _RelabeledKernel(_Relabeled, ValuationKernel):
     """The base kernel conditioned through the relabeling's preimage."""
-
-    family = "relabeled"
 
     def __init__(self, base: ValuationKernel, rel: Relabeling):
         super().__init__(base.support)
@@ -564,10 +567,6 @@ class _RelabeledKernel(ValuationKernel):
 
     def quantile(self, w, p):
         return self.base.quantile(self.rel.inverse(w), p)
-
-    def params(self):
-        return {"relabeling": self.rel.describe(),
-                "base": self.base.describe()}
 
 
 class TransformedModel(ScreeningModel):

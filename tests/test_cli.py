@@ -99,6 +99,12 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def assert_one_error_line(err: str, needle: str) -> None:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("seqscreen: error: "), err
+    assert needle in lines[0], err
+
+
 class TestCheck:
     def test_regular_model_exits_zero(self, files, capsys):
         rc, out, err = run(capsys, "check", files["logistic"])
@@ -124,6 +130,35 @@ class TestCheck:
         rep = json.loads(out_loose)
         assert rep["checks"]["A0"]["passed"]
         assert rep["provenance"]["tolerances"]["monotonicity_slack"] == 0.5
+
+    @pytest.mark.parametrize("slack", ["nan", "inf", "0", "-1"])
+    def test_slack_must_be_positive_and_finite(self, files, capsys, slack):
+        # A NaN slack passed A1 on the power model vacuously and an
+        # infinite one failed FOSD everywhere; both are unusable input.
+        rc, out, err = run(capsys, "check", files["power"], "--grid", "17x17",
+                           "--slack", slack)
+        assert rc == 2 and out == ""
+        assert_one_error_line(err, "monotonicity_slack must be")
+
+    @pytest.mark.parametrize("line", ["monotonicity = nan",
+                                      "monotonicity = inf",
+                                      "quadrature_rel = nan",
+                                      "quadrature_rel = inf"])
+    def test_file_tolerances_must_be_positive_and_finite(self, tmp_path,
+                                                         capsys, line):
+        path = tmp_path / "tol.model"
+        path.write_text(POWER + f"\n[tolerances]\n{line}\n")
+        rc, out, err = run(capsys, "check", str(path), "--grid", "17x17")
+        assert rc == 2 and out == ""
+        assert_one_error_line(err, "must be strictly positive and finite")
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "1e308"])
+    def test_beta_shapes_must_be_finite(self, tmp_path, capsys, alpha):
+        path = tmp_path / "beta.model"
+        path.write_text(BETA_LOGISTIC.replace("alpha=2.0", f"alpha={alpha}"))
+        rc, out, err = run(capsys, "check", str(path), "--grid", "17x17")
+        assert rc == 2 and out == ""
+        assert_one_error_line(err, "beta shape")
 
     def test_grid_override_recorded(self, files, capsys):
         rc, out, _ = run(capsys, "check", files["logistic"],
@@ -295,6 +330,46 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", files["logistic"]])
         assert exc.value.code == 2
+
+
+class TestReportKeys:
+    """Reports serialize their dataclass fields in declaration order, so
+    these literal lists pin the key order of the JSON as printed."""
+
+    REPORT = ["model", "checks", "classic_regular", "psi_regular", "fosd_ok",
+              "provenance"]
+    CHECK = ["name", "passed", "n_violations", "worst_violation", "witnesses",
+             "n_evaluated", "n_failed", "provenance"]
+    PROPOSITION = ["proposition", "verdict", "hypothesis_checks",
+                   "conclusion_checks", "evidence", "provenance"]
+
+    def test_check_keys(self, files, capsys):
+        _, out, _ = run(capsys, "check", files["logistic"], "--grid", "17x17")
+        rep = json.loads(out)
+        assert list(rep) == self.REPORT
+        assert list(rep["checks"]) == ["A0", "A1", "A2", "FOSD", "PSI"]
+        for check in rep["checks"].values():
+            assert list(check) == self.CHECK
+        assert list(rep["model"]) == ["signal", "kernel"]
+        assert list(rep["model"]["signal"]) == ["family", "support"]
+        assert list(rep["model"]["kernel"]) == ["family", "support", "noise",
+                                                "scale"]
+        assert list(rep["provenance"]) == ["grid", "tolerances", "truncation"]
+
+    def test_prop1_has_no_direction(self, files, capsys):
+        _, out, _ = run(capsys, "verify", files["logistic"], "--prop", "1",
+                        "--grid", "17x17")
+        assert list(json.loads(out)) == self.PROPOSITION
+
+    def test_prop3_direction_is_second(self, files, capsys):
+        _, out, _ = run(capsys, "verify", files["logistic"], "--prop", "3",
+                        "--grid", "17x17")
+        rep = json.loads(out)
+        assert list(rep) == ["forward", "converse"]
+        for direction, report in rep.items():
+            assert list(report) == ["proposition", "direction",
+                                    *self.PROPOSITION[1:]]
+            assert report["direction"] == direction
 
 
 class TestTransform:

@@ -2,7 +2,8 @@
 
 Every command on every model the file format accepts ends in exit 0, 1 or
 2, with no exception but ``SystemExit`` escaping ``main``. Exits 0 and 1
-print a JSON report, or the ``v,V,value`` CSV of a 17x17 grid; exit 2, and
+print a strict JSON report (no ``NaN`` or ``Infinity`` token), or the
+``v,V,value`` CSV of a 17x17 grid; exit 2, and
 a ``transform`` whose relabeling cannot be built (exit 1), print one
 ``seqscreen: error:`` line and nothing else.
 """
@@ -101,6 +102,10 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _reject_constant(token: str):
+    raise AssertionError(f"report is not strict JSON: it holds {token}")
+
+
 def _assert_contract(argv: list[str]) -> int:
     code, out, err = _run(argv)
     assert code in (0, 1, 2), (argv, code, err)
@@ -118,7 +123,7 @@ def _assert_contract(argv: list[str]) -> int:
         rows = out.splitlines()
         assert rows[0] == "v,V,value" and len(rows) == 1 + 17 * 17, argv
     else:
-        json.loads(out)
+        json.loads(out, parse_constant=_reject_constant)
     return code
 
 

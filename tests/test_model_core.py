@@ -5,6 +5,7 @@ distributions where noted) and frozen here; tolerances reflect how each
 number was derived, not wishful thinking.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -80,6 +81,13 @@ class TestSignals:
     def test_beta_rejects_bad_shapes(self):
         with pytest.raises(ConstructionError):
             BetaSignal(0.0, 1.0)
+
+    @pytest.mark.parametrize("shape", [math.inf, math.nan, 1e308])
+    def test_beta_rejects_non_finite_or_overflowing_shapes(self, shape):
+        # inf used to divide by zero in _betainc and 1e308 overflowed lgamma
+        for alpha, beta in ((shape, 2.0), (2.0, shape)):
+            with pytest.raises(ConstructionError, match="beta shape"):
+                BetaSignal(alpha, beta)
 
     def test_table_uniform_density(self):
         sig = TableSignal([0.0, 0.5, 1.0], [1.0, 1.0, 1.0])
@@ -406,6 +414,22 @@ class TestGridAndTolerances:
     def test_tolerance_validation(self):
         with pytest.raises(ConstructionError):
             ToleranceConfig(monotonicity_slack=0.0)
+
+    @pytest.mark.parametrize("value",
+                             [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(ToleranceConfig)])
+    def test_every_tolerance_must_be_positive_and_finite(self, name, value):
+        # a NaN slack would pass every monotone scan vacuously
+        with pytest.raises(ConstructionError, match=name):
+            ToleranceConfig(**{name: value})
+
+    def test_config_describe_key_order(self):
+        assert list(GridSpec().describe()) == [
+            "v_points", "V_points", "endpoint_margin", "tail_mass_cut"]
+        assert list(ToleranceConfig().describe()) == [
+            "monotonicity_slack", "quadrature_rel", "derivative_step_floor",
+            "derivative_step_scale"]
 
     def test_derivative_step_policy(self):
         tol = ToleranceConfig()
