@@ -17,7 +17,6 @@ from 1 - F.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -33,8 +32,7 @@ from .errors import (
     NUMERIC_CAUSES,
     QuadratureError,
 )
-from .numerics import (Interval, differentiate, integrate, integrate_many,
-                       kahan_prefix)
+from .numerics import Interval, differentiate, integrate_many, kahan_prefix
 
 __all__ = [
     "GridSpec",
@@ -79,10 +77,10 @@ def _bound_repr(x: float):
 def _exact_map(fn, *arrays) -> np.ndarray:
     """``fn`` applied to broadcast arrays point by point, as Python floats.
 
-    Array fields take their transcendentals through the same ``math``
-    functions and ``pow`` as the scalar evaluators, so the two agree bit for
-    bit; numpy's vectorised exp, log and pow can differ in the last place.
-    """
+    Array forms take their transcendentals through ``math`` functions and
+    ``pow`` one point at a time, so a point's value does not depend on the
+    array around it; numpy's vectorised exp, log and pow can differ in the
+    last place."""
     return np.frompyfunc(fn, len(arrays), 1)(*arrays).astype(float)
 
 
@@ -224,14 +222,11 @@ class _Noise:
     def cdf(self, x: float) -> float:
         raise NotImplementedError
 
-    def pdf(self, x: float) -> float:
-        raise NotImplementedError
-
     def ppf(self, p: float) -> float:
         raise NotImplementedError
 
     def cdf_pdf(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """cdf and pdf on an array, equal to the scalar forms bit for bit."""
+        """cdf and pdf on an array; the cdf equals ``cdf`` bit for bit."""
         raise NotImplementedError
 
     def cdf_array(self, x: np.ndarray) -> np.ndarray:
@@ -245,9 +240,6 @@ class _NormalNoise(_Noise):
 
     def cdf(self, x):
         return 0.5 * math.erfc(-x / _SQRT2)
-
-    def pdf(self, x):
-        return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
     def ppf(self, p):
         from scipy.special import ndtri  # SciPy loads for this quantile only
@@ -269,10 +261,6 @@ class _LogisticNoise(_Noise):
             return 1.0 / (1.0 + math.exp(-x))
         e = math.exp(x)
         return e / (1.0 + e)
-
-    def pdf(self, x):
-        e = math.exp(-abs(x))
-        return e / (1.0 + e) ** 2
 
     def ppf(self, p):
         return math.log(p / (1.0 - p))
@@ -297,9 +285,6 @@ class _LaplaceNoise(_Noise):
         if x < 0.0:
             return 0.5 * math.exp(x)
         return 1.0 - 0.5 * math.exp(-x)
-
-    def pdf(self, x):
-        return 0.5 * math.exp(-abs(x))
 
     def ppf(self, p):
         if p < 0.5:
@@ -340,29 +325,38 @@ class _Family:
 
 
 class SignalDistribution(_Family):
-    """Scalar signal with cdf/pdf/survival on a finite closed support."""
+    """Scalar signal with cdf/pdf/survival on a finite closed support. A
+    family defines ``_cdf_array``, ``_sf_array`` and ``_pdf_array`` on
+    points of the support, and the scalar forms are those at one point."""
 
     def __init__(self, support: Interval):
         if not support.bounded:
             raise ConstructionError("signal support must be a finite interval")
         self.support = support
 
-    # subclasses implement these three
     def cdf(self, v: float) -> float:
-        raise NotImplementedError
+        return self._one(self._cdf_array, v)
 
     def sf(self, v: float) -> float:
         """Survival 1 - F, computed without cancellation near the top."""
-        raise NotImplementedError
+        return self._one(self._sf_array, v)
 
     def pdf(self, v: float) -> float:
-        raise NotImplementedError
+        return self._one(self._pdf_array, v)
+
+    def _one(self, array_form, v: float) -> float:
+        self._require_in_support(v)
+        return float(array_form(np.array([v], dtype=float))[0])
 
     def _require_in_support(self, v: float) -> None:
         if not self.support.contains(v):
             raise DomainError(
                 f"signal value {v!r} outside support "
                 f"[{self.support.lower}, {self.support.upper}]")
+
+    def cdf_many(self, v: np.ndarray) -> np.ndarray:
+        """``cdf`` at every point of an array, equal to it bit for bit."""
+        return self._many("cdf", v)
 
     def sf_many(self, v: np.ndarray) -> np.ndarray:
         """``sf`` at every point of an array, equal to it bit for bit."""
@@ -392,17 +386,8 @@ class UniformSignal(SignalDistribution):
 
     family = "uniform"
 
-    def cdf(self, v):
-        self._require_in_support(v)
+    def _cdf_array(self, v):
         return (v - self.support.lower) / self.support.width
-
-    def sf(self, v):
-        self._require_in_support(v)
-        return (self.support.upper - v) / self.support.width
-
-    def pdf(self, v):
-        self._require_in_support(v)
-        return 1.0 / self.support.width
 
     def _sf_array(self, v):
         return (self.support.upper - v) / self.support.width
@@ -435,45 +420,37 @@ class BetaSignal(SignalDistribution):
     def params(self):
         return {"alpha": self.alpha, "beta": self.beta}
 
-    def _unit(self, v: float) -> float:
-        self._require_in_support(v)
+    def _unit(self, v):
         return (v - self.support.lower) / self.support.width
 
-    def cdf(self, v):
-        return _betainc(self.alpha, self.beta, self._unit(v))
-
-    def sf(self, v):
-        # Regularized incomplete beta symmetry keeps the upper tail accurate.
-        return _betainc(self.beta, self.alpha, 1.0 - self._unit(v))
-
-    def pdf(self, v):
-        x = self._unit(v)
-        if x == 0.0 or x == 1.0:
-            # only a shape below 1 at its own endpoint makes it unbounded
-            if (self.alpha if x == 0.0 else self.beta) < 1:
-                raise DomainError(
-                    f"beta density unbounded at the support endpoint v={v!r}")
-            return (math.exp(self._log_norm) * x ** (self.alpha - 1.0)
-                    * (1.0 - x) ** (self.beta - 1.0) / self.support.width)
-        log_pdf = (self._log_norm + (self.alpha - 1.0) * math.log(x)
-                   + (self.beta - 1.0) * math.log1p(-x))
-        return math.exp(log_pdf) / self.support.width
+    def _cdf_array(self, v):
+        return _exact_map(_betainc, self.alpha, self.beta, self._unit(v))
 
     def _sf_array(self, v):
+        # Regularized incomplete beta symmetry keeps the upper tail accurate.
         return _exact_map(_betainc, self.beta, self.alpha,
-                          1.0 - (v - self.support.lower) / self.support.width)
+                          1.0 - self._unit(v))
 
     def _pdf_array(self, v):
-        x = (v - self.support.lower) / self.support.width
+        x = self._unit(v)
         inner = (0.0 < x) & (x < 1.0)
         out = np.empty(x.shape)
-        x = x[inner]
+        xi = x[inner]
         log_pdf = (self._log_norm
-                   + (self.alpha - 1.0) * _exact_map(math.log, x)
-                   + (self.beta - 1.0) * _exact_map(math.log1p, -x))
+                   + (self.alpha - 1.0) * _exact_map(math.log, xi)
+                   + (self.beta - 1.0) * _exact_map(math.log1p, -xi))
         out[inner] = _exact_map(math.exp, log_pdf) / self.support.width
-        # the support endpoints take the scalar branch
-        out[~inner] = [self.pdf(e) for e in v[~inner].tolist()]
+        x = x[~inner]
+        # only a shape below 1 at its own endpoint makes it unbounded
+        unbounded = np.where(x == 0.0, self.alpha, self.beta) < 1
+        if unbounded.any():
+            raise DomainError(
+                f"beta density unbounded at the support endpoint "
+                f"v={float(v[~inner][unbounded][0])!r}")
+        out[~inner] = (math.exp(self._log_norm)
+                       * _exact_map(pow, x, self.alpha - 1.0)
+                       * _exact_map(pow, 1.0 - x, self.beta - 1.0)
+                       / self.support.width)
         return out
 
 
@@ -506,57 +483,22 @@ class TableSignal(SignalDistribution):
         total = math.fsum(cells)
         if total <= 0:
             raise ConstructionError("table density has zero total mass")
-        self._nodes = nodes
+        self._nodes = np.array(nodes)
         self._raw_dens = dens
-        self._dens = [y / total for y in dens]
+        self._dens = np.array(dens) / total
         cells = [c / total for c in cells]
         # Forward and backward accumulations, each compensated.
-        self._cdf_at = kahan_prefix(cells)
-        self._sf_at = kahan_prefix(reversed(cells))[::-1]
+        self._cdf_at = np.array(kahan_prefix(cells))
+        self._sf_at = np.array(kahan_prefix(reversed(cells))[::-1])
 
     def params(self):
         # Densities are echoed as given; normalization stays internal so that
         # writing and re-reading a model reproduces it exactly.
-        return {"nodes": list(self._nodes), "densities": list(self._raw_dens)}
-
-    def _cell(self, v: float) -> int:
-        k = bisect.bisect_right(self._nodes, v) - 1
-        return min(max(k, 0), len(self._nodes) - 2)
-
-    def pdf(self, v):
-        self._require_in_support(v)
-        k = self._cell(v)
-        x0, x1 = self._nodes[k], self._nodes[k + 1]
-        w = (v - x0) / (x1 - x0)
-        return (1.0 - w) * self._dens[k] + w * self._dens[k + 1]
-
-    def _partial_below(self, v: float, k: int) -> float:
-        x0, x1 = self._nodes[k], self._nodes[k + 1]
-        f0, f1 = self._dens[k], self._dens[k + 1]
-        dx = v - x0
-        slope = (f1 - f0) / (x1 - x0)
-        return f0 * dx + 0.5 * slope * dx * dx
-
-    def _partial_above(self, v: float, k: int) -> float:
-        x0, x1 = self._nodes[k], self._nodes[k + 1]
-        f0, f1 = self._dens[k], self._dens[k + 1]
-        dx = x1 - v
-        slope = (f0 - f1) / (x1 - x0)
-        return f1 * dx + 0.5 * slope * dx * dx
-
-    def cdf(self, v):
-        self._require_in_support(v)
-        k = self._cell(v)
-        return min(1.0, self._cdf_at[k] + self._partial_below(v, k))
-
-    def sf(self, v):
-        self._require_in_support(v)
-        k = self._cell(v)
-        return min(1.0, self._sf_at[k + 1] + self._partial_above(v, k))
+        return {"nodes": self._nodes.tolist(), "densities": list(self._raw_dens)}
 
     def _cells(self, v):
         """Cell index and its end nodes and densities, per point."""
-        nodes, dens = np.asarray(self._nodes), np.asarray(self._dens)
+        nodes, dens = self._nodes, self._dens
         k = np.clip(np.searchsorted(nodes, v, side="right") - 1, 0,
                     len(nodes) - 2)
         return k, nodes[k], nodes[k + 1], dens[k], dens[k + 1]
@@ -566,11 +508,18 @@ class TableSignal(SignalDistribution):
         w = (v - x0) / (x1 - x0)
         return (1.0 - w) * f0 + w * f1
 
+    def _cdf_array(self, v):
+        k, x0, x1, f0, f1 = self._cells(v)
+        dx = v - x0
+        slope = (f1 - f0) / (x1 - x0)
+        return np.minimum(1.0, self._cdf_at[k]
+                          + (f0 * dx + 0.5 * slope * dx * dx))
+
     def _sf_array(self, v):
         k, x0, x1, f0, f1 = self._cells(v)
         dx = x1 - v
         slope = (f0 - f1) / (x1 - x0)
-        return np.minimum(1.0, np.asarray(self._sf_at)[k + 1]
+        return np.minimum(1.0, self._sf_at[k + 1]
                           + (f1 * dx + 0.5 * slope * dx * dx))
 
 
@@ -579,7 +528,11 @@ class TableSignal(SignalDistribution):
 
 
 class ValuationKernel(_Family):
-    """Family of conditional value distributions H_v on a common support."""
+    """Family of conditional value distributions H_v on a common support.
+
+    A builtin family defines ``_fields(v, V)``, its H, h and dH/dv on a
+    lattice; its scalar forms are those at one point (``pdf`` and ``cdf_dv``
+    at an interior value only). Other kernels override the scalars."""
 
     # values where the density jumps; validation's quadrature splits there
     _density_jumps: Sequence[float] = ()
@@ -588,14 +541,20 @@ class ValuationKernel(_Family):
         self.support = support
 
     def cdf(self, v: float, V: float) -> float:
-        raise NotImplementedError
+        return float(self._cdf_field(np.array([[v]], float),
+                                     np.array([[V]], float))[0, 0])
 
     def pdf(self, v: float, V: float) -> float:
-        raise NotImplementedError
+        return self._at_point(v, V)[1]
 
     def cdf_dv(self, v: float, V: float) -> float | None:
         """Signal-derivative of H_v(V); None means no analytic form."""
-        return None
+        return self._at_point(v, V)[2] if hasattr(self, "_fields") else None
+
+    def _at_point(self, v: float, V: float) -> list[float]:
+        self._require_interior(V)
+        fields = self._fields(np.array([[v]], float), np.array([[V]], float))
+        return [float(f[0, 0]) for f in fields]
 
     def quantile(self, v: float, p: float) -> float:
         """Conditional p-quantile. The package asks for one only at an
@@ -620,9 +579,8 @@ class ValuationKernel(_Family):
         Failed points (a signal outside the model's support, a value not
         interior to the kernel's, or a DomainError or EvaluationError from
         the evaluators) hold NaN. A builtin family evaluates its
-        ``_fields(v, V)``, array forms of cdf, pdf and cdf_dv equal to them
-        bit for bit, once on the in-domain sub-lattice; every other kernel
-        calls eval_kernel point by point.
+        ``_fields(v, V)`` once on the in-domain sub-lattice; every other
+        kernel calls eval_kernel point by point.
         """
         shape = (v.shape[0], V.shape[1])
         H, h, dHdv = (np.full(shape, np.nan) for _ in range(3))
@@ -647,13 +605,13 @@ class ValuationKernel(_Family):
 
     def _exact_arrays(self) -> bool:
         """Whether this kernel's class defines ``_fields`` itself; a subclass
-        of a builtin family may override the evaluators they mirror, so it
-        takes the scalar loop."""
+        of a builtin family may override the scalar evaluators, so it takes
+        the scalar loop."""
         return "_fields" in vars(type(self))
 
     def _cdf_field(self, v, V):
-        """The H of ``_fields`` alone, equal to ``cdf`` bit for bit; a family
-        whose cdf is cheaper than its three fields overrides it."""
+        """The H of ``_fields`` alone; a family whose cdf is cheaper than
+        its three fields overrides it."""
         return self._fields(v, V)[0]
 
 
@@ -682,17 +640,13 @@ class AdditiveNoiseKernel(ValuationKernel):
         return {"noise": self.noise, "scale": self.scale}
 
     def cdf(self, v, V):
+        # kept scalar: suite 3's translation check calls it at every pair,
+        # where a one-point array call costs some 50 times as much
         return self._dist.cdf((V - v) / self.scale)
 
-    def pdf(self, v, V):
-        return self._dist.pdf((V - v) / self.scale) / self.scale
-
-    def cdf_dv(self, v, V):
+    def _fields(self, v, V):
         # Translation family: the signal-derivative is exactly minus the
         # density, bit for bit.
-        return -self.pdf(v, V)
-
-    def _fields(self, v, V):
         H, f = self._dist.cdf_pdf((V - v) / self.scale)
         h = f / self.scale
         return H, h, -h
@@ -719,13 +673,9 @@ class PowerKernel(ValuationKernel):
                 f"endpoint, got {support.lower}")
 
     def cdf(self, v, V):
+        # kept scalar, as the additive kernel's; below the value support it
+        # is complex, which no float array holds
         return V ** v
-
-    def pdf(self, v, V):
-        return v * V ** (v - 1.0)
-
-    def cdf_dv(self, v, V):
-        return math.log(V) * V ** v
 
     def _fields(self, v, V):
         H = _exact_map(pow, V, v)
@@ -753,34 +703,14 @@ class ExpTiltKernel(ValuationKernel):
                 "exp_tilt kernel needs nonnegative signals, got lower "
                 f"endpoint {support.lower}")
 
-    def cdf(self, v, V):
-        if abs(v) < 1e-5:
-            # H = V * exp(v(V-1)/2 + v^2 (V^2-1)/24 + O(v^3))
-            return V * math.exp(0.5 * v * (V - 1.0)
-                                + v * v * (V * V - 1.0) / 24.0)
-        return math.expm1(v * V) / math.expm1(v)
-
-    def pdf(self, v, V):
-        if abs(v) < 1e-300:
-            return 1.0
-        return v * math.exp(v * V) / math.expm1(v)
-
-    def cdf_dv(self, v, V):
-        if abs(v) < 1e-5:
-            h_small = self.cdf(v, V)
-            return h_small * (0.5 * (V - 1.0) + v * (V * V - 1.0) / 12.0)
-        em_v = math.expm1(v)
-        return ((V * math.exp(v * V) * em_v
-                 - math.expm1(v * V) * math.exp(v)) / (em_v * em_v))
-
     def _fields(self, v, V):
         vV = v * V
         e_vV = _exact_map(math.exp, vV)
         m_vV = _exact_map(math.expm1, vV)
         em_v = _exact_map(math.expm1, v)
         with np.errstate(divide="ignore", invalid="ignore"):
-            # rows the scalar forms send to a small-v branch are replaced
-            # below; only there can expm1(v) vanish
+            # rows with |v| < 1e-5, where expm1(v) may vanish, take the
+            # expansion H = V exp(v(V-1)/2 + v^2 (V^2-1)/24 + O(v^3)) below
             H = m_vV / em_v
             h = np.where(np.abs(v) < 1e-300, 1.0, v * e_vV / em_v)
             dHdv = ((V * e_vV * em_v - m_vV * _exact_map(math.exp, v))
@@ -807,7 +737,7 @@ class TableKernel(ValuationKernel):
     Rows (fixed signal node) are renormalized so the cdf runs exactly from 0
     to 1 across the value lattice. The conditional density is the value-slope
     of the interpolant and the signal-derivative its signal-slope, so the
-    three evaluators are mutually consistent by construction.
+    three fields are mutually consistent by construction.
     """
 
     family = "table"
@@ -839,8 +769,6 @@ class TableKernel(ValuationKernel):
         super().__init__(Interval(V_nodes[0], V_nodes[-1]))
         self._v_nodes = np.asarray(v_nodes)
         self._V_nodes = np.asarray(V_nodes)
-        # list copies for the scalar evaluators' bisect
-        self._v_list, self._V_list = v_nodes, V_nodes
         self._density_jumps = V_nodes[1:-1]
         self._H = (grid - lo) / span
 
@@ -856,43 +784,6 @@ class TableKernel(ValuationKernel):
             "V_nodes": self._V_nodes.tolist(),
             "H": self._H.tolist(),
         }
-
-    def _locate(self, nodes: list[float], x: float) -> tuple[int, float]:
-        k = bisect.bisect_right(nodes, x) - 1
-        k = min(max(k, 0), len(nodes) - 2)
-        w = (x - nodes[k]) / (nodes[k + 1] - nodes[k])
-        return k, w
-
-    def _corners(self, v: float, V: float):
-        i, a = self._locate(self._v_list, v)
-        j, b = self._locate(self._V_list, V)
-        H = self._H
-        return (i, j, a, b,
-                H[i, j], H[i, j + 1], H[i + 1, j], H[i + 1, j + 1])
-
-    # The scalar evaluators return Python floats, not numpy scalars, so that
-    # quantities derived from them (flags, ratios) stay JSON-serializable.
-
-    def cdf(self, v, V):
-        if V <= self.support.lower:
-            return 0.0
-        if V >= self.support.upper:
-            return 1.0
-        _, _, a, b, h00, h01, h10, h11 = self._corners(v, V)
-        return float((1 - a) * ((1 - b) * h00 + b * h01)
-                     + a * ((1 - b) * h10 + b * h11))
-
-    def pdf(self, v, V):
-        self._require_interior(V)
-        i, j, a, _, h00, h01, h10, h11 = self._corners(v, V)
-        dV = self._V_nodes[j + 1] - self._V_nodes[j]
-        return float(((1 - a) * (h01 - h00) + a * (h11 - h10)) / dV)
-
-    def cdf_dv(self, v, V):
-        self._require_interior(V)
-        i, j, _, b, h00, h01, h10, h11 = self._corners(v, V)
-        dv = self._v_nodes[i + 1] - self._v_nodes[i]
-        return float(((1 - b) * (h10 - h00) + b * (h11 - h01)) / dv)
 
     def _cells(self, v, V):
         def locate(nodes, x):
@@ -916,10 +807,9 @@ class TableKernel(ValuationKernel):
                 ((1 - b) * (h10 - h00) + b * (h11 - h01)) / dv)
 
     def _cdf_field(self, v, V):
-        # the scalar cdf's clamps, which the interior lattice never meets
-        _, _, a, b, h00, h01, h10, h11 = self._cells(v, V)
-        H = ((1 - a) * ((1 - b) * h00 + b * h01)
-             + a * ((1 - b) * h10 + b * h11))
+        # 0 below the value support, 1 above it (an infinite V gives NaN)
+        with np.errstate(invalid="ignore"):
+            H = self._fields(v, V)[0]
         return np.where(V <= self.support.lower, 0.0,
                         np.where(V >= self.support.upper, 1.0, H))
 
@@ -1245,21 +1135,30 @@ def validate_model(model: ScreeningModel, grid: GridSpec | None = None,
     sig_window = checked.signal_grid(grid)
     sa, sb = float(sig_window[0]), float(sig_window[-1])
     axis = "base" if relabeled else "signal"
+    # the window's mass, then the three cdf-consistency spans, refined together
+    ends = [sb] + [sa + q * (sb - sa) for q in (0.25, 0.5, 0.75)]
+    parts, _, failures = integrate_many(lambda idx, x: sig.pdf_many(x),
+                                        [sa] * len(ends), ends,
+                                        rel_tol=tol.quadrature_rel)
+
+    def part(k):
+        if k in failures:
+            raise failures[k]
+        return float(parts[k])
+
     try:
-        inner, _ = integrate(sig.pdf, (sa, sb), rel_tol=tol.quadrature_rel)
-        mass = ((sig.cdf(sa) - sig.cdf(s_lo)) + inner
+        mass = ((sig.cdf(sa) - sig.cdf(s_lo)) + part(0)
                 + (sig.sf(sb) - sig.sf(s_hi)))
         record("signal_mass", abs(mass - 1.0) <= 1e-7, value=mass,
                window=[sa, sb], axis=axis)
     except (QuadratureError, DomainError) as exc:
         record("signal_mass", False, error=str(exc))
-    for q in (0.25, 0.5, 0.75):
-        v = sa + q * (sb - sa)
+    for k, v in enumerate(ends[1:], 1):
         try:
-            part, _ = integrate(sig.pdf, (sa, v), rel_tol=tol.quadrature_rel)
+            quadrature = part(k)
             span = sig.cdf(v) - sig.cdf(sa)
-            record("signal_cdf_consistency", abs(part - span) <= 1e-7, at=v,
-                   quadrature=part, declared=span, axis=axis)
+            record("signal_cdf_consistency", abs(quadrature - span) <= 1e-7,
+                   at=v, quadrature=quadrature, declared=span, axis=axis)
         except (QuadratureError, DomainError) as exc:
             record("signal_cdf_consistency", False, at=v, error=str(exc))
     if relabeled:
@@ -1282,46 +1181,70 @@ def validate_model(model: ScreeningModel, grid: GridSpec | None = None,
     mass_tol = 2.0 * grid.tail_mass_cut + 1e-7
     kernel = checked.kernel
     k_lo, k_hi = kernel.support.as_tuple()
+    density = ((lambda v, V: kernel._fields(v, V)[1])
+               if kernel._exact_arrays()
+               else (lambda v, V: _pointwise(kernel.pdf, v, V)))
 
-    def mass_over(v, a, b):
-        cuts = [a, *[x for x in kernel._density_jumps if a < x < b], b]
-        return sum(integrate(lambda V: kernel.pdf(v, V), piece,
-                             rel_tol=tol.quadrature_rel)[0]
-                   for piece in zip(cuts, cuts[1:]))
+    def masses(vs, bounds) -> list:
+        """Each mass over its bounds, its pieces (refined together) summed
+        left to right, or the error of its first failed piece."""
+        cuts = [[a, *[x for x in kernel._density_jumps if a < x < b], b]
+                for a, b in bounds]
+        owner = [i for i, c in enumerate(cuts) for _ in c[1:]]
+        v_col = np.array(vs)[owner][:, None]
+        values, _, failed = integrate_many(
+            lambda idx, x: density(v_col[idx], x),
+            [a for c in cuts for a in c[:-1]],
+            [b for c in cuts for b in c[1:]], rel_tol=tol.quadrature_rel)
+        out = [0] * len(vs)
+        for k, i in enumerate(owner):
+            if not isinstance(out[i], Exception):
+                out[i] = failed.get(k, out[i] + float(values[k]))
+        return out
 
-    for v in (sa, 0.5 * (sa + sb), sb):
-        lo, hi = checked.value_range(v, grid)
-        try:
-            mass = mass_over(v, lo, hi)
-            record("kernel_mass", abs(mass - 1.0) <= mass_tol, at=v, value=mass)
-            continue
-        except QuadratureError as exc:
-            failure = exc
-        pad = grid.endpoint_margin * (hi - lo)
-        wa = lo + pad if math.isfinite(k_lo) else lo
-        wb = hi - pad if math.isfinite(k_hi) else hi
-        try:
-            inner = mass_over(v, wa, wb)
-        except QuadratureError:
-            record("kernel_mass", False, at=v, error=str(failure))
-            continue
-        cdf = kernel.cdf
-        mass = (cdf(v, wa) - cdf(v, lo)) + inner + (cdf(v, hi) - cdf(v, wb))
+    kernel_vs = [sa, 0.5 * (sa + sb), sb]
+    ranges = [checked.value_range(v, grid) for v in kernel_vs]
+    full = masses(kernel_vs, ranges)
+    windows = {}
+    for i, (lo, hi) in enumerate(ranges):
+        if isinstance(full[i], QuadratureError):
+            pad = grid.endpoint_margin * (hi - lo)
+            windows[i] = (lo + pad if math.isfinite(k_lo) else lo,
+                          hi - pad if math.isfinite(k_hi) else hi)
+    inner = dict(zip(windows, masses([kernel_vs[i] for i in windows],
+                                     windows.values())))
+    for i, v in enumerate(kernel_vs):
+        mass, window = full[i], {}
+        if i in windows:
+            (lo, hi), (wa, wb) = ranges[i], windows[i]
+            mass, window = inner[i], {"window": [wa, wb]}
+            if isinstance(mass, QuadratureError):
+                record("kernel_mass", False, at=v, error=str(full[i]))
+                continue
+            if not isinstance(mass, Exception):
+                cdf = kernel.cdf
+                mass = ((cdf(v, wa) - cdf(v, lo)) + mass
+                        + (cdf(v, hi) - cdf(v, wb)))
+        if isinstance(mass, Exception):
+            raise mass
         record("kernel_mass", abs(mass - 1.0) <= mass_tol, at=v, value=mass,
-               window=[wa, wb])
+               **window)
 
     # Strict stochastic ordering on a coarse interior sample.
     vs = np.linspace(sa, sb, 8)
     Vs = checked.value_grid(dataclasses.replace(grid, v_points=8, V_points=8))
     # eval_kernel raises the error of the first point that fails, in the
-    # order of a point-by-point sample; the lattice marks or raises it
+    # order of a point-by-point sample; the lattice marks or raises it, and
+    # a point that evaluates on its own gives its slope
     try:
         _, _, dHdv, failed = checked.kernel.eval_lattice(
             checked, vs[:, None], Vs[None, :], tol)
     except NUMERIC_CAUSES:
-        failed = np.ones((len(vs), len(Vs)), dtype=bool)
+        dHdv = np.full((len(vs), len(Vs)), np.nan)
+        failed = np.ones(dHdv.shape, dtype=bool)
     for i, j in np.argwhere(failed).tolist():
-        eval_kernel(checked, float(vs[i]), float(Vs[j]), tol)
+        dHdv[i, j] = eval_kernel(checked, float(vs[i]), float(Vs[j]),
+                                 tol).dHdv
     fosd_bad = int(np.count_nonzero(dHdv >= 0.0))
     record("fosd_sample", fosd_bad == 0, violations=fosd_bad,
            sampled=int(len(vs) * len(Vs)))

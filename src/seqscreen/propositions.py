@@ -53,7 +53,6 @@ from .model_core import (
     GridSpec,
     ScreeningModel,
     ToleranceConfig,
-    _exact_map,
     conditional_mean_derivative_many,
     conditional_mean_many,
     resolve_config,
@@ -244,8 +243,7 @@ def _verdict(hypothesis_checks: dict, conclusion_checks: dict) -> str:
 def _hazard_profile(tm, grid: GridSpec) -> dict:
     """Relabeled hazard sampled where the base cdf is clear of its top."""
     base = tm.base
-    clear = ~(_exact_map(base.signal.cdf, base.signal_grid(grid))
-              >= 1.0 - 1e-6)
+    clear = ~(base.signal.cdf_many(base.signal_grid(grid)) >= 1.0 - 1e-6)
     ws = tm.signal_grid(grid)[clear]
     # where ``hazard`` raises, the point is left out
     ws = ws[~_inverse_hazard(tm, ws)[1]]

@@ -505,18 +505,8 @@ class _RelabeledSignal(_Relabeled, SignalDistribution):
         self.rel = rel
         self.support = rel.codomain
 
-    def cdf(self, w):
-        self._require_in_support(w)
-        return self.base.cdf(self.rel.inverse(w))
-
-    def sf(self, w):
-        self._require_in_support(w)
-        return self.base.sf(self.rel.inverse(w))
-
-    def pdf(self, w):
-        self._require_in_support(w)
-        v = self.rel.inverse(w)
-        return self.base.pdf(v) / self.rel.phi_prime(v)
+    def _cdf_array(self, w):
+        return self.base.cdf_many(self.rel.inverses(w))
 
     def _sf_array(self, w):
         return self.base.sf_many(self.rel.inverses(w))

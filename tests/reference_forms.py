@@ -1,0 +1,231 @@
+"""Closed-form references for the builtin signal and kernel families.
+
+Each family states its formulas once in the package, as array forms; the
+scalar methods are those forms at one point. These are the per-point
+scalar bodies the families once carried, written out on Python floats with
+``math``, ``bisect`` and ``**``. The tests require the array forms (and so
+the scalar methods) to equal them bit for bit, error texts included.
+"""
+
+import bisect
+import math
+
+from seqscreen.errors import DomainError
+from seqscreen.model_core import _betainc
+from seqscreen.numerics import kahan_prefix
+
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# signals: (cdf, sf, pdf), each on one point of the support
+
+
+def signal_forms(signal):
+    if signal.family == "relabeled":
+        return _relabeled_signal(signal)
+    return {"uniform": _uniform, "beta": _beta,
+            "table": _table_signal}[signal.family](signal)
+
+
+def _uniform(signal):
+    lo, hi = signal.support.as_tuple()
+    return (lambda v: (v - lo) / signal.support.width,
+            lambda v: (hi - v) / signal.support.width,
+            lambda v: 1.0 / signal.support.width)
+
+
+def _beta(signal):
+    a, b = signal.alpha, signal.beta
+    lo, width = signal.support.lower, signal.support.width
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+
+    def unit(v):
+        return (v - lo) / width
+
+    def pdf(v):
+        x = unit(v)
+        if x == 0.0 or x == 1.0:
+            if (a if x == 0.0 else b) < 1:
+                raise DomainError(
+                    f"beta density unbounded at the support endpoint v={v!r}")
+            return (math.exp(log_norm) * x ** (a - 1.0)
+                    * (1.0 - x) ** (b - 1.0) / width)
+        log_pdf = (log_norm + (a - 1.0) * math.log(x)
+                   + (b - 1.0) * math.log1p(-x))
+        return math.exp(log_pdf) / width
+
+    return (lambda v: _betainc(a, b, unit(v)),
+            lambda v: _betainc(b, a, 1.0 - unit(v)),
+            pdf)
+
+
+def _table_signal(signal):
+    params = signal.params()
+    nodes, raw = params["nodes"], params["densities"]
+    cells = [0.5 * (raw[i] + raw[i + 1]) * (nodes[i + 1] - nodes[i])
+             for i in range(len(nodes) - 1)]
+    total = math.fsum(cells)
+    dens = [y / total for y in raw]
+    cells = [c / total for c in cells]
+    cdf_at = kahan_prefix(cells)
+    sf_at = kahan_prefix(reversed(cells))[::-1]
+
+    def cell(v):
+        k = bisect.bisect_right(nodes, v) - 1
+        return min(max(k, 0), len(nodes) - 2)
+
+    def pdf(v):
+        k = cell(v)
+        w = (v - nodes[k]) / (nodes[k + 1] - nodes[k])
+        return (1.0 - w) * dens[k] + w * dens[k + 1]
+
+    def cdf(v):
+        k = cell(v)
+        dx = v - nodes[k]
+        slope = (dens[k + 1] - dens[k]) / (nodes[k + 1] - nodes[k])
+        return min(1.0, cdf_at[k] + (dens[k] * dx + 0.5 * slope * dx * dx))
+
+    def sf(v):
+        k = cell(v)
+        dx = nodes[k + 1] - v
+        slope = (dens[k] - dens[k + 1]) / (nodes[k + 1] - nodes[k])
+        return min(1.0, sf_at[k + 1]
+                   + (dens[k + 1] * dx + 0.5 * slope * dx * dx))
+
+    return cdf, sf, pdf
+
+
+def _relabeled_signal(signal):
+    rel = signal.rel
+    cdf, sf, pdf = signal_forms(signal.base)
+
+    def density(w):
+        v = rel.inverse(w)
+        return pdf(v) / rel.phi_prime(v)
+
+    return (lambda w: cdf(rel.inverse(w)), lambda w: sf(rel.inverse(w)),
+            density)
+
+
+# ---------------------------------------------------------------------------
+# kernels: (cdf, pdf, cdf_dv), each on one (v, V) pair
+
+
+def kernel_forms(kernel):
+    if kernel.family == "relabeled":
+        return _relabeled_kernel(kernel)
+    return {"additive_noise": _additive, "power": _power,
+            "exp_tilt": _exp_tilt, "table": _table_kernel}[
+                kernel.family](kernel)
+
+
+def _noise(name):
+    if name == "normal":
+        return (lambda x: 0.5 * math.erfc(-x / _SQRT2),
+                lambda x: _INV_SQRT_2PI * math.exp(-0.5 * x * x))
+    if name == "logistic":
+        def cdf(x):
+            if x >= 0.0:
+                return 1.0 / (1.0 + math.exp(-x))
+            e = math.exp(x)
+            return e / (1.0 + e)
+
+        def pdf(x):
+            e = math.exp(-abs(x))
+            return e / (1.0 + e) ** 2
+
+        return cdf, pdf
+    return (lambda x: 0.5 * math.exp(x) if x < 0.0
+            else 1.0 - 0.5 * math.exp(-x),
+            lambda x: 0.5 * math.exp(-abs(x)))
+
+
+def _additive(kernel):
+    cdf, pdf = _noise(kernel.noise)
+    scale = kernel.scale
+
+    def density(v, V):
+        return pdf((V - v) / scale) / scale
+
+    return (lambda v, V: cdf((V - v) / scale), density,
+            lambda v, V: -density(v, V))
+
+
+def _power(kernel):
+    return (lambda v, V: V ** v, lambda v, V: v * V ** (v - 1.0),
+            lambda v, V: math.log(V) * V ** v)
+
+
+def _exp_tilt(kernel):
+    def cdf(v, V):
+        if abs(v) < 1e-5:
+            # H = V * exp(v(V-1)/2 + v^2 (V^2-1)/24 + O(v^3))
+            return V * math.exp(0.5 * v * (V - 1.0)
+                                + v * v * (V * V - 1.0) / 24.0)
+        return math.expm1(v * V) / math.expm1(v)
+
+    def pdf(v, V):
+        if abs(v) < 1e-300:
+            return 1.0
+        return v * math.exp(v * V) / math.expm1(v)
+
+    def cdf_dv(v, V):
+        if abs(v) < 1e-5:
+            return cdf(v, V) * (0.5 * (V - 1.0) + v * (V * V - 1.0) / 12.0)
+        em_v = math.expm1(v)
+        return ((V * math.exp(v * V) * em_v
+                 - math.expm1(v * V) * math.exp(v)) / (em_v * em_v))
+
+    return cdf, pdf, cdf_dv
+
+
+def _table_kernel(kernel):
+    params = kernel.params()
+    v_nodes, V_nodes, H = params["v_nodes"], params["V_nodes"], params["H"]
+    lo, hi = kernel.support.as_tuple()
+
+    def locate(nodes, x):
+        k = bisect.bisect_right(nodes, x) - 1
+        k = min(max(k, 0), len(nodes) - 2)
+        return k, (x - nodes[k]) / (nodes[k + 1] - nodes[k])
+
+    def corners(v, V):
+        i, a = locate(v_nodes, v)
+        j, b = locate(V_nodes, V)
+        return (i, j, a, b,
+                H[i][j], H[i][j + 1], H[i + 1][j], H[i + 1][j + 1])
+
+    def cdf(v, V):
+        if V <= lo:
+            return 0.0
+        if V >= hi:
+            return 1.0
+        _, _, a, b, h00, h01, h10, h11 = corners(v, V)
+        return ((1 - a) * ((1 - b) * h00 + b * h01)
+                + a * ((1 - b) * h10 + b * h11))
+
+    def pdf(v, V):
+        _, j, a, _, h00, h01, h10, h11 = corners(v, V)
+        return ((1 - a) * (h01 - h00) + a * (h11 - h10)) / (
+            V_nodes[j + 1] - V_nodes[j])
+
+    def cdf_dv(v, V):
+        i, _, _, b, h00, h01, h10, h11 = corners(v, V)
+        return ((1 - b) * (h10 - h00) + b * (h11 - h01)) / (
+            v_nodes[i + 1] - v_nodes[i])
+
+    return cdf, pdf, cdf_dv
+
+
+def _relabeled_kernel(kernel):
+    rel = kernel.rel
+    cdf, pdf, cdf_dv = kernel_forms(kernel.base)
+
+    def slope(w, V):
+        v = rel.inverse(w)
+        return cdf_dv(v, V) / rel.phi_prime(v)
+
+    return (lambda w, V: cdf(rel.inverse(w), V),
+            lambda w, V: pdf(rel.inverse(w), V), slope)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqscreen import modelfile, transforms
+from seqscreen import model_core, modelfile, transforms
 from seqscreen.cli import main
 from seqscreen.errors import (
     DensityUnderflowError,
@@ -344,6 +344,27 @@ class _Refusing(AdditiveNoiseKernel):
         return super().cdf_dv(v, V)
 
 
+class _LatticeRefusing(PowerKernel):
+    """A power kernel with scalar forms of its own whose array fields
+    refuse a lattice (several signals over one row of values), though every
+    point evaluates. Validation's integrands, which give each signal its
+    own nodes, still evaluate."""
+
+    def cdf(self, v, V):
+        return V ** v
+
+    def pdf(self, v, V):
+        return v * V ** (v - 1.0)
+
+    def cdf_dv(self, v, V):
+        return math.log(V) * V ** v
+
+    def _fields(self, v, V):
+        if V.shape[0] < v.shape[0]:
+            raise ValueError("lattice refused")
+        return super()._fields(v, V)
+
+
 class TestValidation:
     @pytest.mark.parametrize("path", sorted(MODELS.glob("*.model")),
                              ids=lambda p: p.stem)
@@ -399,6 +420,18 @@ class TestValidation:
         assert all(abs(m - 1.0) <= 1e-12 for m in masses)
         assert result.checks == _scalar_validate(model)
 
+    def test_fosd_sample_reads_the_points_when_the_lattice_raises(self):
+        model = ScreeningModel(UniformSignal(Interval(1.0, 2.0)),
+                               _LatticeRefusing())
+        vs = np.linspace(1.0, 2.0, 8)[:, None]
+        with pytest.raises(ValueError, match="lattice refused"):
+            model.kernel.eval_lattice(model, vs, vs.T - 1.0, None)
+        result = validate_model(model)
+        assert result.passed and result.fosd_ok
+        assert result.checks[-1] == {"name": "fosd_sample", "passed": True,
+                                     "violations": 0, "sampled": 64}
+        assert result.checks == _scalar_validate(model)
+
     @pytest.mark.parametrize("first, rest", [
         (EvaluationError, EvaluationError), (ValueError, ValueError),
         # the lattice marks the first row's points failed, then lets the
@@ -410,6 +443,47 @@ class TestValidation:
         want = _raised(_scalar_validate, model)
         assert want is not None and want[0] is first
         assert _raised(validate_model, model) == want
+
+
+# ---------------------------------------------------------------------------
+# scalar evaluator traffic on the command-line paths
+
+
+@pytest.fixture
+def scalar_calls(monkeypatch):
+    """Every call of a signal's or kernel's scalar cdf, sf, pdf or
+    cdf_dv, by (class, method)."""
+    calls = []
+    classes = {c for module in (model_core, transforms)
+               for c in vars(module).values()
+               if isinstance(c, type) and issubclass(
+                   c, (model_core.SignalDistribution,
+                       model_core.ValuationKernel))}
+    for cls in classes:
+        for name in ("cdf", "sf", "pdf", "cdf_dv"):
+            if name in vars(cls):
+                def counted(*args, _fn=vars(cls)[name],
+                            _key=(cls.__name__, name)):
+                    calls.append(_key)
+                    return _fn(*args)
+
+                monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "power.model"], ["check", "stress_power05.model"],
+    ["check", "tablesig.model"], ["verify", "tablesig.model", "--prop", "1"]],
+    ids=" ".join)
+def test_cli_paths_make_few_scalar_calls(argv, scalar_calls, capsys):
+    # Validation's integrals and suite 1's hazard clip run on the array
+    # forms; what is left is validation's sliver and chain-rule spot
+    # checks. Each one-point call costs some 10 us, so a per-point loop
+    # here (hundreds to thousands of calls) shows as a slowdown.
+    argv = [argv[0], str(MODELS / argv[1]), *argv[2:]]
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    assert len(scalar_calls) <= 32
 
 
 # ---------------------------------------------------------------------------

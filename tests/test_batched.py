@@ -49,6 +49,7 @@ from seqscreen.transforms import (
     relabel,
     transform_section,
 )
+from reference_forms import kernel_forms, signal_forms
 from test_array_checks import (
     _scalar_conditional_mean,
     _scalar_conditional_mean_derivative,
@@ -239,10 +240,13 @@ class TestConditionalMeanMany:
             _scalar_conditional_mean_derivative(model, w_hi)
         with pytest.raises(ZeroDivisionError):
             conditional_mean_derivative_many(model, [0.5, w_hi])
-        with pytest.raises(ZeroDivisionError):
-            model.signal.pdf(w_hi)
-        with pytest.raises(ZeroDivisionError):
-            model.signal.pdf_many(np.array([0.5, w_hi]))
+        with pytest.raises(ZeroDivisionError) as want:
+            signal_forms(model.signal)[2](w_hi)
+        for call in (lambda: model.signal.pdf(w_hi),
+                     lambda: model.signal.pdf_many(np.array([0.5, w_hi]))):
+            with pytest.raises(ZeroDivisionError) as got:
+                call()
+            assert str(got.value) == str(want.value)
 
     def test_outside_the_support_raises_the_scalar_error(self):
         model = MEAN_MODELS["logistic"]
@@ -256,10 +260,11 @@ class TestConditionalMeanMany:
 
     def test_table_cdf_field_keeps_the_scalar_clamps(self):
         kernel = _table_kernel()
+        cdf = kernel_forms(kernel)[0]
         Vs = np.array([-5.0, -4.0, -1.3, 0.0, 2.7, 5.0, 6.0])
         for v in (0.0, 0.3, 1.0):
             got = kernel._cdf_field(np.array([[v]]), Vs[None, :])[0]
-            assert np.array_equal(got, [kernel.cdf(v, V) for V in Vs])
+            assert np.array_equal(got, [cdf(v, V) for V in Vs.tolist()])
 
     def test_mean_relabeling_lattice_equals_scalar_means(self, monkeypatch):
         model = ScreeningModel(UniformSignal(Interval(1.0, 2.0)),
@@ -279,14 +284,16 @@ class TestConditionalMeanMany:
 # signals
 
 
+TABLE_NODES = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+
+
 def _signal_cases():
     return {
         "uniform": UniformSignal(Interval(-1.0, 2.0)),
         "beta22": BetaSignal(2.0, 2.0, Interval(0.0, 3.0)),
         "beta0502": BetaSignal(0.5, 2.0),
         "beta0305": BetaSignal(3.0, 0.5),
-        "table": TableSignal([0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
-                             [3.0, 1.2, 0.7, 0.55, 0.8, 1.6]),
+        "table": TableSignal(TABLE_NODES, [3.0, 1.2, 0.7, 0.55, 0.8, 1.6]),
         "relabeled": relabel(
             ScreeningModel(UniformSignal(Interval(0.0, 1.0)),
                            AdditiveNoiseKernel()),
@@ -308,15 +315,25 @@ def _points(signal, endpoints):
 class TestSignalArrays:
     @pytest.mark.parametrize("name", sorted(SIGNALS))
     def test_sf_and_pdf_equal_scalar_forms(self, name):
+        # the array forms, and the scalar forms that call them at one
+        # point, against the closed-form references
         signal = SIGNALS[name]
         # the beta densities with a shape below 1 raise at the endpoints,
         # the relabeled one divides by phi' = 0 at the top
         endpoints = name not in ("beta0502", "beta0305", "relabeled")
         vs = _points(signal, endpoints)
-        for many, one in ((signal.sf_many, signal.sf),
-                          (signal.pdf_many, signal.pdf)):
+        if name == "table":
+            # the cell edges: every node, and a node's neighbours
+            nodes = np.array(TABLE_NODES)
+            vs = np.concatenate([nodes, np.nextafter(nodes[1:], -1.0),
+                                 np.nextafter(nodes[:-1], 2.0), vs])
+        for many, one, ref in zip(
+                (signal.cdf_many, signal.sf_many, signal.pdf_many),
+                (signal.cdf, signal.sf, signal.pdf), signal_forms(signal)):
+            want = [ref(v) for v in vs.tolist()]
             got = many(vs)
-            assert np.array_equal(got, [one(v) for v in vs.tolist()])
+            assert np.array_equal(got, want)
+            assert [one(v) for v in vs.tolist()] == want
             grid = many(vs[:40].reshape(5, 8))
             assert np.array_equal(grid.ravel(), got[:40])
 
@@ -326,7 +343,8 @@ class TestSignalArrays:
         lo, hi = signal.support.as_tuple()
         outside = hi + 1.0 if math.isfinite(hi) else lo - 1.0
         mid = float(_points(signal, False)[0])
-        for many, one in ((signal.sf_many, signal.sf),
+        for many, one in ((signal.cdf_many, signal.cdf),
+                          (signal.sf_many, signal.sf),
                           (signal.pdf_many, signal.pdf)):
             with pytest.raises(DomainError) as want:
                 one(outside)
@@ -336,11 +354,17 @@ class TestSignalArrays:
 
     def test_beta_endpoint_raises_the_scalar_error(self):
         signal = SIGNALS["beta0502"]
+        pdf = signal_forms(signal)[2]
+        assert pdf(1.0) == signal.pdf(1.0) == 0.0
         with pytest.raises(DomainError) as want:
-            signal.pdf(0.0)
-        with pytest.raises(DomainError) as got:
-            signal.pdf_many(np.array([0.5, 0.0, 1.0]))
-        assert str(got.value) == str(want.value)
+            pdf(0.0)
+        assert str(want.value) == (
+            "beta density unbounded at the support endpoint v=0.0")
+        for call in (lambda: signal.pdf(0.0),
+                     lambda: signal.pdf_many(np.array([0.5, 1.0, 0.0]))):
+            with pytest.raises(DomainError) as got:
+                call()
+            assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("shapes, bounded_end, unbounded_end", [
         ((3.0, 0.5), 0.0, 1.0), ((0.5, 2.0), 1.0, 0.0)])

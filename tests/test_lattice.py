@@ -1,5 +1,6 @@
 """The lattice bundle: one evaluation per command, array fields equal to the
-scalar evaluators bit for bit, and the scalar fallback for other kernels."""
+closed-form references bit for bit, and the scalar fallback for other
+kernels."""
 
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from seqscreen import model_core, propositions, regularity
-from seqscreen.errors import DomainError, EvaluationError
+from seqscreen.errors import DomainError
 from seqscreen.model_core import (
     AdditiveNoiseKernel,
     DEFAULT_TOLERANCES,
@@ -21,6 +22,8 @@ from seqscreen.model_core import (
 from seqscreen.propositions import verify, verify_prop2
 from seqscreen.regularity import _evaluate_bundle, regularity_report
 from seqscreen.transforms import relabel
+
+from reference_forms import kernel_forms
 
 SMALL = GridSpec(v_points=17, V_points=19)
 
@@ -54,7 +57,8 @@ MODELS = _models()
 
 
 def _lattice(model, seed):
-    """Grid points, random interior points, and points outside the domain."""
+    """Grid points, the lowest signal, random interior points, and points
+    outside the domain."""
     rng = np.random.default_rng(seed)
     vs = model.signal_grid(SMALL)
     Vs = model.value_grid(SMALL)
@@ -62,34 +66,41 @@ def _lattice(model, seed):
     k_lo, k_hi = model.kernel.support.as_tuple()
     v_out = [s_hi + 0.25 * (s_hi - s_lo)]
     V_out = [x for x in (k_lo, k_hi) if math.isfinite(x)]
-    vs = np.concatenate([vs, rng.uniform(vs[0], vs[-1], 23), v_out])
+    vs = np.concatenate([vs, [s_lo], rng.uniform(vs[0], vs[-1], 23), v_out])
     Vs = np.concatenate([Vs, rng.uniform(Vs[0], Vs[-1], 29), V_out])
     return vs, Vs
 
 
-def _scalar_loop(model, vs, Vs):
+def _reference_loop(model, forms, vs, Vs):
+    """H, h and dHdv from the closed-form ``forms``, point by point; a
+    signal outside the support or a value not interior to the kernel's
+    fails."""
+    s, k = model.signal.support, model.kernel.support
     out = np.full((3, len(vs), len(Vs)), np.nan)
     failed = np.zeros((len(vs), len(Vs)), dtype=bool)
     for i, v in enumerate(vs.tolist()):
         for j, V in enumerate(Vs.tolist()):
-            try:
-                ke = eval_kernel(model, v, V)
-            except (DomainError, EvaluationError):
+            if not (s.contains(v) and k.contains(V, closed=False)):
                 failed[i, j] = True
                 continue
-            out[:, i, j] = ke.H, ke.h, ke.dHdv
+            out[:, i, j] = [f(v, V) for f in forms]
     return out, failed
 
 
-def _assert_lattice_matches_scalar(model, seed):
+def _assert_lattice_matches_reference(model, seed):
     vs, Vs = _lattice(model, seed)
     H, h, dHdv, failed = model.kernel.eval_lattice(
         model, vs[:, None], Vs[None, :], DEFAULT_TOLERANCES)
-    want, want_failed = _scalar_loop(model, vs, Vs)
+    forms = kernel_forms(model.kernel)
+    want, want_failed = _reference_loop(model, forms, vs, Vs)
     assert want_failed.any()
     np.testing.assert_array_equal(failed, want_failed)
     for got, ref in zip((H, h, dHdv), want):
         assert np.array_equal(got, ref, equal_nan=True)
+    # the scalar evaluators are the same fields at one point
+    for v, V in zip(vs[:-1:7].tolist(), Vs[:-3:5].tolist()):
+        ke = eval_kernel(model, v, V)
+        assert [ke.H, ke.h, ke.dHdv] == [f(v, V) for f in forms]
 
 
 @pytest.fixture
@@ -126,12 +137,62 @@ class TestArrayFields:
     def test_equals_scalar_loop(self, name):
         assert MODELS[name].kernel._exact_arrays()
         for seed in range(3):
-            _assert_lattice_matches_scalar(MODELS[name], seed)
+            _assert_lattice_matches_reference(MODELS[name], seed)
 
     def test_relabeled_equals_scalar_loop(self):
         tm = relabel(MODELS["logistic"], "inverse_hazard_integral")
         assert tm.kernel._exact_arrays()
-        _assert_lattice_matches_scalar(tm, 0)
+        _assert_lattice_matches_reference(tm, 0)
+
+    def test_exp_tilt_small_signal_branch(self):
+        # below |v| = 1e-5 the fields take the expansion, at v = 0 too
+        kernel = make_kernel("exp_tilt")
+        vs = np.array([0.0, 1e-300, 3e-6, -9.9e-6, 1e-5, 0.3])
+        Vs = np.array([1e-4, 0.25, 0.5, 0.9999])
+        fields = kernel._fields(vs[:, None], Vs[None, :])
+        forms = kernel_forms(kernel)
+        for got, ref in zip(fields, forms):
+            assert np.array_equal(got, [[ref(v, V) for V in Vs.tolist()]
+                                        for v in vs.tolist()])
+        for v in vs.tolist():
+            assert kernel.cdf(v, 0.5) == forms[0](v, 0.5)
+            assert kernel.pdf(v, 0.5) == forms[1](v, 0.5)
+            assert kernel.cdf_dv(v, 0.5) == forms[2](v, 0.5)
+
+    def test_table_kernel_at_nodes_edges_and_outside(self):
+        kernel = _logistic_table_kernel()
+        cdf, pdf, cdf_dv = kernel_forms(kernel)
+        V_nodes = kernel.params()["V_nodes"]
+        # the nodes, a cell's edges from inside, and midpoints
+        Vs = sorted({*V_nodes[1:-1], *np.nextafter(V_nodes[1:], -np.inf),
+                     *np.nextafter(V_nodes[:-1], np.inf),
+                     *np.add(V_nodes[1:], V_nodes[:-1]) / 2})
+        vs = [0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.75, 1.0]
+        for v in vs:
+            for V in Vs:
+                assert kernel.cdf(v, V) == cdf(v, V)
+                assert kernel.pdf(v, V) == pdf(v, V)
+                assert kernel.cdf_dv(v, V) == cdf_dv(v, V)
+            # outside the value support, and at its ends, the cdf clamps
+            for V in (-math.inf, -7.0, -4.0, 5.0, 6.5, math.inf):
+                assert kernel.cdf(v, V) == cdf(v, V) == (V > 0.0)
+            row = np.array([[-7.0, *Vs, 6.5]])
+            assert np.array_equal(
+                kernel._cdf_field(np.array([[v]]), row)[0],
+                [cdf(v, V) for V in row[0].tolist()])
+
+    @pytest.mark.parametrize("kernel", [
+        make_kernel("power"), make_kernel("exp_tilt"),
+        make_kernel("additive_noise"), _logistic_table_kernel()],
+        ids=lambda k: k.family)
+    def test_pdf_and_slope_need_an_interior_value(self, kernel):
+        lo, hi = kernel.support.as_tuple()
+        for V in (lo, hi, lo - 0.3, hi + 0.3, math.nan):
+            # the power density's formula would give a complex number
+            # at V = -0.3
+            for evaluator in (kernel.pdf, kernel.cdf_dv):
+                with pytest.raises(DomainError, match="not interior"):
+                    evaluator(0.5, V)
 
     def test_additive_slope_is_exactly_minus_density(self):
         model = MODELS["logistic"]

@@ -57,3 +57,19 @@ def test_a_changed_digest_names_its_command(tmp_path, capsys):
     assert _diff(tmp_path, left, right) == 1
     assert capsys.readouterr().out == (
         f"{ARGVS[1]}: stdout_sha256 differ\n1 of 3 commands differ\n")
+
+
+def test_tool_models_get_the_base_commands(tmp_path):
+    # no benchmark model uses exp_tilt; the sweep runs tools/models too
+    tool_models = sorted(sweep.TOOL_MODELS.glob("*.model"))
+    assert [p.name for p in tool_models] == ["exptilt_beta.model",
+                                             "exptilt_uniform.model"]
+    cmds = sweep.base_commands(tmp_path)
+    per_file = len(cmds) // (len(list(sweep.MODELS.glob("*.model")))
+                             + len(tool_models))
+    for path in tool_models:
+        mine = [argv for argv in cmds if str(path) in argv]
+        assert len(mine) == per_file
+        assert ["check", str(path)] in mine
+        assert [argv[3] for argv in mine if argv[0] == "transform"] == list(
+            sweep.KINDS)

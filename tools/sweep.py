@@ -9,20 +9,21 @@ keep the output byte-identical shows an empty diff.
     python3 tools/sweep.py --src path/to/tree/src --manifest a.json
     python3 tools/sweep.py --diff a.json b.json
 
-The command list, on each of the ``perfbench/models`` files (read, never
-written): ``check`` at the default grid and at 33x33, ``verify --prop
-1|2|3`` and ``grid`` of every field at 17x17, and
-``transform`` of every relabeling kind, whose ``--out`` files (the derived
-files) go to a scratch directory. Then, on each derived file: ``check`` at
-33x33, ``verify --prop 1|2|3`` and ``grid`` of every field at 17x17, and
-``transform`` of every kind.
+The command list, on each of the ``perfbench/models`` files and then each
+of the ``tools/models`` files (read, never written): ``check`` at the
+default grid and at 33x33, ``verify --prop 1|2|3`` and ``grid`` of every
+field at 17x17, and ``transform`` of every relabeling kind, whose
+``--out`` files (the derived files) go to a scratch directory. Then, on
+each derived file: ``check`` at 33x33, ``verify --prop 1|2|3`` and
+``grid`` of every field at 17x17, and ``transform`` of every kind.
 
 Texts are compared as written, except that the scratch and model
-directories read ``<work>`` and ``<models>``, an exception that escapes
-``main`` is recorded as its type and message (a traceback names the
-tree's paths and line numbers), and a warning is written as its category
-and message, every time it is issued. stdout and ``--out`` texts are
-recorded as SHA-256 digests with their lengths; stderr is kept whole.
+directories read ``<work>``, ``<models>`` and ``<tool-models>``, an
+exception that escapes ``main`` is recorded as its type and message (a
+traceback names the tree's paths and line numbers), and a warning is
+written as its category and message, every time it is issued. stdout and
+``--out`` texts are recorded as SHA-256 digests with their lengths; stderr
+is kept whole.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ import warnings
 from pathlib import Path
 
 MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+# families no benchmark model uses
+TOOL_MODELS = Path(__file__).resolve().parent / "models"
 KINDS = ("inverse_hazard_integral", "integrated_hazard", "runningmax_hazard",
          "mean", "affine")
 FIELDS = ("H", "h", "dHdv", "gamma", "psi")
@@ -54,6 +57,18 @@ def _on_file(path: str, extra_check: bool) -> list[list[str]]:
     cmds += [["verify", path, "--prop", p, "--grid", GRID]
              for p in ("1", "2", "3")]
     cmds += [["grid", path, "--what", f, "--grid", GRID] for f in FIELDS]
+    return cmds
+
+
+def base_commands(work: Path) -> list[list[str]]:
+    """The commands on the base model files, in sweep order; the
+    transforms write the derived files into ``work``."""
+    cmds = []
+    for path in sorted(MODELS.glob("*.model")) + sorted(
+            TOOL_MODELS.glob("*.model")):
+        cmds += _on_file(str(path), True)
+        cmds += [["transform", str(path), "--kind", kind, "--out",
+                  str(work / f"{path.stem}__{kind}.model")] for kind in KINDS]
     return cmds
 
 
@@ -103,16 +118,9 @@ def _run(main, argv: list[str], names: dict[str, str]) -> dict:
 def sweep(src: Path, work: Path) -> list[dict]:
     sys.path.insert(0, str(src.resolve()))
     main = importlib.import_module("seqscreen.cli").main
-    names = {str(work): "<work>", str(MODELS): "<models>"}
-    entries = []
-    bases = sorted(MODELS.glob("*.model"))
-    for path in bases:
-        for argv in _on_file(str(path), True):
-            entries.append(_run(main, argv, names))
-        for kind in KINDS:
-            out = work / f"{path.stem}__{kind}.model"
-            entries.append(_run(main, ["transform", str(path), "--kind", kind,
-                                       "--out", str(out)], names))
+    names = {str(work): "<work>", str(MODELS): "<models>",
+             str(TOOL_MODELS): "<tool-models>"}
+    entries = [_run(main, argv, names) for argv in base_commands(work)]
     for path in sorted(work.glob("*.model")):
         for argv in _on_file(str(path), False):
             entries.append(_run(main, argv, names))
