@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .errors import (
@@ -73,6 +74,17 @@ def _parse_grid_flag(text: str) -> tuple[int, int]:
     if nv < 2 or nV < 2:
         raise argparse.ArgumentTypeError("grid needs at least 2 points per axis")
     return nv, nV
+
+
+def _parse_finite_flag(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}")
+    return x
 
 
 def _load_model(args):
@@ -180,11 +192,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kind", choices=RELABELING_KINDS, required=True,
                    help="relabeling to apply")
-    p.add_argument("--w-lo", type=float, default=None, dest="w_lo",
+    p.add_argument("--w-lo", type=_parse_finite_flag, dest="w_lo",
                    metavar="FLOAT", help="relabeled axis origin")
-    p.add_argument("--slope", type=float, default=None, metavar="FLOAT",
+    p.add_argument("--slope", type=_parse_finite_flag, metavar="FLOAT",
                    help="affine slope (affine kind only)")
-    p.add_argument("--intercept", type=float, default=None, metavar="FLOAT",
+    p.add_argument("--intercept", type=_parse_finite_flag, metavar="FLOAT",
                    help="affine intercept (affine kind only)")
     p.set_defaults(func=_cmd_transform)
 

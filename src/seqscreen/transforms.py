@@ -478,10 +478,12 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
 
 
 def _over_slope(x: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    """x / slope, raising where the scalar forms' float division does."""
+    """x / slope, raising where the scalar forms' float division does and
+    overflowing to inf without a warning, as it does."""
     if (slope == 0.0).any():
         raise ZeroDivisionError("float division by zero")
-    return x / slope
+    with np.errstate(over="ignore"):
+        return x / slope
 
 
 class _Relabeled:
@@ -606,7 +608,7 @@ def _self_check(base: ScreeningModel, tm: TransformedModel,
             haz / p  # a zero slope raises here
             gamma(base, v, V), gamma(tm, w, V), hazard(base, v), hazard(tm, w)
         raise
-    bad = np.flatnonzero(err > _SELF_CHECK_TOL)
+    bad = np.flatnonzero(~(err <= _SELF_CHECK_TOL))  # NaN fails
     if bad.size:
         k = bad[np.argmax(err[bad])]
         raise SelfCheckError(

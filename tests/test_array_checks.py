@@ -473,13 +473,17 @@ def scalar_calls(monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["check", "power.model"], ["check", "stress_power05.model"],
-    ["check", "tablesig.model"], ["verify", "tablesig.model", "--prop", "1"]],
+    ["check", "tablesig.model"],
+    ["verify", "tablesig.model", "--prop", "1"],
+    ["verify", "logistic.model", "--prop", "3"],
+    ["verify", "tablekernel.model", "--prop", "3"]],
     ids=" ".join)
 def test_cli_paths_make_few_scalar_calls(argv, scalar_calls, capsys):
-    # Validation's integrals and suite 1's hazard clip run on the array
-    # forms; what is left is validation's sliver and chain-rule spot
-    # checks. Each one-point call costs some 10 us, so a per-point loop
-    # here (hundreds to thousands of calls) shows as a slowdown.
+    # Validation's integrals, suite 1's hazard clip and suite 3's
+    # translation check run on the array forms; what is left is
+    # validation's sliver and chain-rule spot checks. Each one-point call
+    # costs some 10 us, so a per-point loop here (hundreds to thousands of
+    # calls) shows as a slowdown.
     argv = [argv[0], str(MODELS / argv[1]), *argv[2:]]
     assert main(argv) in (0, 1)
     capsys.readouterr()

@@ -442,6 +442,29 @@ class TestTransform:
         assert rc == 1
         assert "slope" in err
 
+    @pytest.mark.parametrize("flag, kind", [
+        ("--slope", "affine"), ("--intercept", "affine"),
+        ("--w-lo", "inverse_hazard_integral"), ("--w-lo", "mean")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_exits_two(self, files, capsys, flag, kind,
+                                       value):
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", files["power"], "--kind", kind,
+                  f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"seqscreen transform: error: argument {flag}: "
+                          f"must be a finite number, got {value!r}"]
+
+    def test_nan_probe_errors_fail_the_self_check(self, files, capsys):
+        # the slope's reciprocal overflows, so every probe's error is NaN
+        rc, out, err = run(capsys, "transform", files["power"],
+                           "--kind", "affine", "--slope", "1e-320")
+        assert (rc, out) == (1, "")
+        assert_one_error_line(err, "relabeling self-check failed at 32 "
+                                   "of 32 probe points")
+
     def test_slope_on_wrong_kind_exits_one(self, files, capsys):
         rc, _, err = run(capsys, "transform", files["power"],
                          "--kind", "mean", "--slope", "2.0")

@@ -2,8 +2,12 @@
 from ``eval_lattice`` or the batched conditional means equals the scalar
 evaluators' bit for bit, failed points included."""
 
+import json
+
 import numpy as np
 import pytest
+
+from seqscreen import modelfile
 
 from seqscreen.errors import DensityUnderflowError, DomainError, EvaluationError
 from seqscreen.model_core import (
@@ -22,12 +26,14 @@ from seqscreen.numerics import differentiate
 from seqscreen.propositions import (
     _check_mean_normalized,
     _check_mean_slope_one,
+    _check_translation_invariance,
     delta_diagnostic,
     verify_prop2,
 )
 from seqscreen.regularity import gamma
 from seqscreen.transforms import relabel
 from test_array_checks import (
+    MODELS,
     _scalar_conditional_mean,
     _scalar_conditional_mean_derivative,
 )
@@ -314,3 +320,99 @@ class TestMeanChecks:
         worst, at = _scalar_worst([abs(d - 1.0) for d in slopes], v_list)
         assert _check_mean_slope_one(model, vs, TOL) == {
             "passed": worst <= 1e-7, "max_abs_error": worst, "worst_at": at}
+
+
+def _scalar_translation(model, grid):
+    """Suite 3's translation check, one scalar cdf pair at a time."""
+    vs = model.signal_grid(GridSpec(v_points=17, V_points=2))
+    worst = 0.0
+    at = None
+    n = 0
+    for a in vs[::4]:
+        a = float(a)
+        lo, hi = model.value_range(a, grid)
+        Vs = np.linspace(lo, hi, 33)
+        for b in vs:
+            b = float(b)
+            t = b - a
+            for V in Vs:
+                V = float(V)
+                try:
+                    d = abs(model.kernel.cdf(b, V + t)
+                            - model.kernel.cdf(a, V))
+                except (DomainError, ValueError, OverflowError):
+                    continue
+                n += 1
+                if d > worst:
+                    worst, at = d, [a, b, V]
+    return {"passed": worst <= 1e-8, "max_abs_error": worst,
+            "worst_at": at, "n_compared": n}
+
+
+def _additive(noise):
+    return lambda: ScreeningModel(make_signal("uniform", (0.0, 1.0)),
+                                  make_kernel("additive_noise", noise=noise))
+
+
+def _on_uniform(kernel, lo, hi):
+    return lambda: ScreeningModel(make_signal("uniform", (lo, hi)),
+                                  make_kernel(kernel))
+
+
+TRANSLATION_MODELS = {
+    "normal": _additive("normal"),
+    "logistic": _additive("logistic"),
+    "laplace": _additive("laplace"),
+    "stress_power05": lambda: modelfile.load(
+        MODELS / "stress_power05.model")[0],
+    "exp_tilt": _on_uniform("exp_tilt", 0.5, 2.0),
+    # V ** v overflows on the upper rows, where V + b - a passes 2
+    "power_wide": _on_uniform("power", 1.0, 2000.0),
+    "table": _table,
+    "mean_power": lambda: relabel(_power(), "mean"),
+    "mean_logistic": lambda: relabel(_logistic(), "mean"),
+    # NaN cdf on a band: those pairs count but are never the worst
+    "holed": lambda: ScreeningModel(_logistic().signal, _Holed(0.2, 0.6)),
+}
+
+
+class TestTranslationInvariance:
+    @pytest.mark.parametrize("name", TRANSLATION_MODELS)
+    def test_equals_scalar_loop(self, name):
+        model = TRANSLATION_MODELS[name]()
+        grid = GridSpec()
+        got = _check_translation_invariance(model, grid, TOL)
+        # as printed: the same types, and floats bit for bit
+        assert json.dumps(got) == json.dumps(_scalar_translation(model, grid))
+        assert got["n_compared"] > 0
+
+    @pytest.mark.parametrize("name, compared", [
+        ("stress_power05", 5 * 17 * 33), ("power_wide", None)])
+    def test_a_raising_block_goes_pair_by_pair(self, name, compared):
+        # the power kernel's array cdf refuses values below its support,
+        # where the scalar one is complex, and raises OverflowError where
+        # the power overflows; pairs whose scalar cdf overflows are skipped
+        model = TRANSLATION_MODELS[name]()
+        kernel = model.kernel
+        calls = []
+        cdf = kernel.cdf
+        kernel.cdf = lambda v, V: calls.append(v) or cdf(v, V)
+        got = _check_translation_invariance(model, GridSpec(), TOL)
+        assert calls
+        if compared is None:
+            assert 0 < got["n_compared"] < 5 * 17 * 33
+        else:
+            assert got["n_compared"] == compared
+
+    @pytest.mark.parametrize("name", ["logistic", "table", "exp_tilt",
+                                      "mean_logistic"])
+    def test_array_blocks_make_no_scalar_calls(self, name):
+        model = TRANSLATION_MODELS[name]()
+        model.kernel.cdf = None  # a scalar call would raise TypeError
+        _check_translation_invariance(model, GridSpec(), TOL)
+
+    def test_power_array_cdf_refuses_negative_values(self):
+        kernel = PowerKernel()
+        with pytest.raises(DomainError, match="-0.25"):
+            kernel._cdf_field(np.array([[0.5]]), np.array([[0.25, -0.25]]))
+        assert kernel.cdf(0.5, -0.25) == (-0.25) ** 0.5

@@ -73,3 +73,26 @@ def test_tool_models_get_the_base_commands(tmp_path):
         assert ["check", str(path)] in mine
         assert [argv[3] for argv in mine if argv[0] == "transform"] == list(
             sweep.KINDS)
+
+
+def test_run_time_changes_are_listed_but_not_compared(tmp_path, capsys):
+    # 3x or more with either side at 50 ms or more; the exit code is the
+    # compared fields' alone
+    left, right = _commands(0.02), _commands(0.02)
+    right[0]["seconds"] = 0.06  # 3x, and past the floor
+    right[1]["seconds"] = 0.049  # 2.45x
+    right[2]["seconds"] = 0.005  # 4x, but both sides under the floor
+    assert _diff(tmp_path, left, right) == 0
+    assert capsys.readouterr().out == (
+        "0 of 3 commands differ\n"
+        "run time changed 3x or more in 1 of 3 commands (not compared):\n"
+        f"  {ARGVS[0]}: 0.020 -> 0.060 s\n")
+    right[0]["stdout_sha256"] = "0" * 64
+    right[1]["seconds"] = 0.5
+    assert _diff(tmp_path, right, left) == 1
+    assert capsys.readouterr().out == (
+        f"{ARGVS[0]}: stdout_sha256 differ\n"
+        "1 of 3 commands differ\n"
+        "run time changed 3x or more in 2 of 3 commands (not compared):\n"
+        f"  {ARGVS[0]}: 0.060 -> 0.020 s\n"
+        f"  {ARGVS[1]}: 0.500 -> 0.020 s\n")

@@ -23,7 +23,9 @@ exception that escapes ``main`` is recorded as its type and message (a
 traceback names the tree's paths and line numbers), and a warning is
 written as its category and message, every time it is issued. stdout and
 ``--out`` texts are recorded as SHA-256 digests with their lengths; stderr
-is kept whole.
+is kept whole. Run times are not compared, but ``--diff`` lists, for
+information, each command whose ``seconds`` changed by a factor of 3 or
+more where either side took at least 50 ms.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ FIELDS = ("H", "h", "dHdv", "gamma", "psi")
 COMPARED = ("exit", "exception", "stdout_sha256", "stderr", "out_sha256")
 GRID = "17x17"  # of the verify and grid commands
 CHECK_GRID = "33x33"  # of the sized check commands
+TIMING_RATIO = 3.0  # of the run-time changes --diff lists
+TIMING_FLOOR = 0.05  # s; a change where both sides are faster is noise
 
 
 def _on_file(path: str, extra_check: bool) -> list[list[str]]:
@@ -131,10 +135,13 @@ def sweep(src: Path, work: Path) -> list[dict]:
 
 
 def diff(a: Path, b: Path) -> int:
-    """Print the commands whose compared fields differ; 1 if any do."""
+    """Print the commands whose compared fields differ; 1 if any do. Then
+    list the commands whose run time changed by ``TIMING_RATIO`` or more,
+    which does not change the exit code."""
     left = {e["argv"]: e for e in json.loads(a.read_text())["commands"]}
     right = {e["argv"]: e for e in json.loads(b.read_text())["commands"]}
     n_diff = 0
+    timing = []
     for argv in list(left) + [k for k in right if k not in left]:
         if argv not in left or argv not in right:
             side = "only in " + (str(a) if argv in left else str(b))
@@ -145,7 +152,15 @@ def diff(a: Path, b: Path) -> int:
         if fields:
             print(f"{argv}: {', '.join(fields)} differ")
             n_diff += 1
-    print(f"{n_diff} of {len(set(left) | set(right))} commands differ")
+        s_a, s_b = left[argv]["seconds"], right[argv]["seconds"]
+        if (max(s_a, s_b) >= TIMING_FLOOR
+                and max(s_a, s_b) >= TIMING_RATIO * min(s_a, s_b)):
+            timing.append(f"  {argv}: {s_a:.3f} -> {s_b:.3f} s")
+    n_all = len(set(left) | set(right))
+    print(f"{n_diff} of {n_all} commands differ")
+    if timing:
+        print(f"run time changed {TIMING_RATIO:g}x or more in {len(timing)} "
+              f"of {n_all} commands (not compared):", *timing, sep="\n")
     return 1 if n_diff else 0
 
 
