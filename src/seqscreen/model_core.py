@@ -74,6 +74,14 @@ def _bound_repr(x: float):
     return "inf" if x > 0 else "-inf"
 
 
+def _pointwise(fn, v, V) -> np.ndarray:
+    """``fn`` at every point of the broadcast ``v`` and ``V``, called with
+    floats in row order, so the first failure raises as a loop's would."""
+    v, V = np.broadcast_arrays(v, V)
+    out = np.array(list(map(fn, v.ravel().tolist(), V.ravel().tolist())))
+    return out.reshape(v.shape + out.shape[1:])
+
+
 def _exact_map(fn, *arrays) -> np.ndarray:
     """``fn`` applied to broadcast arrays point by point, as Python floats.
 
@@ -88,6 +96,7 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _BETAINC_MAX_TERMS = 10_000
 _BETAINC_EPS = 1e-15
 _LENTZ_TINY = 1e-300
+_TILT_SCALED = 0.5 * math.log(np.finfo(float).max)  # expm1(v)^2 overflows
 
 
 def _stirling_gap(z: float) -> float:
@@ -578,10 +587,37 @@ class ValuationKernel(_Family):
                 H[i, j], h[i, j], dHdv[i, j] = ke.H, ke.h, ke.dHdv
         return H, h, dHdv, failed
 
+    def cdf_many(self, v, V) -> np.ndarray:
+        """``cdf`` at every point of the broadcast signals ``v`` and values
+        ``V``: the class's own ``_cdf_field``, else ``cdf`` point by point."""
+        if self._exact_arrays():
+            return self._cdf_field(v, V)
+        return _pointwise(self.cdf, v, V)
+
+    def pdf_many(self, v, V) -> np.ndarray:
+        """``pdf`` at every point, as ``cdf_many`` reads ``cdf``."""
+        if self._exact_arrays():
+            return self._fields(v, V)[1]
+        return _pointwise(self.pdf, v, V)
+
+    def pdf_cdf_dv_many(self, model: ScreeningModel, v, V, tolerances=None):
+        """h and dH/dv as ``eval_kernel`` gives them: the class's own
+        ``_fields`` if every value is interior (else eval_kernel's error for
+        the first that is not), or ``eval_kernel`` point by point."""
+        if not self._exact_arrays():
+            def pair(a, b):
+                ke = eval_kernel(model, a, b, tolerances)
+                return ke.h, ke.dHdv
+            return tuple(np.moveaxis(_pointwise(pair, v, V), -1, 0))
+        interior = (self.support.lower < V) & (V < self.support.upper)
+        if not interior.all():
+            self._require_interior(float(V[~interior][0]))
+        return self._fields(v, V)[1:]
+
     def _exact_arrays(self) -> bool:
         """Whether this kernel's class defines ``_fields`` itself; a subclass
         of a builtin family may override the scalar evaluators, so it takes
-        the scalar loop."""
+        the scalar loop. Only the readers above and ``eval_lattice`` ask."""
         return "_fields" in vars(type(self))
 
     def _cdf_field(self, v, V):
@@ -677,6 +713,13 @@ class ExpTiltKernel(ValuationKernel):
                 f"endpoint {support.lower}")
 
     def _fields(self, v, V):
+        # expm1(v)^2 overflows above _TILT_SCALED, so rows there are taken
+        # scaled; each form reads the other's rows at v = 0, which is safe
+        large = v > _TILT_SCALED
+        if large.any():
+            return tuple(np.where(large, f, g) for f, g in zip(
+                _tilt_scaled(np.where(large, v, 0.0), V),
+                self._fields(np.where(large, 0.0, v), V)))
         vV = v * V
         e_vV = _exact_map(math.exp, vV)
         m_vV = _exact_map(math.expm1, vV)
@@ -702,6 +745,20 @@ class ExpTiltKernel(ValuationKernel):
         if abs(v) < 1e-8:
             return p
         return math.log1p(p * math.expm1(v)) / v
+
+
+def _tilt_scaled(v, V):
+    """The exp_tilt fields with numerator and denominator scaled by
+    a = e^-v: with b = e^(v(V-1)), H = (b - a)/(1 - a), h = v b/(1 - a)
+    and dH/dv = (V b (1 - a) - (b - a))/(1 - a)^2."""
+    a = _exact_map(math.exp, -v)
+    b = _exact_map(math.exp, v * (V - 1.0))
+    near = v * V < 1.0  # b - a is a expm1(vV) there, without cancellation
+    m_vV = _exact_map(math.expm1, np.where(near, v * V, 0.0))
+    b_a = np.where(near, a * m_vV, b - a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (b_a / (1.0 - a), v * b / (1.0 - a),
+                (V * b * (1.0 - a) - b_a) / ((1.0 - a) * (1.0 - a)))
 
 
 class TableKernel(ValuationKernel):
@@ -982,13 +1039,6 @@ def _signals_in_support(model: ScreeningModel, vs) -> list[float]:
     return vs
 
 
-def _pointwise(fn, v, V) -> np.ndarray:
-    """``fn(v[r, 0], V[r, c])`` at every point, called with floats in row
-    order: a kernel without array fields, inside a batched integrand."""
-    return np.array([[fn(a, b) for b in row]
-                     for a, row in zip(v[:, 0].tolist(), V.tolist())])
-
-
 def conditional_mean_many(model: ScreeningModel, vs,
                           grid: GridSpec | None = None,
                           tolerances: ToleranceConfig | None = None
@@ -999,8 +1049,7 @@ def conditional_mean_many(model: ScreeningModel, vs,
     zero, each mean is the integral of the upper-tail survival minus the
     integral of the lower-tail cdf. Only the kernel enters; v may sit
     anywhere in the closed signal support. All 2N integrals refine together
-    through ``integrate_many``, on the kernel's array cdf if its class
-    defines ``_fields``, else on its scalar cdf point by point.
+    through ``integrate_many``, on the kernel's ``cdf_many``.
     """
     grid, tol = resolve_config(grid, tolerances)
     kernel = model.kernel
@@ -1015,11 +1064,9 @@ def conditional_mean_many(model: ScreeningModel, vs,
         uppers += (hi - c, 0.0)
     v_col = np.repeat(vs, 2)[:, None]
     c_col = np.repeat(cs, 2)[:, None]
-    cdf = (kernel._cdf_field if kernel._exact_arrays()
-           else lambda v, V: _pointwise(kernel.cdf, v, V))
 
     def tails(idx, x):
-        H = cdf(v_col[idx], x + c_col[idx])
+        H = kernel.cdf_many(v_col[idx], x + c_col[idx])
         return np.where(idx[:, None] % 2 == 0, 1.0 - H, H)
 
     values, _, failures = integrate_many(tails, lowers, uppers,
@@ -1035,25 +1082,16 @@ def conditional_mean_derivative_many(model: ScreeningModel, vs,
     """d/dv of E[V | v] at every v of ``vs``: differentiating the layer-cake
     identity under the integral sign gives minus the integral of dH_v(V)/dv
     over the value range. The N integrals refine together on the kernel's
-    array signal-derivative, or on ``eval_kernel`` point by point for a
-    kernel whose class does not define ``_fields``.
+    ``pdf_cdf_dv_many``.
     """
     grid, tol = resolve_config(grid, tolerances)
     kernel = model.kernel
     vs = _signals_in_support(model, vs)
     ranges = [model.value_range(v, grid) for v in vs]
     v_col = np.array(vs)[:, None]
-    k_lo, k_hi = kernel.support.as_tuple()
 
     def neg_rate(idx, V):
-        if not kernel._exact_arrays():
-            return -_pointwise(lambda *p: eval_kernel(model, *p, tol).dHdv,
-                               v_col[idx], V)
-        interior = (k_lo < V) & (V < k_hi)
-        if not interior.all():
-            # eval_kernel's check, raised for the first offending value
-            kernel._require_interior(float(V[~interior][0]))
-        return -kernel._fields(v_col[idx], V)[2]
+        return -kernel.pdf_cdf_dv_many(model, v_col[idx], V, tol)[1]
 
     values, _, failures = integrate_many(
         neg_rate, [lo for lo, _ in ranges], [hi for _, hi in ranges],
@@ -1154,9 +1192,6 @@ def validate_model(model: ScreeningModel, grid: GridSpec | None = None,
     mass_tol = 2.0 * grid.tail_mass_cut + 1e-7
     kernel = checked.kernel
     k_lo, k_hi = kernel.support.as_tuple()
-    density = ((lambda v, V: kernel._fields(v, V)[1])
-               if kernel._exact_arrays()
-               else (lambda v, V: _pointwise(kernel.pdf, v, V)))
 
     def masses(vs, bounds) -> list:
         """Each mass over its bounds, its pieces (refined together) summed
@@ -1166,7 +1201,7 @@ def validate_model(model: ScreeningModel, grid: GridSpec | None = None,
         owner = [i for i, c in enumerate(cuts) for _ in c[1:]]
         v_col = np.array(vs)[owner][:, None]
         values, _, failed = integrate_many(
-            lambda idx, x: density(v_col[idx], x),
+            lambda idx, x: kernel.pdf_many(v_col[idx], x),
             [a for c in cuts for a in c[:-1]],
             [b for c in cuts for b in c[1:]], rel_tol=tol.quadrature_rel)
         out = [0] * len(vs)

@@ -188,16 +188,15 @@ def delta_diagnostic(model: ScreeningModel, n_v: int = 33,
 
 def _shifted_cdf(kernel, s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``kernel.cdf(s, s + x[r])`` at every point s of each row r of
-    ``s``, by one array call if the kernel has its own ``_fields``; else,
-    or if that raises or gives NaN, pair by pair through the probes of
-    ``differentiate``, so a failure raises where they would."""
-    if kernel._exact_arrays():
-        try:
-            F = kernel._cdf_field(s, s + x[:, None])
-            if not np.isnan(F).any():
-                return F
-        except NUMERIC_CAUSES:
-            pass
+    ``s``, by one ``cdf_many`` call; if that raises or gives NaN, pair by
+    pair through the probes of ``differentiate``, so a failure raises where
+    they would."""
+    try:
+        F = kernel.cdf_many(s, s + x[:, None])
+        if not np.isnan(F).any():
+            return F
+    except NUMERIC_CAUSES:
+        pass
     return np.array([[_probe(lambda t: kernel.cdf(t, t + shift), t)
                       for t in row]
                      for row, shift in zip(s.tolist(), x.tolist())]
@@ -473,14 +472,13 @@ def _check_translation_invariance(model, grid, tol) -> dict:
 
 def _translation_gaps(kernel, a, bs, Vs) -> np.ndarray:
     """|H_b(V + b - a) - H_a(V)|, b down the column ``bs``, V along ``Vs``:
-    two array calls, or pair by pair if one raises or the kernel has no
-    array fields; a pair whose cdf raises reads -inf (not compared)."""
-    if kernel._exact_arrays():
-        try:
-            return np.abs(kernel._cdf_field(bs, Vs + (bs - a))
-                          - kernel._cdf_field(np.array([[a]]), Vs[None, :]))
-        except NUMERIC_CAUSES:
-            pass
+    two ``cdf_many`` calls, or pair by pair if one raises; a pair whose cdf
+    raises reads -inf (not compared)."""
+    try:
+        return np.abs(kernel.cdf_many(bs, Vs + (bs - a))
+                      - kernel.cdf_many(np.array([[a]]), Vs[None, :]))
+    except NUMERIC_CAUSES:
+        pass
     gaps = np.full((bs.shape[0], Vs.size), -np.inf)
     for i, b in enumerate(bs[:, 0].tolist()):
         for j, V in enumerate(Vs.tolist()):

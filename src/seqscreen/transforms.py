@@ -63,7 +63,6 @@ from .model_core import (
     _exact_map,
     conditional_mean_derivative_many,
     conditional_mean_many,
-    eval_kernel,
 )
 from .numerics import (Interval, differentiate, integrate_many, kahan_prefix,
                        richardson, stencil)
@@ -631,7 +630,8 @@ def _identity_errors(base: ScreeningModel, tm: TransformedModel,
     # three for gamma and virtual_value at the probe pairs
     parts = []
     for m, x in ((base, vs), (tm, f[:, 0])):
-        dens, rate = _probe_fields(m, x, Vs)
+        dens, rate = [c[:, 0] for c in m.kernel.pdf_cdf_dv_many(
+            m, x[:, None], Vs[:, None])]
         inv, inv_failed = _inverse_hazard(m, x)
         fails |= ((dens < _DENSITY_FLOOR) | inv_failed).any()
         parts.append((_pdf_over_sf(m.signal, x), -rate, dens, inv))
@@ -660,17 +660,6 @@ def _identity_errors(base: ScreeningModel, tm: TransformedModel,
     for e in errs:
         err = np.where(e > err, e, err)
     return err
-
-
-def _probe_fields(m: ScreeningModel, x: np.ndarray, Vs: np.ndarray):
-    """h and dHdv at the probe pairs (x[k], Vs[k]), which lie inside both
-    supports: a builtin family's array fields at those pairs alone, any
-    other kernel's ``eval_kernel`` pair by pair."""
-    if m.kernel._exact_arrays():
-        _, h, dHdv = m.kernel._fields(x[:, None], Vs[:, None])
-        return h[:, 0], dHdv[:, 0]
-    kes = [eval_kernel(m, a, b) for a, b in zip(x.tolist(), Vs.tolist())]
-    return np.array([ke.h for ke in kes]), np.array([ke.dHdv for ke in kes])
 
 
 def apply_relabeling(model: ScreeningModel,

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -619,3 +620,26 @@ def test_module_entry_point(files):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["classic_regular"]
+
+
+@pytest.mark.parametrize("hi", [600.0, 1000.0])
+@pytest.mark.parametrize("command", [["check"], ["verify", "--prop", "3"]],
+                         ids=["check", "verify3"])
+def test_exp_tilt_at_large_signals_keeps_the_contract(tmp_path, capsys, hi,
+                                                      command):
+    path = tmp_path / "wide.model"
+    path.write_text("[signal]\nfamily = uniform\nsupport = 0.5 "
+                    f"{hi!r}\n\n[kernel]\nfamily = exp_tilt\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, command[0], str(path), *command[1:],
+                           "--grid", "17x17")
+    assert caught == []
+    if hi < 700.0:
+        assert rc in (0, 1) and err == ""
+        json.loads(out)
+    else:
+        # the density is below the 1e-300 floor where v(1 - V) > ~700
+        assert rc == 2 and out == ""
+        assert_one_error_line(err, "A1 check aborted: 19 of 289 evaluations "
+                              "failed inside v in [750.075, 999.9]")

@@ -106,7 +106,7 @@ def _reject_constant(token: str):
     raise AssertionError(f"report is not strict JSON: it holds {token}")
 
 
-def _assert_contract(argv: list[str]) -> int:
+def _assert_contract(argv: list[str]) -> tuple[int, str]:
     code, out, err = _run(argv)
     assert code in (0, 1, 2), (argv, code, err)
     # a relabeling that cannot be built is a finding, and names its cause
@@ -115,7 +115,7 @@ def _assert_contract(argv: list[str]) -> int:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("seqscreen: error: "), (
             argv, err)
-        return code
+        return code, out
     assert err == "", (argv, err)
     if "--out" in argv:
         assert out == ""
@@ -124,7 +124,23 @@ def _assert_contract(argv: list[str]) -> int:
         assert rows[0] == "v,V,value" and len(rows) == 1 + 17 * 17, argv
     else:
         json.loads(out, parse_constant=_reject_constant)
-    return code
+    return code, out
+
+
+def _assert_paper_claims(argv: list[str]) -> None:
+    """Run ``check`` under the contract and hold its report to the paper's
+    closing remark (A1 and FOSD make the virtual value weakly increasing)
+    and second claim (with a finite lower value endpoint, FOSD rules out
+    A1 and A2 together)."""
+    code, out = _assert_contract(argv)
+    if code == 2:
+        return
+    report = json.loads(out)
+    checks = report["checks"]
+    if report["classic_regular"] and report["fosd_ok"]:
+        assert report["psi_regular"], argv
+    if report["fosd_ok"] and report["model"]["kernel"]["support"][0] != "-inf":
+        assert not (checks["A1"]["passed"] and checks["A2"]["passed"]), argv
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -137,11 +153,11 @@ def test_every_command_keeps_the_exit_contract(kernel, data):
         path = Path(tmp) / "drawn.model"
         path.write_text(text, encoding="utf-8")
         model = str(path)
-        _assert_contract(["check", model, *GRID])
+        _assert_paper_claims(["check", model, *GRID])
         for prop in ("1", "2", "3"):
             _assert_contract(["verify", model, "--prop", prop, *GRID])
         _assert_contract(["grid", model, "--what", "psi", *GRID])
         derived = str(Path(tmp) / "derived.model")
         if _assert_contract(["transform", model, "--kind", kind,
-                             "--out", derived, *GRID]) == 0:
-            _assert_contract(["check", derived, *GRID])
+                             "--out", derived, *GRID])[0] == 0:
+            _assert_paper_claims(["check", derived, *GRID])

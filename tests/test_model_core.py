@@ -7,6 +7,7 @@ number was derived, not wishful thinking.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -612,3 +613,58 @@ class TestValidateModel:
             make_signal("gamma", support=(0.0, 1.0))
         with pytest.raises(ConstructionError):
             make_kernel("mystery")
+
+
+# H, h and dH/dv of exp_tilt at (v, V), from 60-digit mpmath evaluations of
+# H = expm1(vV)/expm1(v) and its derivatives at the binary values of v, V
+EXP_TILT_REFERENCES = [
+    (400.0, 1e-09, 7.660679918991905e-181, 7.66068145112799e-172,
+     -7.641528215364084e-181),
+    (400.0, 0.5, 1.3838965267367376e-87, 5.53558610694695e-85,
+     -6.919482633683688e-88),
+    (400.0, 0.999, 0.6703200460356391, 268.1280184142556,
+     -0.0006703200460356397),
+    (800.0, 1e-09, 0.0, 0.0, -0.0),
+    (800.0, 0.5, 1.9151695967140057e-174, 1.5321356773712045e-171,
+     -9.575847983570028e-175),
+    (800.0, 0.999, 0.4493289641172213, 359.463171293777,
+     -0.0004493289641172217),
+    (5000.0, 1e-09, 0.0, 0.0, -0.0),
+    (5000.0, 0.5, 0.0, 0.0, -0.0),
+    (5000.0, 0.999, 0.0067379469990854375, 33.68973499542719,
+     -6.737946999085443e-06),
+]
+
+
+class TestExpTiltLargeSignal:
+    """Above v = log(max float)/2, where expm1(v)^2 overflows, exp_tilt
+    takes its fields scaled by e^-v."""
+
+    @pytest.mark.parametrize("row", EXP_TILT_REFERENCES)
+    def test_fields_match_references(self, row):
+        v, V, *want = row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ExpTiltKernel()._fields(np.array([[v]]), np.array([[V]]))
+        for g, w in zip(got, want):
+            assert abs(float(g[0, 0]) - w) <= 1e-10 * abs(w), (v, V)
+
+    def test_rows_below_the_switch_keep_their_bits(self):
+        k = ExpTiltKernel()
+        v = np.array([[0.0], [3e-6], [0.7], [120.0], [354.8], [355.0],
+                      [900.0]])
+        V = np.linspace(0.0, 1.0, 9)[None, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed, plain = k._fields(v, V), k._fields(v[:5], V)
+        for f, g in zip(mixed, plain):
+            assert np.array_equal(f[:5], g)
+
+    def test_the_two_forms_meet_at_the_switch(self):
+        k = ExpTiltKernel()
+        below = np.nextafter(model_core._TILT_SCALED, 0.0)
+        V = np.array([[0.3, 0.9, 0.999]])
+        plain = k._fields(np.array([[below]]), V)
+        scaled = model_core._tilt_scaled(np.array([[below]]), V)
+        for f, g in zip(plain, scaled):
+            np.testing.assert_allclose(f, g, rtol=1e-12, atol=0.0)

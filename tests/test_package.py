@@ -67,3 +67,23 @@ def test_no_handler_catches_everything():
                 found.append(f"{path.name}:{node.lineno}: "
                              f"except {ast.unparse(node.type)}")
     assert found == []
+
+
+def test_only_the_kernel_readers_choose_array_or_scalar():
+    """``_exact_arrays`` (whether a kernel's class has its own array
+    fields) is asked only inside ``ValuationKernel``, whose readers make the
+    choice for every caller, and ``_RelabeledKernel``, which overrides it."""
+    owners = {("model_core.py", "ValuationKernel"),
+              ("transforms.py", "_RelabeledKernel")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if (path.name, getattr(top, "name", None)) in owners:
+                continue
+            for node in ast.walk(top):
+                named = (getattr(node, "attr", None), getattr(node, "id", None),
+                         getattr(node, "name", None))
+                if "_exact_arrays" in named:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
