@@ -217,3 +217,6 @@ def main(argv=None) -> int:
         # (unreadable input, an aborted or out-of-domain evaluation) is
         # unusable input.
         return _fail(str(exc), 2)
+    except MemoryError:
+        asked = "--grid %dx%d" % args.grid if args.grid else "the file's grid"
+        return _fail(f"out of memory evaluating the lattice of {asked}", 2)

@@ -32,7 +32,8 @@ from .errors import (
     NUMERIC_CAUSES,
     QuadratureError,
 )
-from .numerics import Interval, differentiate, integrate_many, kahan_prefix
+from .numerics import (Interval, _pointwise, differentiate, integrate_many,
+                       kahan_prefix)
 
 __all__ = [
     "GridSpec",
@@ -72,14 +73,6 @@ def _bound_repr(x: float):
     if math.isfinite(x):
         return x
     return "inf" if x > 0 else "-inf"
-
-
-def _pointwise(fn, v, V) -> np.ndarray:
-    """``fn`` at every point of the broadcast ``v`` and ``V``, called with
-    floats in row order, so the first failure raises as a loop's would."""
-    v, V = np.broadcast_arrays(v, V)
-    out = np.array(list(map(fn, v.ravel().tolist(), V.ravel().tolist())))
-    return out.reshape(v.shape + out.shape[1:])
 
 
 def _exact_map(fn, *arrays) -> np.ndarray:
@@ -356,9 +349,7 @@ class SignalDistribution(_Family):
         v = np.asarray(v, dtype=float)
         array_form = vars(type(self)).get(f"_{name}_array")
         if array_form is None:
-            scalar = getattr(self, name)
-            return np.array([scalar(x) for x in v.ravel().tolist()],
-                            dtype=float).reshape(v.shape)
+            return _pointwise(getattr(self, name), v)[0]
         inside = (self.support.lower <= v) & (v <= self.support.upper)
         if not inside.all():
             self._require_in_support(float(v[~inside][0]))
@@ -567,8 +558,8 @@ class ValuationKernel(_Family):
         kernel calls eval_kernel point by point.
         """
         shape = (v.shape[0], V.shape[1])
-        H, h, dHdv = (np.full(shape, np.nan) for _ in range(3))
         if self._exact_arrays():
+            H, h, dHdv = (np.full(shape, np.nan) for _ in range(3))
             s = model.signal.support
             rows = (s.lower <= v[:, 0]) & (v[:, 0] <= s.upper)
             cols = (self.support.lower < V[0]) & (V[0] < self.support.upper)
@@ -576,29 +567,29 @@ class ValuationKernel(_Family):
             H[block], h[block], dHdv[block] = self._fields(v[rows],
                                                            V[:, cols])
             return H, h, dHdv, ~(rows[:, None] & cols[None, :])
+
+        def fields(vi, Vj):
+            ke = eval_kernel(model, vi, Vj, tol)
+            return ke.H, ke.h, ke.dHdv
+        out, errors = _pointwise(fields, v, V,
+                                 record=(DomainError, EvaluationError),
+                                 fill=(np.nan,) * 3)
         failed = np.zeros(shape, dtype=bool)
-        for i, vi in enumerate(v[:, 0].tolist()):
-            for j, Vj in enumerate(V[0].tolist()):
-                try:
-                    ke = eval_kernel(model, vi, Vj, tol)
-                except (DomainError, EvaluationError):
-                    failed[i, j] = True
-                    continue
-                H[i, j], h[i, j], dHdv[i, j] = ke.H, ke.h, ke.dHdv
-        return H, h, dHdv, failed
+        failed.flat[list(errors)] = True
+        return (*np.moveaxis(out.reshape(shape + (3,)), -1, 0).copy(), failed)
 
     def cdf_many(self, v, V) -> np.ndarray:
         """``cdf`` at every point of the broadcast signals ``v`` and values
         ``V``: the class's own ``_cdf_field``, else ``cdf`` point by point."""
         if self._exact_arrays():
             return self._cdf_field(v, V)
-        return _pointwise(self.cdf, v, V)
+        return _pointwise(self.cdf, v, V)[0]
 
     def pdf_many(self, v, V) -> np.ndarray:
         """``pdf`` at every point, as ``cdf_many`` reads ``cdf``."""
         if self._exact_arrays():
             return self._fields(v, V)[1]
-        return _pointwise(self.pdf, v, V)
+        return _pointwise(self.pdf, v, V)[0]
 
     def pdf_cdf_dv_many(self, model: ScreeningModel, v, V, tolerances=None):
         """h and dH/dv as ``eval_kernel`` gives them: the class's own
@@ -608,7 +599,7 @@ class ValuationKernel(_Family):
             def pair(a, b):
                 ke = eval_kernel(model, a, b, tolerances)
                 return ke.h, ke.dHdv
-            return tuple(np.moveaxis(_pointwise(pair, v, V), -1, 0))
+            return tuple(np.moveaxis(_pointwise(pair, v, V)[0], -1, 0))
         interior = (self.support.lower < V) & (V < self.support.upper)
         if not interior.all():
             self._require_interior(float(V[~interior][0]))
@@ -1250,9 +1241,9 @@ def validate_model(model: ScreeningModel, grid: GridSpec | None = None,
     except NUMERIC_CAUSES:
         dHdv = np.full((len(vs), len(Vs)), np.nan)
         failed = np.ones(dHdv.shape, dtype=bool)
-    for i, j in np.argwhere(failed).tolist():
-        dHdv[i, j] = eval_kernel(checked, float(vs[i]), float(Vs[j]),
-                                 tol).dHdv
+    i, j = np.nonzero(failed)
+    dHdv[failed] = _pointwise(
+        lambda a, b: eval_kernel(checked, a, b, tol).dHdv, vs[i], Vs[j])[0]
     fosd_bad = int(np.count_nonzero(dHdv >= 0.0))
     record("fosd_sample", fosd_bad == 0, violations=fosd_bad,
            sampled=int(len(vs) * len(Vs)))

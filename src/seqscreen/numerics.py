@@ -309,17 +309,36 @@ def _panels(f, todo: list[int], lo: list[float], hi: list[float],
     try:
         fx = np.asarray(f(idx, x), dtype=float)
     except NUMERIC_CAUSES:
-        fx = np.full(x.shape, math.nan)
-        for r, k in enumerate(todo):
-            for c in range(15):
-                if k in failures:
-                    break
-                try:
-                    fx[r, c] = f(idx[r:r + 1], x[r:r + 1, c:c + 1])[0, 0]
-                except NUMERIC_CAUSES as exc:
-                    failures[k] = exc
-    values, errors = _kronrod(fx.T, halfwidth)
+        # an integral's rows are adjacent (two once it is refined), and its
+        # nodes are replayed in order up to its first failure
+        rows = len(todo) // len(set(todo))
+        ks, nodes = idx[::rows], x.reshape(len(todo) // rows, -1)
+        fx, failed = _pointwise(
+            lambda i: [f(ks[i:i + 1], nodes[i:i + 1, c:c + 1])[0, 0]
+                       for c in range(nodes.shape[1])],
+            np.arange(len(ks)), record=NUMERIC_CAUSES,
+            fill=(math.nan,) * nodes.shape[1])
+        failures.update((todo[i * rows], exc) for i, exc in failed.items())
+    values, errors = _kronrod(fx.reshape(x.shape).T, halfwidth)
     return values.tolist(), errors.tolist()
+
+
+def _pointwise(fn, *arrays, record=(), fill=math.nan):
+    """``fn`` at each point of the broadcast ``arrays``, called with floats
+    in row order; a tuple result adds a trailing axis. A point that raises
+    one of the types in ``record`` reads ``fill``, any other exception
+    raises at once. Returns the array and {flat index: exception} of the
+    recorded points, in row order."""
+    arrays = np.broadcast_arrays(*arrays)
+    out, errors = [], {}
+    for k, point in enumerate(zip(*(a.ravel().tolist() for a in arrays))):
+        try:
+            out.append(fn(*point))
+        except record as exc:
+            out.append(fill)
+            errors[k] = exc
+    out = np.array(out, dtype=float)
+    return out.reshape(arrays[0].shape + out.shape[1:]), errors
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ from .model_core import (
     conditional_mean_many,
     resolve_config,
 )
-from .numerics import _probe, richardson, stencil
+from .numerics import _pointwise, _probe, richardson, stencil
 from .regularity import (
     _evaluate_bundle,
     _inverse_hazard,
@@ -197,10 +197,9 @@ def _shifted_cdf(kernel, s: np.ndarray, x: np.ndarray) -> np.ndarray:
             return F
     except NUMERIC_CAUSES:
         pass
-    return np.array([[_probe(lambda t: kernel.cdf(t, t + shift), t)
-                      for t in row]
-                     for row, shift in zip(s.tolist(), x.tolist())]
-                    ).reshape(s.shape)
+    return _pointwise(
+        lambda t, shift: _probe(lambda u: kernel.cdf(u, u + shift), t),
+        s, x[:, None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -478,16 +477,10 @@ def _translation_gaps(kernel, a, bs, Vs) -> np.ndarray:
         return np.abs(kernel.cdf_many(bs, Vs + (bs - a))
                       - kernel.cdf_many(np.array([[a]]), Vs[None, :]))
     except NUMERIC_CAUSES:
-        pass
-    gaps = np.full((bs.shape[0], Vs.size), -np.inf)
-    for i, b in enumerate(bs[:, 0].tolist()):
-        for j, V in enumerate(Vs.tolist()):
-            try:
-                gaps[i, j] = abs(kernel.cdf(b, V + (b - a))
-                                 - kernel.cdf(a, V))
-            except (DomainError, ValueError, OverflowError):
-                pass
-    return gaps
+        return _pointwise(
+            lambda b, V: abs(kernel.cdf(b, V + (b - a)) - kernel.cdf(a, V)),
+            bs, Vs, record=(DomainError, ValueError, OverflowError),
+            fill=-np.inf)[0]
 
 
 def _check_unbounded_support(model) -> dict:

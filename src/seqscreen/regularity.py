@@ -43,7 +43,7 @@ from .model_core import (
     eval_kernel,
     resolve_config,
 )
-from .numerics import scan_violations
+from .numerics import _pointwise, scan_violations
 
 __all__ = [
     "hazard",
@@ -157,21 +157,13 @@ def _inverse_hazard(model: ScreeningModel, vs: np.ndarray):
         s = model.signal.sf_many(vs)
         f = model.signal.pdf_many(vs)
     except NUMERIC_CAUSES:
-        return _inverse_hazard_pointwise(model, vs)
+        inv, errors = _pointwise(
+            lambda v: hazard(model, v)[1], vs,
+            record=(NearEndpointError, DensityUnderflowError, DomainError))
+        return inv, np.isin(np.arange(len(vs)), list(errors))
     failed = (s <= _SURVIVAL_FLOOR) | (f < _DENSITY_FLOOR)
     inv = np.full(len(vs), np.nan)
     np.divide(s, f, out=inv, where=~failed)
-    return inv, failed
-
-
-def _inverse_hazard_pointwise(model: ScreeningModel, vs: np.ndarray):
-    inv = np.full(len(vs), np.nan)
-    failed = np.zeros(len(vs), dtype=bool)
-    for i, v in enumerate(vs.tolist()):
-        try:
-            _, inv[i] = hazard(model, v)
-        except (NearEndpointError, DensityUnderflowError, DomainError):
-            failed[i] = True
     return inv, failed
 
 

@@ -64,8 +64,8 @@ from .model_core import (
     conditional_mean_derivative_many,
     conditional_mean_many,
 )
-from .numerics import (Interval, differentiate, integrate_many, kahan_prefix,
-                       richardson, stencil)
+from .numerics import (Interval, _pointwise, differentiate, integrate_many,
+                       kahan_prefix, richardson, stencil)
 from .regularity import _DENSITY_FLOOR, _inverse_hazard, gamma, hazard
 
 __all__ = [
@@ -599,13 +599,14 @@ def _self_check(base: ScreeningModel, tm: TransformedModel,
     except NUMERIC_CAUSES:
         # the scalar forms, probe by probe in the order of the identities,
         # raise the error of the first evaluation that fails
-        for v, V in zip(vs.tolist(), Vs.tolist()):
+        def probe(v, V):
             w, p = rel.phi(v), rel.phi_prime(v)
             differentiate(rel.phi, v)
             haz = _pdf_over_sf(base.signal, np.array([v])).item()
             _pdf_over_sf(tm.signal, np.array([w]))
             haz / p  # a zero slope raises here
             gamma(base, v, V), gamma(tm, w, V), hazard(base, v), hazard(tm, w)
+        _pointwise(probe, vs, Vs)
         raise
     bad = np.flatnonzero(~(err <= _SELF_CHECK_TOL))  # NaN fails
     if bad.size:

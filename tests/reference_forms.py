@@ -1,4 +1,5 @@
-"""Closed-form references for the builtin signal and kernel families.
+"""Closed-form references for the builtin signal and kernel families, and
+the point-by-point loops the package once wrote out.
 
 Each family states its formulas once in the package, as array forms; the
 scalar methods are those forms at one point. These are the per-point
@@ -10,9 +11,13 @@ the scalar methods) to equal them bit for bit, error texts included.
 import bisect
 import math
 
-from seqscreen.errors import DomainError
+import numpy as np
+
+from seqscreen.errors import (DensityUnderflowError, DomainError,
+                              NearEndpointError)
 from seqscreen.model_core import _betainc
 from seqscreen.numerics import kahan_prefix
+from seqscreen.regularity import hazard
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -229,3 +234,20 @@ def _relabeled_kernel(kernel):
 
     return (lambda w, V: cdf(rel.inverse(w), V),
             lambda w, V: pdf(rel.inverse(w), V), slope)
+
+
+# ---------------------------------------------------------------------------
+# point-by-point loops
+
+
+def inverse_hazard_pointwise(model, vs):
+    """The inverse hazard at each v of ``vs`` and the mask of the points
+    whose hazard raised, as ``regularity`` once looped over them."""
+    inv = np.full(len(vs), np.nan)
+    failed = np.zeros(len(vs), dtype=bool)
+    for i, v in enumerate(vs.tolist()):
+        try:
+            _, inv[i] = hazard(model, v)
+        except (NearEndpointError, DensityUnderflowError, DomainError):
+            failed[i] = True
+    return inv, failed

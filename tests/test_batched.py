@@ -36,11 +36,7 @@ from seqscreen.model_core import (
 )
 from seqscreen.numerics import (Interval, integrate, integrate_many,
                                 kahan_prefix)
-from seqscreen.regularity import (
-    _inverse_hazard,
-    _inverse_hazard_pointwise,
-    regularity_report,
-)
+from seqscreen.regularity import _inverse_hazard, regularity_report
 from seqscreen.transforms import (
     RELABELING_KINDS,
     Relabeling,
@@ -49,7 +45,8 @@ from seqscreen.transforms import (
     relabel,
     transform_section,
 )
-from reference_forms import kernel_forms, signal_forms
+from reference_forms import (inverse_hazard_pointwise, kernel_forms,
+                             signal_forms)
 from test_array_checks import (
     _scalar_conditional_mean,
     _scalar_conditional_mean_derivative,
@@ -580,7 +577,7 @@ class TestSlopeCache:
         tm = TransformedModel(base, _failing_slope_relabeling(0.6))
         ws = tm.signal_grid(SMALL)
         inv, failed = _inverse_hazard(tm, ws)
-        want_inv, want_failed = _inverse_hazard_pointwise(tm, ws)
+        want_inv, want_failed = inverse_hazard_pointwise(tm, ws)
         assert failed.any() and not failed.all()
         assert np.array_equal(failed, want_failed)
         assert np.array_equal(inv, want_inv, equal_nan=True)

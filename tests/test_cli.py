@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import seqscreen
-from seqscreen import model_core, transforms
+from seqscreen import cli, model_core, transforms
 from seqscreen.cli import main
 from seqscreen.errors import DomainError
 from seqscreen.model_core import PowerKernel
@@ -620,6 +620,30 @@ def test_module_entry_point(files):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["classic_regular"]
+
+
+@pytest.mark.parametrize("grid, named", [
+    (["--grid", "10000000x10000000"], "--grid 10000000x10000000"),
+    ([], "the file's grid"),
+], ids=["flag", "file"])
+@pytest.mark.parametrize("command, evaluation", [
+    (["check"], "validate_model"),
+    (["grid", "--what", "psi"], "compute_field"),
+], ids=["check", "grid"])
+def test_out_of_memory_exits_two(files, capsys, monkeypatch, grid, named,
+                                 command, evaluation):
+    """A lattice too large to allocate is unusable input: one error line
+    that names the grid. The evaluation is patched to raise, so nothing
+    large is allocated."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, evaluation, exhausted)
+    rc, out, err = run(capsys, command[0], files["power"], *command[1:],
+                       *grid)
+    assert rc == 2 and out == ""
+    assert err == ("seqscreen: error: out of memory evaluating the lattice "
+                   f"of {named}\n")
 
 
 @pytest.mark.parametrize("hi", [600.0, 1000.0])

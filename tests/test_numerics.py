@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqscreen.errors import (
+    NUMERIC_CAUSES,
     ConstructionError,
     DomainError,
     EvaluationError,
@@ -21,6 +22,7 @@ from seqscreen.errors import (
 )
 from seqscreen.numerics import (
     DerivativeEstimate,
+    _pointwise,
     Interval,
     differentiate,
     integrate,
@@ -283,3 +285,55 @@ class TestInvertMonotone:
     def test_bad_bracket_rejected(self):
         with pytest.raises(ConstructionError):
             invert_monotone(lambda t: t, 10.0, 0.0, 1.0)
+
+
+class _Bug(RuntimeError):
+    """Not a numeric cause."""
+
+
+# the points (v, V) of a 3x2 broadcast in row order; two rows fail
+_POINTS = [(v, V) for v in (0.0, 1.0, 2.0) for V in (10.0, 20.0)]
+_FAILING = {(0.0, 20.0), (2.0, 10.0)}  # flat indices 1 and 4
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("result, raised, record, fill, want", [
+    (lambda v, V: v + V, DomainError, (DomainError,), _NAN,
+     [[10.0, _NAN], [11.0, 21.0], [_NAN, 22.0]]),
+    (lambda v, V: (v + V, v * V), EvaluationError,
+     (DomainError, EvaluationError), (_NAN, -1.0),
+     [[[10.0, 0.0], [_NAN, -1.0]], [[11.0, 10.0], [21.0, 20.0]],
+      [[_NAN, -1.0], [22.0, 40.0]]]),
+    (lambda v, V: v + V, DomainError, (EvaluationError,), _NAN,
+     DomainError),
+    (lambda v, V: v + V, _Bug, NUMERIC_CAUSES, _NAN, _Bug),
+], ids=["row-order", "tuple-results", "unrecorded-type-raises",
+        "non-numeric-propagates"])
+def test_pointwise_replays_points_in_row_order(result, raised, record, fill,
+                                               want):
+    """Each point is called once, in row order; a recorded failure reads
+    the fill and is returned by flat index, and any other exception
+    propagates as itself from the first point that meets it."""
+    calls = []
+
+    def fn(v, V):
+        calls.append((v, V))
+        if (v, V) in _FAILING:
+            raise raised(f"fails at {(v, V)}")
+        return result(v, V)
+
+    v, V = np.array([[0.0], [1.0], [2.0]]), np.array([10.0, 20.0])
+    if isinstance(want, type):
+        with pytest.raises(want, match=r"fails at \(0\.0, 20\.0\)") as exc:
+            _pointwise(fn, v, V, record=record, fill=fill)
+        assert type(exc.value) is want
+        assert calls == _POINTS[:2]
+        return
+    out, errors = _pointwise(fn, v, V, record=record, fill=fill)
+    assert calls == _POINTS
+    assert list(errors) == [1, 4]
+    assert [str(e) for e in errors.values()] == [
+        "fails at (0.0, 20.0)", "fails at (2.0, 10.0)"]
+    assert all(type(e) is raised for e in errors.values())
+    assert out.dtype == float
+    assert np.array_equal(out, np.array(want), equal_nan=True)

@@ -1,4 +1,4 @@
-"""The package's public names, and a static rule on the handlers in src/."""
+"""The package's public names, and static rules on the handlers in src/."""
 
 import ast
 from pathlib import Path
@@ -87,3 +87,33 @@ def test_only_the_kernel_readers_choose_array_or_scalar():
                 if "_exact_arrays" in named:
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_point_helper_catches_inside_a_loop():
+    """A point-by-point replay goes through ``numerics._pointwise``, which
+    states the order, the recorded exceptions and the fill once; no other
+    function has a ``try`` inside a ``for`` loop, except these loops, which
+    replay no points."""
+    allowed = {
+        ("numerics.py", "_pointwise"),
+        ("model_core.py", "validate_model"),  # the recorded checks
+        ("modelfile.py", "_float_tokens"),  # the first bad token
+        ("numerics.py", "integrate_many"),  # the refinement bookkeeping
+        ("propositions.py", "verify_prop1"),  # one relabeling per kind
+    }
+    found = set()
+
+    def visit(node, path, owner, in_loop):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name, False)
+                continue
+            if in_loop and isinstance(child, ast.Try):
+                found.add((path.name, owner))
+            visit(child, path, owner,
+                  in_loop or isinstance(child, (ast.For, ast.AsyncFor)))
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, None, False)
+    assert found - allowed == set()
+    assert allowed <= found  # no stale entry
