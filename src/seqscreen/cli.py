@@ -12,7 +12,7 @@ Four subcommands, all reading a model file and writing to stdout or --out:
 Exit codes are uniform: 0 success, 1 honest negative finding (a failed
 regularity check, a discrepancy verdict, a relabeling that cannot be
 built), 2 unusable input (unreadable or malformed file, a model whose
-evaluations abort, bad flags).
+evaluations abort or fail numerically, bad flags).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import sys
 from .errors import (
     ConstructionError,
     IntegrabilityError,
+    NUMERIC_CAUSES,
     SelfCheckError,
     ToolkitError,
 )
@@ -217,6 +218,9 @@ def main(argv=None) -> int:
         # (unreadable input, an aborted or out-of-domain evaluation) is
         # unusable input.
         return _fail(str(exc), 2)
+    except NUMERIC_CAUSES as exc:
+        # a numeric failure no evaluator named (a zero slope, an overflow)
+        return _fail(f"numeric failure: {type(exc).__name__}: {exc}", 2)
     except MemoryError:
         asked = "--grid %dx%d" % args.grid if args.grid else "the file's grid"
         return _fail(f"out of memory evaluating the lattice of {asked}", 2)

@@ -29,7 +29,6 @@ from .errors import (
     DomainError,
     EvaluationError,
     IntegrabilityError,
-    NUMERIC_CAUSES,
     QuadratureError,
 )
 from .numerics import (Interval, _pointwise, differentiate, integrate_many,
@@ -445,6 +444,9 @@ class TableSignal(SignalDistribution):
         if len(nodes) != len(dens) or len(nodes) < 2:
             raise ConstructionError(
                 "table signal needs >= 2 matching node/density pairs")
+        if not all(map(math.isfinite, nodes + dens)):
+            raise ConstructionError(
+                "table signal nodes and densities must be finite")
         for a, b in zip(nodes, nodes[1:]):
             if not b > a:
                 raise ConstructionError("table nodes must be strictly increasing")
@@ -631,8 +633,8 @@ class AdditiveNoiseKernel(ValuationKernel):
             raise ConstructionError(
                 f"unknown noise family {noise!r}; choose from "
                 f"{sorted(_NOISE_FAMILIES)}")
-        if not scale > 0:
-            raise ConstructionError("noise scale must be positive")
+        if not 0 < scale < math.inf:
+            raise ConstructionError("noise scale must be positive and finite")
         super().__init__(Interval(-math.inf, math.inf))
         self.noise = noise
         self.scale = float(scale)
@@ -774,6 +776,10 @@ class TableKernel(ValuationKernel):
             raise ConstructionError(
                 f"table kernel values must have shape "
                 f"({len(v_nodes)}, {len(V_nodes)}), got {grid.shape}")
+        if not (all(map(math.isfinite, v_nodes + V_nodes))
+                and np.isfinite(grid).all()):
+            raise ConstructionError(
+                "table kernel nodes and values must be finite")
         for seq, label in ((v_nodes, "signal"), (V_nodes, "value")):
             for a, b in zip(seq, seq[1:]):
                 if not b > a:
@@ -1232,18 +1238,9 @@ def validate_model(model: ScreeningModel, grid: GridSpec | None = None,
     # Strict stochastic ordering on a coarse interior sample.
     vs = np.linspace(sa, sb, 8)
     Vs = checked.value_grid(dataclasses.replace(grid, v_points=8, V_points=8))
-    # eval_kernel raises the error of the first point that fails, in the
-    # order of a point-by-point sample; the lattice marks or raises it, and
-    # a point that evaluates on its own gives its slope
-    try:
-        _, _, dHdv, failed = checked.kernel.eval_lattice(
-            checked, vs[:, None], Vs[None, :], tol)
-    except NUMERIC_CAUSES:
-        dHdv = np.full((len(vs), len(Vs)), np.nan)
-        failed = np.ones(dHdv.shape, dtype=bool)
-    i, j = np.nonzero(failed)
-    dHdv[failed] = _pointwise(
-        lambda a, b: eval_kernel(checked, a, b, tol).dHdv, vs[i], Vs[j])[0]
+    # the first point that fails raises, as in a point-by-point sample
+    dHdv = checked.kernel.pdf_cdf_dv_many(checked, vs[:, None], Vs[None, :],
+                                          tol)[1]
     fosd_bad = int(np.count_nonzero(dHdv >= 0.0))
     record("fosd_sample", fosd_bad == 0, violations=fosd_bad,
            sampled=int(len(vs) * len(Vs)))

@@ -124,10 +124,9 @@ class Relabeling:
 
     Construct through make_relabeling. The map and its slope are given once
     each, as array functions ``phi_many`` and ``phi_prime_many`` of an array
-    of domain points. ``phi`` and ``phi_prime`` accept any v in the domain
-    and are cached one-point calls of them; ``phis`` and ``phi_primes``
-    are their values at many points, the uncached ones from one call
-    (``fill_phis`` fills the forward cache alone).
+    of domain points. ``phis`` and ``phi_primes`` read both at every v of
+    an array through the caches, the uncached ones from one call;
+    ``phi`` and ``phi_prime`` are their one-point calls.
     ``inverses`` accepts an array of w in the codomain and returns the exact
     preimage of each w produced by ``phi``; the others bisect together on
     the array map. ``inverse`` is its one-point form.
@@ -165,60 +164,48 @@ class Relabeling:
                 f"[{self.domain.lower}, {self.domain.upper}]")
 
     def phi(self, v: float) -> float:
-        v = float(v)
-        self._require_domain(v)
-        w = self._fwd.get(v)
-        if w is None:
-            w = float(self._phi_many(np.array([v]))[0])
-            self._fwd[v] = w
-            self._inv[w] = v
-        return w
+        return float(self.phis(v))
 
     def phi_prime(self, v: float) -> float:
-        # Cached per point: some slopes are quadratures (the conditional-
-        # mean map), and lattice evaluations revisit the same v constantly.
-        v = float(v)
-        self._require_domain(v)
-        p = self._slope.get(v)
-        if p is None:
-            p = float(self._phi_prime_many(np.array([v]))[0])
-            self._slope[v] = p
-        return p
-
-    def _fill(self, cache: dict, many, vs) -> list[tuple[float, float]]:
-        """Enter the uncached domain points of ``vs`` into ``cache`` from one
-        call of the array form ``many``, and return the new pairs.
-
-        If that call raises, nothing is entered: the scalar method then
-        computes those points one at a time, so an error surfaces where the
-        point-by-point order meets it, with its own type and text.
-        """
-        todo = list(dict.fromkeys(
-            v for v in map(float, vs)
-            if v not in cache and self.domain.contains(v)))
-        if not todo:
-            return []
-        try:
-            values = many(np.array(todo)).tolist()
-        except NUMERIC_CAUSES:
-            return []
-        cache.update(zip(todo, values))
-        return list(zip(todo, values))
-
-    def fill_phis(self, vs) -> None:
-        """Fill the forward and inverse caches at ``vs`` (see ``_fill``)."""
-        for v, w in self._fill(self._fwd, self._phi_many, vs):
-            self._inv[w] = v
+        return float(self.phi_primes(v))
 
     def phis(self, vs) -> np.ndarray:
-        """``phi`` at every v of ``vs``, the cache filled first."""
-        self.fill_phis(vs)
-        return np.array([self.phi(v) for v in vs])
+        """The map at every v of ``vs``, any shape (see ``_read``); each
+        new value also enters the inverse cache."""
+        ws, new = self._read(self._fwd, self._phi_many, vs)
+        self._inv.update(zip(new.values(), new))
+        return ws
 
     def phi_primes(self, vs) -> np.ndarray:
-        """``phi_prime`` at every v of ``vs``, the cache filled first."""
-        self._fill(self._slope, self._phi_prime_many, vs)
-        return np.array([self.phi_prime(v) for v in vs])
+        # Cached per point: some slopes are quadratures (the conditional-
+        # mean map), and lattice evaluations revisit the same v constantly.
+        return self._read(self._slope, self._phi_prime_many, vs)[0]
+
+    def _read(self, cache: dict, many, vs) -> tuple[np.ndarray, dict]:
+        """The values of ``cache`` at every v of ``vs`` (any shape), and the
+        new ones, which come from one call of the array form ``many`` and
+        are entered in ``cache``. If a new v lies outside the domain, or
+        that call raises, the new points are evaluated one at a time, so the
+        error raised is the first the point-by-point order meets."""
+        vs = np.asarray(vs, dtype=float)
+        flat = vs.ravel().tolist()
+        todo = list(dict.fromkeys(v for v in flat if v not in cache))
+        new = {}
+        if todo:
+            values = None
+            if all(map(self.domain.contains, todo)):
+                try:
+                    values = many(np.array(todo))
+                except NUMERIC_CAUSES:
+                    pass
+            if values is None:
+                def one(v):
+                    self._require_domain(v)
+                    return many(np.array([v]))[0]
+                values = _pointwise(one, todo)[0]
+            new = dict(zip(todo, values.tolist()))
+            cache.update(new)
+        return np.array([cache[v] for v in flat]).reshape(vs.shape), new
 
     def inverse(self, w: float) -> float:
         v = self._inv.get(float(w))
@@ -514,8 +501,7 @@ class _RelabeledSignal(_Relabeled, SignalDistribution):
 
     def _pdf_array(self, w):
         v = self.rel.inverses(w)
-        return _over_slope(self.base.pdf_many(v),
-                           self.rel.phi_primes(v.ravel()).reshape(v.shape))
+        return _over_slope(self.base.pdf_many(v), self.rel.phi_primes(v))
 
 
 class _RelabeledKernel(_Relabeled, ValuationKernel):
@@ -746,13 +732,16 @@ def rebuild_from_section(base: ScreeningModel,
         want_lo = _parse_float(parts[0], "w_support")
         want_hi = _parse_float(parts[1], "w_support")
         got_lo, got_hi = rel.codomain.as_tuple()
-        if abs(got_lo - want_lo) > 1e-8 * max(1.0, abs(want_lo)):
+
+        def off(got, want):  # NaN is off; an infinite end matches itself
+            return not (got == want or abs(got - want)
+                        <= 1e-8 * max(1.0, abs(want)) < math.inf)
+
+        if off(got_lo, want_lo):
             raise SelfCheckError(
                 f"rebuilt codomain starts at {got_lo!r}, file says "
                 f"{want_lo!r}")
-        if math.isinf(want_hi) != math.isinf(got_hi) or (
-                math.isfinite(want_hi)
-                and abs(got_hi - want_hi) > 1e-8 * max(1.0, abs(want_hi))):
+        if off(got_hi, want_hi):
             raise SelfCheckError(
                 f"rebuilt codomain ends at {got_hi!r}, file says "
                 f"{want_hi!r}")
@@ -786,10 +775,10 @@ def _replay_table(rel: Relabeling, table: str) -> None:
     v, w, p = np.array(rows, dtype=float).reshape(-1, 3).T
     n = _first(~((rel.domain.lower <= v) & (v <= rel.domain.upper)))
     w_got, p_got = rel.phis(v[:n]), rel.phi_primes(v[:n])
-    with np.errstate(invalid="ignore"):
-        w_off = np.abs(w_got - w[:n]) > 1e-8 * np.fmax(1.0, np.abs(w[:n]))
-        k = _first(w_off | (np.abs(p_got - p[:n])
-                            > 1e-6 * np.fmax(1.0, np.abs(p[:n]))))
+    with np.errstate(invalid="ignore"):  # NaN is off
+        w_off = ~(np.abs(w_got - w[:n]) <= 1e-8 * np.fmax(1.0, np.abs(w[:n])))
+        k = _first(w_off | ~(np.abs(p_got - p[:n])
+                             <= 1e-6 * np.fmax(1.0, np.abs(p[:n]))))
     if k < n:
         name, got, want = ("phi", w_got, w) if w_off[k] else ("phi'", p_got, p)
         raise SelfCheckError(

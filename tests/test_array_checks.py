@@ -103,7 +103,7 @@ def _probes(base):
 def _scalar_self_check(base, tm, rel):
     """The self-check probe by probe through the scalar evaluators."""
     probes = _probes(base)
-    rel.fill_phis([x for v, _ in probes for x in stencil(v)[1]])
+    rel.phis([x for v, _ in probes for x in stencil(v)[1]])
     rel.phi_primes([v for v, _ in probes])
     worst, worst_at, n_bad = 0.0, None, 0
     for v, V in probes:
@@ -344,27 +344,6 @@ class _Refusing(AdditiveNoiseKernel):
         return super().cdf_dv(v, V)
 
 
-class _LatticeRefusing(PowerKernel):
-    """A power kernel with scalar forms of its own whose array fields
-    refuse a lattice (several signals over one row of values), though every
-    point evaluates. Validation's integrands, which give each signal its
-    own nodes, still evaluate."""
-
-    def cdf(self, v, V):
-        return V ** v
-
-    def pdf(self, v, V):
-        return v * V ** (v - 1.0)
-
-    def cdf_dv(self, v, V):
-        return math.log(V) * V ** v
-
-    def _fields(self, v, V):
-        if V.shape[0] < v.shape[0]:
-            raise ValueError("lattice refused")
-        return super()._fields(v, V)
-
-
 class TestValidation:
     @pytest.mark.parametrize("path", sorted(MODELS.glob("*.model")),
                              ids=lambda p: p.stem)
@@ -418,18 +397,6 @@ class TestValidation:
                   if c["name"] == "kernel_mass"]
         assert len(masses) == 3
         assert all(abs(m - 1.0) <= 1e-12 for m in masses)
-        assert result.checks == _scalar_validate(model)
-
-    def test_fosd_sample_reads_the_points_when_the_lattice_raises(self):
-        model = ScreeningModel(UniformSignal(Interval(1.0, 2.0)),
-                               _LatticeRefusing())
-        vs = np.linspace(1.0, 2.0, 8)[:, None]
-        with pytest.raises(ValueError, match="lattice refused"):
-            model.kernel.eval_lattice(model, vs, vs.T - 1.0, None)
-        result = validate_model(model)
-        assert result.passed and result.fosd_ok
-        assert result.checks[-1] == {"name": "fosd_sample", "passed": True,
-                                     "violations": 0, "sampled": 64}
         assert result.checks == _scalar_validate(model)
 
     @pytest.mark.parametrize("first, rest", [

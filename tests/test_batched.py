@@ -517,20 +517,25 @@ class TestOnePointMaps:
         assert rel._lat_w.tolist() == [want(v) for v in rel._lat_v.tolist()]
         assert rel.codomain.upper == want(1.0) == math.inf
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 1)], ids=["1d", "2d"])
     @pytest.mark.parametrize("kind", RELABELING_KINDS)
-    def test_fill_phis_is_one_array_call(self, kind):
+    def test_phis_is_one_array_call(self, kind, shape):
         base = (MEAN_MODELS["logistic"] if kind == "mean"
                 else _decreasing_hazard_model())
         rel = make_relabeling(base, kind)
         calls = []
         many = rel._phi_many
         rel._phi_many = lambda v: calls.append(len(v)) or many(v)
-        vs = OFF_LATTICE[1:6]
-        rel.fill_phis(vs)
-        assert calls == [len(vs)]
+        vs = np.reshape(OFF_LATTICE[1:6], shape)
+        ws = rel.phis(vs)
+        assert calls == [vs.size]
         one_point = make_relabeling(base, kind)
-        assert [rel.phi(v) for v in vs] == [one_point.phi(v) for v in vs]
-        assert calls == [len(vs)]
+        points = vs.ravel().tolist()
+        assert ws.shape == shape
+        assert ws.ravel().tolist() == [one_point.phi(v) for v in points]
+        assert [rel.phi(v) for v in points] == [one_point.phi(v)
+                                                for v in points]
+        assert calls == [vs.size]
 
 
 def _failing_slope_relabeling(threshold):
@@ -551,25 +556,33 @@ def _failing_slope_relabeling(threshold):
 
 
 class TestSlopeCache:
-    def test_fill_equals_scalar_slopes(self):
+    @pytest.mark.parametrize("vs", [np.linspace(0.0, 1.0, 23),
+                                    np.linspace(0.0, 1.0, 24).reshape(4, 6)],
+                             ids=["1d", "2d"])
+    def test_fill_equals_scalar_slopes(self, vs):
         base = MEAN_MODELS["logistic"]
-        vs = np.linspace(0.0, 1.0, 23)
         filled = make_relabeling(base, "mean")
         scalar = make_relabeling(base, "mean")
+        want = [scalar.phi_prime(v) for v in vs.ravel().tolist()]
         assert np.array_equal(filled.phi_primes(vs),
-                              [scalar.phi_prime(v) for v in vs.tolist()])
+                              np.reshape(want, vs.shape))
         assert filled._slope == scalar._slope
 
-    def test_error_is_the_first_the_point_order_meets(self):
-        vs = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(DensityUnderflowError) as want:
+    @pytest.mark.parametrize("vs, message", [
+        (np.linspace(0.0, 1.0, 11), "slope vanished at v=0.6000000000000001"),
+        # a point outside the domain keeps the array call from being made
+        ([0.7, 0.9, 1.5], "slope vanished at v=0.7"),
+        ([1.5, 0.7, 0.9], "signal value 1.5 outside relabeling domain "
+                          "[0.0, 1.0]")], ids=["array", "slope-first",
+                                               "domain-first"])
+    def test_error_is_the_first_the_point_order_meets(self, vs, message):
+        with pytest.raises((DensityUnderflowError, DomainError)) as want:
             scalar = _failing_slope_relabeling(0.6)
-            for v in vs.tolist():
+            for v in np.asarray(vs).tolist():
                 scalar.phi_prime(v)
-        with pytest.raises(DensityUnderflowError) as got:
+        with pytest.raises(want.type) as got:
             _failing_slope_relabeling(0.6).phi_primes(vs)
-        assert str(got.value) == str(want.value)
-        assert str(got.value) == f"slope vanished at v={float(vs[6])!r}"
+        assert str(got.value) == str(want.value) == message
 
     def test_lattice_hazard_marks_the_scalar_failures(self):
         base = ScreeningModel(UniformSignal(Interval(0.0, 1.0)),

@@ -667,3 +667,69 @@ def test_exp_tilt_at_large_signals_keeps_the_contract(tmp_path, capsys, hi,
         assert rc == 2 and out == ""
         assert_one_error_line(err, "A1 check aborted: 19 of 289 evaluations "
                               "failed inside v in [750.075, 999.9]")
+
+
+TABLE_KERNEL = """\
+[signal]
+family = uniform
+support = 0 1
+
+[kernel]
+family = table
+params = v 0 1 ; V 0 0.5 1 ; H 0 0.5 1 0 0.2 1
+"""
+
+
+@pytest.mark.parametrize("text, command, needle", [
+    (DECREASING_HAZARD.replace("0.4:0.7", "0.4:nan"),
+     ["verify", "--prop", "3", "--grid", "9x9"], "table signal"),
+    (DECREASING_HAZARD.replace("0.4:0.7", "0.4:inf"), ["check"],
+     "table signal"),
+    (TABLE_KERNEL.replace("H 0 0.5", "H 0 nan"),
+     ["grid", "--what", "H", "--grid", "3x3"], "table kernel"),
+    (TABLE_KERNEL.replace("H 0 0.5", "H 0 nan"),
+     ["transform", "--kind", "affine"], "table kernel"),
+    (TABLE_KERNEL.replace("H 0 0.5", "H 0 nan"), ["verify", "--prop", "1"],
+     "table kernel"),
+    (TABLE_KERNEL.replace("V 0 0.5 1", "V 0 0.5 inf"), ["check"],
+     "table kernel"),
+    (LOGISTIC + "noise.scale = inf\n", ["check"], "noise scale"),
+], ids=["signal-nan", "signal-inf", "kernel-nan-grid", "kernel-nan-transform",
+        "kernel-nan-verify", "kernel-node-inf", "scale-inf"])
+def test_non_finite_model_numbers_exit_two(tmp_path, capsys, text, command,
+                                           needle):
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, command[0], str(path), *command[1:],
+                           "--out", str(tmp_path / "out"))
+    assert caught == []
+    assert rc == 2 and out == ""
+    assert not (tmp_path / "out").exists()
+    assert_one_error_line(err, f"{needle} ")
+    assert "must be" in err and "finite" in err
+
+
+def test_numeric_failure_outside_the_toolkit_exits_two(files, capsys,
+                                                       monkeypatch):
+    def divide(args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "_cmd_check", divide)
+    rc, out, err = run(capsys, "check", files["power"])
+    assert rc == 2 and out == ""
+    assert err == ("seqscreen: error: numeric failure: ZeroDivisionError: "
+                   "float division by zero\n")
+
+
+def test_collapsed_mean_slope_exits_two(tmp_path, capsys):
+    # On [0, 1e160] each value range collapses to one float, so the mean
+    # map's slope is 0 and the self-check divides by it.
+    path = tmp_path / "wide.model"
+    path.write_text(LOGISTIC.replace("support = 0.0 1.0",
+                                     "support = 0.0 1e160"))
+    rc, out, err = run(capsys, "transform", str(path), "--kind", "mean",
+                       "--out", str(tmp_path / "derived.model"))
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, "numeric failure: ZeroDivisionError")

@@ -117,3 +117,43 @@ def test_only_the_point_helper_catches_inside_a_loop():
         visit(ast.parse(path.read_text(encoding="utf-8")), path, None, False)
     assert found - allowed == set()
     assert allowed <= found  # no stale entry
+
+
+def test_only_the_listed_functions_catch_numeric_causes():
+    """An ``except`` naming ``NUMERIC_CAUSES`` turns an array call that
+    failed into a point-by-point replay, a recorded failure or a message.
+    Only these functions have one, each for the reason given, and no entry
+    is stale."""
+    allowed = {
+        # each integral of a round records its own failure
+        ("numerics.py", "_panels"),
+        # names the stencil point whose evaluation failed
+        ("numerics.py", "_probe"),
+        ("propositions.py", "_shifted_cdf"),
+        # a power-kernel block that reads below V = 0 goes pair by pair
+        ("propositions.py", "_translation_gaps"),
+        # marks the points whose hazard fails rather than raising
+        ("regularity.py", "_inverse_hazard"),
+        # names the probe whose evaluation failed
+        ("transforms.py", "_self_check"),
+        # the cached map and slope, read point by point after a failure
+        ("transforms.py", "_read"),
+        # a numeric failure no evaluator named exits 2
+        ("cli.py", "main"),
+    }
+    found = set()
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name)
+                continue
+            if (isinstance(child, ast.ExceptHandler) and child.type
+                    and "NUMERIC_CAUSES" in _caught(child)):
+                found.add((path.name, owner))
+            visit(child, path, owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    assert found - allowed == set()
+    assert allowed <= found  # no stale entry

@@ -449,6 +449,33 @@ class TestDerivedFiles:
         with pytest.raises(SelfCheckError, match="codomain"):
             rebuild_from_section(uniform_logistic(), section)
 
+    @pytest.mark.parametrize("kind, key, edit, match", [
+        ("integrated_hazard", "w_support", lambda s: "nan inf",
+         "starts at 0.0, file says nan"),
+        ("affine", "w_support", lambda s: s.split()[0] + " nan",
+         "ends at 1.0, file says nan"),
+        ("integrated_hazard", "phi_table",
+         lambda t: _with_triple(t, 4, lambda v, w, p: f"{v}:nan:nan"),
+         r"phi\(0.015624984375\) = .* the recorded nan"),
+        ("integrated_hazard", "phi_table",
+         lambda t: _with_triple(t, 4, lambda v, w, p: f"{v}:{w}:nan"),
+         r"phi'\(0.015624984375\) = .* the recorded nan"),
+    ], ids=["w_lo", "w_hi", "phi", "slope"])
+    def test_nan_in_the_section_is_rejected(self, kind, key, edit, match):
+        # a comparison with NaN is false, so each check is written to fail
+        # on it
+        section = transform_section(relabel(uniform_logistic(), kind))
+        section[key] = edit(section[key])
+        with pytest.raises(SelfCheckError, match=match):
+            rebuild_from_section(uniform_logistic(), section)
+
     def test_missing_kind(self):
         with pytest.raises(ConstructionError, match="kind"):
             rebuild_from_section(uniform_logistic(), {"w_lo": "0.0"})
+
+
+def _with_triple(table: str, k: int, edit) -> str:
+    """``table`` with its k-th v:w:slope token replaced by ``edit(v, w, p)``."""
+    tokens = table.split()
+    tokens[k] = edit(*tokens[k].split(":"))
+    return " ".join(tokens)
