@@ -10,19 +10,31 @@ models. Everything is driven either from Python or from model files via the
 ``seqscreen`` command.
 """
 
-from . import (errors, model_core, modelfile, numerics, propositions,
-               regularity, transforms)
+import importlib
+
+from . import errors, model_core, modelfile, numerics, regularity
 from .errors import *  # noqa: F401,F403
 from .model_core import *  # noqa: F401,F403
 from .modelfile import *  # noqa: F401,F403
 from .numerics import *  # noqa: F401,F403
-from .propositions import *  # noqa: F401,F403
 from .regularity import *  # noqa: F401,F403
-from .transforms import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-# The package exports the union of its modules' public names.
-__all__ = [name for module in (errors, numerics, model_core, modelfile,
-                               regularity, transforms, propositions)
-           for name in module.__all__] + ["__version__"]
+
+def __getattr__(name):
+    """The names of ``transforms`` and ``propositions``, which load on the
+    first use of any of them, so a command that calls neither does not
+    compile them; ``__all__`` is the union of every module's public names."""
+    lazy = [importlib.import_module(f"{__name__}.{module}")
+            for module in ("transforms", "propositions")]
+    if name == "__all__":
+        return [public for module in (errors, numerics, model_core, modelfile,
+                                      regularity, *lazy)
+                for public in module.__all__] + ["__version__"]
+    for module in lazy:
+        if name in module.__all__:
+            return getattr(module, name)
+    if name in globals():  # the submodule itself, now imported
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

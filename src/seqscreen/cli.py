@@ -26,20 +26,14 @@ import sys
 from .errors import (
     ConstructionError,
     IntegrabilityError,
+    LoadError,
     NUMERIC_CAUSES,
     SelfCheckError,
     ToolkitError,
 )
 from .model_core import validate_model
-from .modelfile import dumps, load
-from .propositions import verify
+from .modelfile import RELABELING_KINDS, dumps, load
 from .regularity import FIELD_NAMES, compute_field, regularity_report
-from .transforms import (
-    RELABELING_KINDS,
-    TransformedModel,
-    apply_relabeling,
-    make_relabeling,
-)
 
 __all__ = ["main"]
 
@@ -47,6 +41,16 @@ __all__ = ["main"]
 def _fail(message: str, code: int) -> int:
     print(f"seqscreen: error: {message}", file=sys.stderr)
     return code
+
+
+def _located(exc: ToolkitError) -> str:
+    """The error's message, and the file line and key a LoadError names."""
+    if not isinstance(exc, LoadError):
+        return str(exc)
+    where = [f"line {exc.line}"] if exc.line is not None else []
+    if exc.key is not None:
+        where.append(f"key {exc.key!r}")
+    return f"{exc} ({', '.join(where)})" if where else str(exc)
 
 
 def _emit(chunks, out: str | None) -> int:
@@ -113,6 +117,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .propositions import verify
+
     model, grid, tol = _load_model(args)
     result = verify(model, args.prop, grid, tol)
     if isinstance(result, dict):  # suite 3 reports both directions
@@ -127,6 +133,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from .transforms import TransformedModel, apply_relabeling, make_relabeling
+
     model, grid, tol = _load_model(args)
     if isinstance(model, TransformedModel):
         return _fail(
@@ -217,7 +225,7 @@ def main(argv=None) -> int:
         # Every deliberate failure the subcommands do not map themselves
         # (unreadable input, an aborted or out-of-domain evaluation) is
         # unusable input.
-        return _fail(str(exc), 2)
+        return _fail(_located(exc), 2)
     except NUMERIC_CAUSES as exc:
         # a numeric failure no evaluator named (a zero slope, an overflow)
         return _fail(f"numeric failure: {type(exc).__name__}: {exc}", 2)

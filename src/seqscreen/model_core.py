@@ -101,47 +101,107 @@ def _stirling_gap(z: float) -> float:
                                                       - r / 1188)))) / z
 
 
-def _betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b), by the modified Lentz
-    continued fraction (Lentz 1976; Numerical Recipes, section 6.4).
+def _betainc_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """Regularized incomplete beta I_x(a, b) at every point of an array, by
+    the modified Lentz continued fraction (Lentz 1976; Numerical Recipes,
+    section 6.4).
 
-    Above x = (a + 1)/(a + b + 2) it takes 1 - I_{1-x}(b, a), where the
-    fraction converges fast. The prefactor x^a (1-x)^b / (a B(a, b)) is
-    expanded about x0 = a/(a + b), so large shapes cancel no lgamma terms.
+    Above x = (a + 1)/(a + b + 2) a point takes 1 - I_{1-x}(b, a), where
+    the fraction converges fast. The prefactor x^a (1-x)^b / (a B(a, b))
+    is expanded about x0 = a/(a + b), so large shapes cancel no lgamma
+    terms. Each point's value is the one float arithmetic on that point
+    alone gives: the recurrences run elementwise, a point leaves at its own
+    first converged step, and its logs and exp go through ``math``.
     """
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
+    x = np.asarray(x, dtype=float)
+    out = np.where(x <= 0.0, 0.0, 1.0)
+    inner = np.flatnonzero(~((x <= 0.0) | (x >= 1.0)))
+    if inner.size:
+        # float arithmetic overflows to inf and makes NaN without a word
+        with np.errstate(over="ignore", invalid="ignore"):
+            out.flat[inner] = _betainc_inner(a, b, x.flat[inner])
+    return out
+
+
+def _betainc_inner(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """I_x(a, b) at the points of a flat array that are not at or past
+    an end of [0, 1], each orientation's points in one batch."""
     swap = x >= (a + 1.0) / (a + b + 2.0)
-    p, q, t = (b, a, 1.0 - x) if swap else (a, b, x)
+    out = np.empty(x.shape)
+    running = []
+    for flipped, pick in ((False, ~swap), (True, swap)):
+        if not pick.any():
+            continue
+        p, q, t = (b, a, 1.0 - x[pick]) if flipped else (a, b, x[pick])
+        front, stuck = _betainc_front(p, q, t)
+        out[pick] = 1.0 - front if flipped else front
+        running.extend(np.flatnonzero(pick)[stuck].tolist())
+    if running:
+        raise EvaluationError(
+            f"regularized incomplete beta did not converge in "
+            f"{_BETAINC_MAX_TERMS} terms at (a, b, x) = "
+            f"({a!r}, {b!r}, {float(x[min(running)])!r})")
+    return out
+
+
+def _betainc_front(p: float, q: float, t: np.ndarray):
+    """x^p (1-x)^q / (p B(p, q)) times the continued fraction at each x of
+    ``t``, and the positions of the points whose fraction did not converge.
+    """
     t0, s0 = p / (p + q), q / (p + q)
-    log_front = (p * (math.log1p((t - t0) / t0) if t > 0.5 * t0
-                      else math.log(t / t0))
-                 + q * math.log1p((t0 - t) / s0)
+    if t0 == 0.0 or s0 == 0.0:  # the pointwise form divides by both
+        raise ZeroDivisionError("float division by zero")
+    near = t > 0.5 * t0
+    log_t = np.empty(t.shape)
+    log_t[near] = _exact_map(math.log1p, (t[near] - t0) / t0)
+    log_t[~near] = _exact_map(math.log, t[~near] / t0)
+    log_front = (p * log_t + q * _exact_map(math.log1p, (t0 - t) / s0)
                  + 0.5 * math.log(p * s0) - _LOG_SQRT_2PI
                  - _stirling_gap(p) - _stirling_gap(q) + _stirling_gap(p + q))
-    # Lentz's guard turns a zero denominator into a tiny one
-    c, d = 1.0, 1.0 / ((1.0 - (p + q) * t / (p + 1.0)) or _LENTZ_TINY)
-    h = d
+    h, stuck = _lentz(p, q, t)
+    return _exact_map(math.exp, log_front) * h / p, stuck
+
+
+def _lentz(p: float, q: float, t: np.ndarray):
+    """The incomplete beta's continued fraction at each t, each point
+    stopping at its own first step with |delta - 1| <= eps; and the
+    positions of the points still running after the last term."""
+    h_end = np.empty(t.shape)
+    live = np.arange(t.size)
+    d = 1.0 / _lentz_guard(1.0 - (p + q) * t / (p + 1.0))
+    c, h = np.ones(t.shape), d
     for m in range(1, _BETAINC_MAX_TERMS + 1):
-        # one step takes the even, then the odd, partial numerator
+        # one step takes the even, then the odd, partial numerator; the
+        # shape-only factors are Python floats, in the pointwise order
         k = p + 2 * m
         num = m * (q - m) * t / ((k - 1.0) * k)
-        d = 1.0 / ((1.0 + num * d) or _LENTZ_TINY)
-        c = (1.0 + num / c) or _LENTZ_TINY
-        h *= c * d
+        d = 1.0 / _lentz_guard(1.0 + num * d)
+        c = _lentz_guard(1.0 + num / c)
+        h = h * (c * d)
         num = -(p + m) * (p + q + m) * t / (k * (k + 1.0))
-        d = 1.0 / ((1.0 + num * d) or _LENTZ_TINY)
-        c = (1.0 + num / c) or _LENTZ_TINY
+        d = 1.0 / _lentz_guard(1.0 + num * d)
+        c = _lentz_guard(1.0 + num / c)
         delta = c * d
-        h *= delta
-        if abs(delta - 1.0) <= _BETAINC_EPS:
-            front = math.exp(log_front) * h / p
-            return 1.0 - front if swap else front
-    raise EvaluationError(
-        f"regularized incomplete beta did not converge in "
-        f"{_BETAINC_MAX_TERMS} terms at (a, b, x) = ({a!r}, {b!r}, {x!r})")
+        h = h * delta
+        done = np.abs(delta - 1.0) <= _BETAINC_EPS
+        if done.any():
+            h_end[live[done]] = h[done]
+            going = ~done
+            live, t, c, d, h = (arr[going] for arr in (live, t, c, d, h))
+            if not live.size:
+                break
+    return h_end, live
+
+
+def _lentz_guard(den: np.ndarray) -> np.ndarray:
+    """Lentz's guard, in place: a zero denominator becomes a tiny one."""
+    den[den == 0.0] = _LENTZ_TINY
+    return den
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """I_x(a, b) at one point: the array form on a one-point array."""
+    return float(_betainc_many(a, b, np.array([x], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +458,11 @@ class BetaSignal(SignalDistribution):
         return (v - self.support.lower) / self.support.width
 
     def _cdf_array(self, v):
-        return _exact_map(_betainc, self.alpha, self.beta, self._unit(v))
+        return _betainc_many(self.alpha, self.beta, self._unit(v))
 
     def _sf_array(self, v):
         # Regularized incomplete beta symmetry keeps the upper tail accurate.
-        return _exact_map(_betainc, self.beta, self.alpha,
-                          1.0 - self._unit(v))
+        return _betainc_many(self.beta, self.alpha, 1.0 - self._unit(v))
 
     def _pdf_array(self, v):
         x = self._unit(v)

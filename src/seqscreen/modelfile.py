@@ -43,10 +43,17 @@ from .model_core import (
     make_kernel,
     make_signal,
 )
-from .transforms import (TransformedModel, _fmt, rebuild_from_section,
-                         transform_section)
 
 __all__ = ["load", "loads", "dumps"]
+
+# the relabelings a [transform] section can name
+RELABELING_KINDS = (
+    "inverse_hazard_integral",
+    "integrated_hazard",
+    "runningmax_hazard",
+    "mean",
+    "affine",
+)
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]\s*$")
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*)\s*=\s*(.*)$")
@@ -56,6 +63,7 @@ _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*)\s*=\s*(.*)$")
 class _Entry:
     value: str
     line: int
+    key: str
 
 
 def _parse(text: str) -> dict[str, dict[str, _Entry]]:
@@ -102,7 +110,7 @@ def _parse(text: str) -> dict[str, dict[str, _Entry]]:
             if key in current:
                 raise LoadError(f"duplicate key {key!r} in [{current_name}]",
                                 line=lineno, key=key)
-            current[key] = _Entry(value, lineno)
+            current[key] = _Entry(value, lineno, key)
             last_key = key
             continue
         raise LoadError(f"cannot parse line: {raw.strip()!r}", line=lineno)
@@ -206,14 +214,15 @@ def _build_kernel(section: dict[str, _Entry]):
         _reject(section, "params", "additive_noise kernel takes no params")
         noise = section.get("noise.family")
         scale = section.get("noise.scale")
-        kwargs = {}
-        if noise is not None:
-            kwargs["noise"] = noise.value
-        if scale is not None:
-            kwargs["scale"] = _as_float(scale, "noise.scale")
+        law = {} if noise is None else {"noise": noise.value}
+        scaled = ({} if scale is None
+                  else {"scale": _as_float(scale, "noise.scale")})
+        # the law alone first, so that each entry's error names its line
+        _wrap_construction(lambda: make_kernel("additive_noise", **law),
+                           noise or section["family"])
         return _wrap_construction(
-            lambda: make_kernel("additive_noise", **kwargs),
-            section["family"])
+            lambda: make_kernel("additive_noise", **law, **scaled),
+            scale or section["family"])
     if family in ("power", "exp_tilt"):
         for key in ("params", "noise.family", "noise.scale"):
             _reject(section, key, f"{family} kernel does not use {key!r}")
@@ -250,11 +259,16 @@ def _build_kernel(section: dict[str, _Entry]):
                     line=section["family"].line, key="family")
 
 
+def _fmt(x: float) -> str:
+    """A number as the file writes it: the shortest repr that reads back."""
+    return repr(float(x))
+
+
 def _wrap_construction(build, entry: _Entry):
     try:
         return build()
     except ConstructionError as exc:
-        raise LoadError(str(exc), line=entry.line) from exc
+        raise LoadError(str(exc), line=entry.line, key=entry.key) from exc
 
 
 # The [grid] and [tolerances] sections: each file key with the config field
@@ -306,6 +320,7 @@ def loads(text: str) -> tuple[ScreeningModel, GridSpec, ToleranceConfig]:
     except ConstructionError as exc:
         raise LoadError(str(exc)) from exc
     if "transform" in sections:
+        from .transforms import rebuild_from_section
         plain = {k: e.value for k, e in sections["transform"].items()}
         try:
             model = rebuild_from_section(model, plain)
@@ -387,7 +402,8 @@ def dumps(model: ScreeningModel, grid: GridSpec | None = None,
     ``[transform]`` section that rebuilds it.
     """
     section = None
-    if isinstance(model, TransformedModel):
+    if hasattr(model, "relabeling"):  # a derived model
+        from .transforms import transform_section
         section = transform_section(model)
         model = model.base
     grid = grid or GridSpec()

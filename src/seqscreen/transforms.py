@@ -64,6 +64,7 @@ from .model_core import (
     conditional_mean_derivative_many,
     conditional_mean_many,
 )
+from .modelfile import RELABELING_KINDS, _fmt
 from .numerics import (Interval, _pointwise, differentiate, integrate_many,
                        kahan_prefix, richardson, stencil)
 from .regularity import _DENSITY_FLOOR, _inverse_hazard, gamma, hazard
@@ -78,14 +79,6 @@ __all__ = [
     "transform_section",
     "rebuild_from_section",
 ]
-
-RELABELING_KINDS = (
-    "inverse_hazard_integral",
-    "integrated_hazard",
-    "runningmax_hazard",
-    "mean",
-    "affine",
-)
 
 _LATTICE_N = 513
 _RUNNINGMAX_N = 1025
@@ -379,8 +372,16 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
             raise ConstructionError(
                 "conditional mean is not strictly increasing; the mean "
                 "relabeling is undefined for this model")
-        return Relabeling(kind, dom, phi, phi_prime, lat_v, lat_w,
-                          w_hi=float(lat_w[-1]), params=params)
+        rel = Relabeling(kind, dom, phi, phi_prime, lat_v, lat_w,
+                         w_hi=float(lat_w[-1]), params=params)
+        # The slopes the file records, now in the cache. Where each value
+        # range collapses to one float (a very wide support), they are 0.
+        for v, _, dphi in rel.table():
+            if not dphi > 0:
+                raise ConstructionError(
+                    f"mean relabeling: the conditional mean's slope "
+                    f"{dphi!r} at v={v!r} is not positive")
+        return rel
 
     if kind == "inverse_hazard_integral":
         # the inverse hazard on phi1's axis is S/f * phi1'
@@ -672,10 +673,6 @@ def relabel(model: ScreeningModel, kind: str, **kwargs) -> TransformedModel:
 
 # ---------------------------------------------------------------------------
 # serialization of derived models
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def transform_section(tm: TransformedModel) -> dict[str, str]:

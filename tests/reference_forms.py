@@ -14,8 +14,9 @@ import math
 import numpy as np
 
 from seqscreen.errors import (DensityUnderflowError, DomainError,
-                              NearEndpointError)
-from seqscreen.model_core import _betainc
+                              EvaluationError, NearEndpointError)
+from seqscreen.model_core import (_BETAINC_EPS, _BETAINC_MAX_TERMS,
+                                  _LENTZ_TINY, _LOG_SQRT_2PI, _stirling_gap)
 from seqscreen.numerics import kahan_prefix
 from seqscreen.regularity import hazard
 
@@ -61,9 +62,52 @@ def _beta(signal):
                    + (b - 1.0) * math.log1p(-x))
         return math.exp(log_pdf) / width
 
-    return (lambda v: _betainc(a, b, unit(v)),
-            lambda v: _betainc(b, a, 1.0 - unit(v)),
+    return (lambda v: betainc(a, b, unit(v)),
+            lambda v: betainc(b, a, 1.0 - unit(v)),
             pdf)
+
+
+def betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b), by the modified Lentz
+    continued fraction (Lentz 1976; Numerical Recipes, section 6.4).
+
+    Above x = (a + 1)/(a + b + 2) it takes 1 - I_{1-x}(b, a), where the
+    fraction converges fast. The prefactor x^a (1-x)^b / (a B(a, b)) is
+    expanded about x0 = a/(a + b), so large shapes cancel no lgamma terms.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    swap = x >= (a + 1.0) / (a + b + 2.0)
+    p, q, t = (b, a, 1.0 - x) if swap else (a, b, x)
+    t0, s0 = p / (p + q), q / (p + q)
+    log_front = (p * (math.log1p((t - t0) / t0) if t > 0.5 * t0
+                      else math.log(t / t0))
+                 + q * math.log1p((t0 - t) / s0)
+                 + 0.5 * math.log(p * s0) - _LOG_SQRT_2PI
+                 - _stirling_gap(p) - _stirling_gap(q) + _stirling_gap(p + q))
+    # Lentz's guard turns a zero denominator into a tiny one
+    c, d = 1.0, 1.0 / ((1.0 - (p + q) * t / (p + 1.0)) or _LENTZ_TINY)
+    h = d
+    for m in range(1, _BETAINC_MAX_TERMS + 1):
+        # one step takes the even, then the odd, partial numerator
+        k = p + 2 * m
+        num = m * (q - m) * t / ((k - 1.0) * k)
+        d = 1.0 / ((1.0 + num * d) or _LENTZ_TINY)
+        c = (1.0 + num / c) or _LENTZ_TINY
+        h *= c * d
+        num = -(p + m) * (p + q + m) * t / (k * (k + 1.0))
+        d = 1.0 / ((1.0 + num * d) or _LENTZ_TINY)
+        c = (1.0 + num / c) or _LENTZ_TINY
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= _BETAINC_EPS:
+            front = math.exp(log_front) * h / p
+            return 1.0 - front if swap else front
+    raise EvaluationError(
+        f"regularized incomplete beta did not converge in "
+        f"{_BETAINC_MAX_TERMS} terms at (a, b, x) = ({a!r}, {b!r}, {x!r})")
 
 
 def _table_signal(signal):

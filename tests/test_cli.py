@@ -560,17 +560,52 @@ class TestGrid:
 
 class TestStartup:
     """SciPy is imported only by a model that needs a normal-noise quantile
-    (ndtri); the beta signal's incomplete beta is computed in the package."""
+    (ndtri); the beta signal's incomplete beta is computed in the package.
+    ``propositions`` and ``transforms`` load only for a command that calls
+    them: ``verify``, ``transform`` or a derived model file."""
 
-    def scipy_loaded(self, code):
+    LAZY = ("seqscreen.propositions", "seqscreen.transforms")
+
+    def loaded(self, code, names):
+        """Which of ``names`` a fresh interpreter holds after ``code``."""
         src = str(Path(seqscreen.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
             [sys.executable, "-c",
-             code + "\nimport sys; print('scipy' in sys.modules)"],
+             code + "\nimport json, sys\n"
+             f"print(json.dumps([n for n in {list(names)!r} "
+             "if n in sys.modules]))"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()[-1] == "True"
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def scipy_loaded(self, code):
+        return self.loaded(code, ["scipy"]) == ["scipy"]
+
+    def test_base_commands_leave_the_suites_and_transforms_out(self, files):
+        code = ("import seqscreen.cli\n"
+                "from seqscreen.cli import main\n"
+                f"assert main(['check', {files['power']!r}, "
+                "'--grid', '9x9']) in (0, 1)\n"
+                f"assert main(['grid', {files['power']!r}, '--what', 'psi', "
+                "'--grid', '5x5']) == 0")
+        assert self.loaded(code, self.LAZY) == []
+
+    def test_verify_loads_the_suites(self, files):
+        code = ("from seqscreen.cli import main\n"
+                f"assert main(['verify', {files['power']!r}, '--prop', '2', "
+                "'--grid', '9x9']) in (0, 1)")
+        # the suites build relabelings, so transforms comes with them
+        assert self.loaded(code, self.LAZY) == list(self.LAZY)
+
+    def test_a_derived_file_loads_transforms(self, files, tmp_path):
+        derived = str(tmp_path / "affine.model")
+        assert main(["transform", files["power"], "--kind", "affine",
+                     "--out", derived]) == 0
+        code = ("from seqscreen.cli import main\n"
+                f"assert main(['check', {derived!r}, '--grid', '9x9']) "
+                "in (0, 1)")
+        assert self.loaded(code, self.LAZY) == ["seqscreen.transforms"]
 
     def test_import_leaves_scipy_out(self):
         assert not self.scipy_loaded("import seqscreen.cli")
@@ -680,24 +715,24 @@ params = v 0 1 ; V 0 0.5 1 ; H 0 0.5 1 0 0.2 1
 """
 
 
-@pytest.mark.parametrize("text, command, needle", [
+@pytest.mark.parametrize("text, command, needle, line", [
     (DECREASING_HAZARD.replace("0.4:0.7", "0.4:nan"),
-     ["verify", "--prop", "3", "--grid", "9x9"], "table signal"),
+     ["verify", "--prop", "3", "--grid", "9x9"], "table signal", 3),
     (DECREASING_HAZARD.replace("0.4:0.7", "0.4:inf"), ["check"],
-     "table signal"),
+     "table signal", 3),
     (TABLE_KERNEL.replace("H 0 0.5", "H 0 nan"),
-     ["grid", "--what", "H", "--grid", "3x3"], "table kernel"),
+     ["grid", "--what", "H", "--grid", "3x3"], "table kernel", 7),
     (TABLE_KERNEL.replace("H 0 0.5", "H 0 nan"),
-     ["transform", "--kind", "affine"], "table kernel"),
+     ["transform", "--kind", "affine"], "table kernel", 7),
     (TABLE_KERNEL.replace("H 0 0.5", "H 0 nan"), ["verify", "--prop", "1"],
-     "table kernel"),
+     "table kernel", 7),
     (TABLE_KERNEL.replace("V 0 0.5 1", "V 0 0.5 inf"), ["check"],
-     "table kernel"),
-    (LOGISTIC + "noise.scale = inf\n", ["check"], "noise scale"),
+     "table kernel", 7),
+    (LOGISTIC + "noise.scale = inf\n", ["check"], "noise scale", 8),
 ], ids=["signal-nan", "signal-inf", "kernel-nan-grid", "kernel-nan-transform",
         "kernel-nan-verify", "kernel-node-inf", "scale-inf"])
 def test_non_finite_model_numbers_exit_two(tmp_path, capsys, text, command,
-                                           needle):
+                                           needle, line):
     path = tmp_path / "bad.model"
     path.write_text(text)
     with warnings.catch_warnings(record=True) as caught:
@@ -709,6 +744,9 @@ def test_non_finite_model_numbers_exit_two(tmp_path, capsys, text, command,
     assert not (tmp_path / "out").exists()
     assert_one_error_line(err, f"{needle} ")
     assert "must be" in err and "finite" in err
+    # the line of the offending entry, and its key
+    key = "noise.scale" if needle == "noise scale" else "params"
+    assert err.endswith(f" (line {line}, key {key!r})\n"), err
 
 
 def test_numeric_failure_outside_the_toolkit_exits_two(files, capsys,
@@ -723,13 +761,15 @@ def test_numeric_failure_outside_the_toolkit_exits_two(files, capsys,
                    "float division by zero\n")
 
 
-def test_collapsed_mean_slope_exits_two(tmp_path, capsys):
+def test_collapsed_mean_slope_is_refused(tmp_path, capsys):
     # On [0, 1e160] each value range collapses to one float, so the mean
-    # map's slope is 0 and the self-check divides by it.
+    # map's slope is 0: a relabeling that cannot be built.
     path = tmp_path / "wide.model"
     path.write_text(LOGISTIC.replace("support = 0.0 1.0",
                                      "support = 0.0 1e160"))
     rc, out, err = run(capsys, "transform", str(path), "--kind", "mean",
                        "--out", str(tmp_path / "derived.model"))
-    assert rc == 2 and out == ""
-    assert_one_error_line(err, "numeric failure: ZeroDivisionError")
+    assert rc == 1 and out == ""
+    assert not (tmp_path / "derived.model").exists()
+    assert_one_error_line(err, "mean relabeling: the conditional mean's "
+                               "slope 0.0 at v=3.90625e+157 is not positive")

@@ -8,6 +8,7 @@ number was derived, not wishful thinking.
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,10 +35,14 @@ from seqscreen.model_core import (
     make_kernel,
     make_signal,
     _betainc,
+    _betainc_many,
     validate_model,
 )
+from seqscreen.modelfile import load
 from seqscreen.numerics import Interval, integrate
 from seqscreen.transforms import relabel
+
+from reference_forms import betainc
 
 
 def uniform_logistic():
@@ -209,6 +214,61 @@ _BETAINC_LARGE = [
 ]
 
 
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _file_beta_shapes():
+    """The beta shapes of the model files the benchmark and the sweep run."""
+    shapes = set()
+    for folder in ("perfbench", "tools"):
+        for path in sorted((_ROOT / folder / "models").glob("*.model")):
+            signal = load(str(path))[0].signal
+            if signal.family == "beta":
+                shapes.add((signal.alpha, signal.beta))
+    return sorted(shapes)
+
+
+# log-uniform shapes from 0.05 to 5000, and the extremes of the tables above
+_ARRAY_SHAPES = _file_beta_shapes() + [
+    tuple(pair) for pair in np.exp(np.random.default_rng(25).uniform(
+        math.log(0.05), math.log(5e3), (8, 2))).tolist()] + [
+    (0.3, 0.5), (1e4, 1e4), (1e4, 1.5), (0.7, 5e3)]
+
+
+class TestBetaincArrayForm:
+    """The array form (and so ``_betainc``, its one-point call) equals the
+    pointwise Lentz loop of ``reference_forms.betainc`` bit for bit."""
+
+    def test_the_model_files_have_beta_shapes(self):
+        assert {(0.5, 2.0), (3.0, 0.5), (2.0, 2.0)} <= set(_file_beta_shapes())
+
+    @pytest.mark.parametrize("a, b", _ARRAY_SHAPES)
+    def test_equals_the_reference(self, a, b):
+        swap = (a + 1.0) / (a + b + 2.0)
+        xs = np.array([0.0, 1.0, 1e-300, 1 - 1e-16, swap,
+                       math.nextafter(swap, 0.0), math.nextafter(swap, 1.0),
+                       -0.5, 1.5]
+                      + np.random.default_rng(0).uniform(0, 1, 300).tolist())
+        want = np.array([betainc(a, b, x) for x in xs.tolist()])
+        one_point = np.array([_betainc(a, b, x) for x in xs.tolist()])
+        for got in (_betainc_many(a, b, xs), one_point):
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_keeps_the_shape(self):
+        xs = np.linspace(0.0, 1.0, 12)
+        got = _betainc_many(0.5, 2.0, xs.reshape(3, 4))
+        assert got.shape == (3, 4)
+        assert got.ravel().tolist() == _betainc_many(0.5, 2.0, xs).tolist()
+
+    @pytest.mark.parametrize("x", [1e-12, 0.5])
+    def test_a_vanishing_shape_ratio_divides_by_zero(self, x):
+        # a / (a + b) is 0 below the swap point, b / (a + b) above it
+        with pytest.raises(ZeroDivisionError):
+            betainc(1e-320, 1e10, x)
+        with pytest.raises(ZeroDivisionError):
+            _betainc_many(1e-320, 1e10, np.array([x]))
+
+
 class TestBetainc:
     """The in-repo regularized incomplete beta against frozen references."""
 
@@ -245,6 +305,17 @@ class TestBetainc:
         where = r"2 terms at \(a, b, x\) = \(2.5, 3.5, 0.4\)"
         with pytest.raises(EvaluationError, match=where):
             _betainc(2.5, 3.5, 0.4)
+
+    @pytest.mark.parametrize("first", [0.4, 0.6])
+    def test_non_convergence_names_the_first_point_in_flat_order(
+            self, monkeypatch, first):
+        # With two terms 1e-6 and 0.99999 converge; 0.3, 0.4 and 0.6 do
+        # not. 0.6 lies above the swap point 0.4375, 0.3 and 0.4 below it.
+        monkeypatch.setattr(model_core, "_BETAINC_MAX_TERMS", 2)
+        where = rf"2 terms at \(a, b, x\) = \(2.5, 3.5, {first}\)"
+        with pytest.raises(EvaluationError, match=where):
+            _betainc_many(2.5, 3.5,
+                          np.array([[1e-6, first], [0.3, 0.99999]]))
 
     def test_non_convergence_exits_2(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "beta.model"

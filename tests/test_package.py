@@ -157,3 +157,38 @@ def test_only_the_listed_functions_catch_numeric_causes():
         visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
     assert found - allowed == set()
     assert allowed <= found  # no stale entry
+
+
+def _run_on_import(tree: ast.Module):
+    """Every node of a module that runs when it is imported: all but the
+    bodies of its functions."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_the_suites_and_transforms_load_on_first_use():
+    """``__init__``, ``cli`` and ``modelfile`` import neither
+    ``propositions`` nor ``transforms`` when they load, so a command that
+    calls neither does not compile them; the functions that need one import
+    it themselves."""
+    lazy = {"propositions", "transforms"}
+    found = []
+    for name in ("__init__.py", "cli.py", "modelfile.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        for node in _run_on_import(tree):
+            if isinstance(node, ast.ImportFrom):
+                named = {(node.module or "").split(".")[-1]}
+                if node.module is None:  # from . import transforms
+                    named = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                named = {alias.name.split(".")[-1] for alias in node.names}
+            else:
+                continue
+            if named & lazy:
+                found.append(f"{name}:{node.lineno}")
+    assert found == []

@@ -160,6 +160,15 @@ class TestMeanRelabeling:
             assert conditional_mean(tm, float(w)) == pytest.approx(
                 float(w), abs=1e-9)
 
+    def test_collapsed_mean_slope_is_refused(self):
+        # On [0, 1e160] each value range collapses to one float, so the
+        # conditional mean's slope is 0 at every table point but the first.
+        model = ScreeningModel(UniformSignal(Interval(0.0, 1e160)),
+                               AdditiveNoiseKernel(noise="logistic"))
+        with pytest.raises(ConstructionError,
+                           match=r"slope 0\.0 at v=3\.90625e\+157 is not"):
+            make_relabeling(model, "mean")
+
 
 class TestAffine:
     def test_map_and_inverse(self):
