@@ -325,8 +325,11 @@ def loads(text: str) -> tuple[ScreeningModel, GridSpec, ToleranceConfig]:
         try:
             model = rebuild_from_section(model, plain)
         except (ConstructionError, SelfCheckError, IntegrabilityError) as exc:
+            key = getattr(exc, "key", None)
+            entry = sections["transform"].get(key)
             raise LoadError(
-                f"[transform] section could not be rebuilt: {exc}") from exc
+                f"[transform] section could not be rebuilt: {exc}",
+                line=entry.line if entry else None, key=key) from exc
     return model, grid, tolerances
 
 

@@ -41,6 +41,7 @@ inversions bisect together on the construction lattice to 1e-12.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 
@@ -710,42 +711,55 @@ def rebuild_from_section(base: ScreeningModel,
         raise ConstructionError("[transform] section is missing 'kind'")
     kwargs: dict = {}
     if "w_lo" in section:
-        kwargs["w_lo"] = _parse_float(section["w_lo"], "w_lo")
-    if kind == "affine":
-        if "slope" in section:
-            kwargs["slope"] = _parse_float(section["slope"], "slope")
-        if "intercept" in section:
-            kwargs["intercept"] = _parse_float(section["intercept"],
-                                               "intercept")
-    elif "slope" in section or "intercept" in section:
-        raise ConstructionError(
-            "slope/intercept keys only apply to the affine kind")
-    rel = make_relabeling(base, kind, **kwargs)
+        with _about("w_lo"):
+            kwargs["w_lo"] = _parse_float(section["w_lo"], "w_lo")
+    for key in ("slope", "intercept"):
+        if key in section:
+            with _about(key):
+                if kind != "affine":
+                    raise ConstructionError(
+                        "slope/intercept keys only apply to the affine kind")
+                kwargs[key] = _parse_float(section[key], key)
+    with _about("slope" if kind == "affine" else "kind"):
+        rel = make_relabeling(base, kind, **kwargs)
 
     if "w_support" in section:
-        parts = section["w_support"].split()
-        if len(parts) != 2:
-            raise ConstructionError("w_support needs exactly two numbers")
-        want_lo = _parse_float(parts[0], "w_support")
-        want_hi = _parse_float(parts[1], "w_support")
-        got_lo, got_hi = rel.codomain.as_tuple()
+        with _about("w_support"):
+            parts = section["w_support"].split()
+            if len(parts) != 2:
+                raise ConstructionError("w_support needs exactly two numbers")
+            want_lo = _parse_float(parts[0], "w_support")
+            want_hi = _parse_float(parts[1], "w_support")
+            got_lo, got_hi = rel.codomain.as_tuple()
 
-        def off(got, want):  # NaN is off; an infinite end matches itself
-            return not (got == want or abs(got - want)
-                        <= 1e-8 * max(1.0, abs(want)) < math.inf)
+            def off(got, want):  # NaN is off; an infinite end matches itself
+                return not (got == want or abs(got - want)
+                            <= 1e-8 * max(1.0, abs(want)) < math.inf)
 
-        if off(got_lo, want_lo):
-            raise SelfCheckError(
-                f"rebuilt codomain starts at {got_lo!r}, file says "
-                f"{want_lo!r}")
-        if off(got_hi, want_hi):
-            raise SelfCheckError(
-                f"rebuilt codomain ends at {got_hi!r}, file says "
-                f"{want_hi!r}")
+            if off(got_lo, want_lo):
+                raise SelfCheckError(
+                    f"rebuilt codomain starts at {got_lo!r}, file says "
+                    f"{want_lo!r}")
+            if off(got_hi, want_hi):
+                raise SelfCheckError(
+                    f"rebuilt codomain ends at {got_hi!r}, file says "
+                    f"{want_hi!r}")
 
     if "phi_table" in section:
-        _replay_table(rel, section["phi_table"])
+        with _about("phi_table"):
+            _replay_table(rel, section["phi_table"])
     return apply_relabeling(base, rel)
+
+
+@contextlib.contextmanager
+def _about(key: str):
+    """Name the section key a rebuild error raised inside is about, as its
+    ``key`` attribute, so that the model file can give that key's line."""
+    try:
+        yield
+    except (ConstructionError, SelfCheckError, IntegrabilityError) as exc:
+        exc.key = key
+        raise
 
 
 def _first(mask: np.ndarray) -> int:

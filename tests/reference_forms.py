@@ -1,5 +1,6 @@
 """Closed-form references for the builtin signal and kernel families, and
-the point-by-point loops the package once wrote out.
+the point-by-point loops and the scalar quadrature the package once wrote
+out.
 
 Each family states its formulas once in the package, as array forms; the
 scalar methods are those forms at one point. These are the per-point
@@ -9,15 +10,20 @@ the scalar methods) to equal them bit for bit, error texts included.
 """
 
 import bisect
+import heapq
 import math
+from typing import Callable
 
 import numpy as np
 
+from seqscreen import numerics
 from seqscreen.errors import (DensityUnderflowError, DomainError,
-                              EvaluationError, NearEndpointError)
+                              EvaluationError, NearEndpointError,
+                              QuadratureError)
 from seqscreen.model_core import (_BETAINC_EPS, _BETAINC_MAX_TERMS,
                                   _LENTZ_TINY, _LOG_SQRT_2PI, _stirling_gap)
-from seqscreen.numerics import kahan_prefix
+from seqscreen.numerics import (_GAUSS_CENTRE_WEIGHT, _GK_CENTRE_WEIGHT,
+                                Interval, _ordered, kahan_prefix)
 from seqscreen.regularity import hazard
 
 _SQRT2 = math.sqrt(2.0)
@@ -295,3 +301,114 @@ def inverse_hazard_pointwise(model, vs):
         except (NearEndpointError, DensityUnderflowError, DomainError):
             failed[i] = True
     return inv, failed
+
+
+# ---------------------------------------------------------------------------
+# scalar quadrature: one heap of panels per integral, one Kronrod-15 panel
+# at a time. The give-up limits are read from ``numerics`` when they are
+# met, so a test that patches them there patches them here too.
+
+# the rule's nodes, and (Kronrod weight, Gauss weight or None) per node
+# pair, as Python floats
+_GK_NODES = tuple(numerics._GK_NODES.tolist())
+_G1, _G3, _G5 = numerics._GAUSS_WEIGHTS.tolist()
+_GK_RULE = tuple(zip(numerics._GK_WEIGHTS.tolist(),
+                     (None, _G1, None, _G3, None, _G5, None)))
+
+
+def _kronrod(fx, halfwidth):
+    """Kronrod-15 estimate and error indicator of a panel from its values at
+    the centre, then at ``centre + dx_i`` and ``centre - dx_i`` per node i.
+    Elementwise, so floats and array columns give the same bits."""
+    kron = _GK_CENTRE_WEIGHT * fx[0]
+    gauss = _GAUSS_CENTRE_WEIGHT * fx[0]
+    for (kw, gw), plus, minus in zip(_GK_RULE, fx[1::2], fx[2::2]):
+        pair = plus + minus
+        kron = kron + kw * pair
+        if gw is not None:
+            gauss = gauss + gw * pair
+    return kron * halfwidth, abs(kron - gauss) * halfwidth
+
+
+def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """One Kronrod-15 panel on [a, b]; returns (estimate, error_indicator)."""
+    centre = 0.5 * (a + b)
+    halfwidth = 0.5 * (b - a)
+    fx = [f(centre)]
+    for node in _GK_NODES:
+        dx = halfwidth * node
+        fx += (f(centre + dx), f(centre - dx))
+    return _kronrod(fx, halfwidth)
+
+
+class _Refinement:
+    """One integral's adaptive state: its panel heap, worst-first order,
+    stopping test, give-up rules and final left-to-right sum."""
+
+    __slots__ = ("heap", "value", "error", "sign", "seq", "panels", "worst")
+
+    def __init__(self, a: float, b: float, value: float, err: float,
+                 sign: float):
+        self.heap = [[-err, 0, a, b, 0, value, err]]
+        self.value, self.error, self.sign = value, err, sign
+        self.seq = 1
+        self.panels = 1
+
+    def split(self, rel_tol: float,
+              abs_tol: float) -> tuple[float, float, float] | None:
+        """None once the error estimate meets the tolerance; otherwise pop
+        the worst panel and return ``(a, mid, b)`` to refine it."""
+        if not self.error > max(abs_tol, rel_tol * abs(self.value)):
+            return None
+        worst = heapq.heappop(self.heap)
+        _, _, a, b, depth, _, _ = worst
+        if depth >= numerics._MAX_DEPTH:
+            raise QuadratureError(
+                f"quadrature did not converge after {numerics._MAX_DEPTH} "
+                f"bisections near [{a:.6g}, {b:.6g}]",
+                partial=self.sign * self.value, error_estimate=self.error)
+        if self.panels >= numerics._MAX_INTERVALS:
+            raise QuadratureError(
+                f"quadrature exceeded {numerics._MAX_INTERVALS} panels",
+                partial=self.sign * self.value, error_estimate=self.error)
+        self.worst = worst
+        return a, 0.5 * (a + b), b
+
+    def absorb(self, halves: tuple[float, float, float, float]) -> None:
+        """Replace the panel ``split`` popped by its two halves, given as
+        ``(value, error)`` of the lower half followed by the upper one."""
+        v1, e1, v2, e2 = halves
+        _, _, a, b, depth, val, perr = self.worst
+        mid = 0.5 * (a + b)
+        self.value += (v1 + v2) - val
+        self.error += (e1 + e2) - perr
+        seq = self.seq
+        heapq.heappush(self.heap, [-e1, seq, a, mid, depth + 1, v1, e1])
+        heapq.heappush(self.heap, [-e2, seq + 1, mid, b, depth + 1, v2, e2])
+        self.seq = seq + 2
+        self.panels += 1
+
+    def result(self) -> tuple[float, float]:
+        # Deterministic final accumulation: sum leaves left to right.
+        leaves = sorted(self.heap, key=lambda p: p[2])
+        return (self.sign * math.fsum(p[5] for p in leaves),
+                math.fsum(p[6] for p in leaves))
+
+
+def integrate(f: Callable[[float], float],
+              domain: Interval | tuple[float, float],
+              rel_tol: float = 1e-10,
+              abs_tol: float = 1e-14) -> tuple[float, float]:
+    """Adaptively integrate the scalar ``f`` over the finite ``domain``,
+    one panel at a time, worst panel first; ``numerics.integrate`` and
+    ``numerics.integrate_many`` must equal it bit for bit."""
+    if isinstance(domain, Interval):
+        domain = domain.as_tuple()
+    lower, upper, sign = _ordered(*domain)
+    if lower == upper:
+        return 0.0, 0.0
+    ref = _Refinement(lower, upper, *_gk15(f, lower, upper), sign)
+    while (cut := ref.split(rel_tol, abs_tol)) is not None:
+        a, mid, b = cut
+        ref.absorb(_gk15(f, a, mid) + _gk15(f, mid, b))
+    return ref.result()

@@ -43,7 +43,7 @@ from seqscreen.model_core import (
     resolve_config,
     validate_model,
 )
-from seqscreen.numerics import Interval, differentiate, integrate, stencil
+from seqscreen.numerics import Interval, differentiate, stencil
 from seqscreen.propositions import _hazard_profile
 from seqscreen.regularity import check_assumption, gamma, hazard, virtual_value
 from seqscreen.transforms import (
@@ -55,6 +55,7 @@ from seqscreen.transforms import (
     make_relabeling,
     transform_section,
 )
+from reference_forms import integrate
 
 MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 

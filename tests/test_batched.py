@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqscreen import modelfile, numerics, transforms
 from seqscreen.errors import (
@@ -34,8 +36,7 @@ from seqscreen.model_core import (
     make_kernel,
     make_signal,
 )
-from seqscreen.numerics import (Interval, integrate, integrate_many,
-                                kahan_prefix)
+from seqscreen.numerics import Interval, integrate_many, kahan_prefix
 from seqscreen.regularity import _inverse_hazard, regularity_report
 from seqscreen.transforms import (
     RELABELING_KINDS,
@@ -45,8 +46,8 @@ from seqscreen.transforms import (
     relabel,
     transform_section,
 )
-from reference_forms import (inverse_hazard_pointwise, kernel_forms,
-                             signal_forms)
+from reference_forms import (integrate, inverse_hazard_pointwise,
+                             kernel_forms, signal_forms)
 from test_array_checks import (
     _scalar_conditional_mean,
     _scalar_conditional_mean_derivative,
@@ -162,6 +163,186 @@ class TestIntegrateMany:
             integrate_many(_batch_integrand, [math.nan], [1.0])
         values, errors, failures = integrate_many(_batch_integrand, [], [])
         assert len(values) == len(errors) == 0 and failures == {}
+
+    def test_panels_go_through_the_module_rule(self, monkeypatch):
+        # a wrapper of ``numerics._gk15`` (a tracer's panel counter) sees
+        # every panel round of both entry points
+        rounds = []
+        rule = numerics._gk15
+
+        def counted(*args):
+            rounds.append(len(args[1]))
+            return rule(*args)
+
+        monkeypatch.setattr(numerics, "_gk15", counted)
+        integrate_many(_batch_integrand, [0.0, -2.0], [1.0, 3.0])
+        assert rounds and rounds[0] == 2
+        rounds.clear()
+        numerics.integrate(_scalar_integrand(0), (0.0, 1.0))
+        assert rounds and rounds[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# the refinement order: integrate_many against the heap refinement of
+# ``reference_forms.integrate``, one integral at a time
+
+
+def _lifted(scalars):
+    """The batch integrand that reads ``scalars[idx[r]]`` at each node of
+    row r, so a failing node raises as the scalar form would."""
+    def batch(idx, x):
+        return np.array([[scalars[k](v) for v in row]
+                         for k, row in zip(idx.tolist(), x.tolist())])
+    return batch
+
+
+def _reference_batch(scalars, lowers, uppers, **tols):
+    """``(values, errors, failures)`` as ``integrate_many`` must return
+    them, from the reference refinement of each integral alone. A batch
+    meets the failures round by round: the integrand failures of a
+    round's panels, then the give-ups of the next split, each by index."""
+    values, errors, failures = [], [], []
+    for k, (f, lo, hi) in enumerate(zip(scalars, lowers, uppers)):
+        calls, raised = 0, False
+
+        def counted(x, f=f):
+            nonlocal calls, raised
+            calls += 1
+            try:
+                return f(x)
+            except Exception:
+                raised = True
+                raise
+
+        try:
+            value, error = integrate(counted, (lo, hi), **tols)
+        except (QuadratureError, ArithmeticError, ValueError,
+                DensityUnderflowError) as exc:
+            values.append(math.nan)
+            errors.append(math.nan)
+            # 15 nodes in the first panel round, 30 in each later one
+            rnd = (calls - 1 + 15) // 30
+            failures.append(((2 * rnd if raised else 2 * rnd + 1, k), exc))
+            continue
+        values.append(value)
+        errors.append(error)
+    return values, errors, dict((k, exc) for (_, k), exc in sorted(
+        failures, key=lambda item: item[0]))
+
+
+def _same(x, y) -> bool:
+    """Equal floats, zeros by sign and NaN equal to NaN."""
+    x, y = float(x), float(y)
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def _assert_as_reference(scalars, lowers, uppers, batch=None, **tols):
+    got = integrate_many(batch or _lifted(scalars), lowers, uppers, **tols)
+    want = _reference_batch(scalars, lowers, uppers, **tols)
+    for g, w in zip(got[:2], want[:2]):
+        assert len(g) == len(w)
+        assert all(_same(a, b) for a, b in zip(g.tolist(), w))
+    assert list(got[2]) == list(want[2])
+    for k, exc in want[2].items():
+        assert type(got[2][k]) is type(exc)
+        assert str(got[2][k]) == str(exc)
+        if isinstance(exc, QuadratureError):
+            assert _same(got[2][k].partial, exc.partial)
+            assert _same(got[2][k].error_estimate, exc.error_estimate)
+    return got
+
+
+def _root(c):
+    return lambda x: math.sqrt(abs(x - c))
+
+
+def _inverse_root(c, at_c=None):
+    """x**-0.5 about c: integrable, but never within the give-up limits;
+    at c it raises ZeroDivisionError, or reads ``at_c`` if given."""
+    return lambda x: 1.0 / math.sqrt(abs(x - c)) if x != c else (
+        at_c if at_c is not None else 1.0 / 0.0)
+
+
+def _vanishing(limit, kink=None):
+    """cos(3x), or sqrt|x - kink| to force refinement, up to ``limit``."""
+    def f(x):
+        if x > limit:
+            raise DensityUnderflowError(f"vanished at x={x!r}")
+        return math.cos(3.0 * x) if kink is None else math.sqrt(abs(x - kink))
+    return f
+
+
+class TestRefinementOrder:
+    def test_tied_panels_split_oldest_first(self):
+        # symmetric about the midpoint 0, so each half's panels mirror the
+        # other's bit for bit and tie; the lower half is older. At the
+        # give-up, the message names the panel the tie rule chose.
+        scalars = [_root(0.0), _inverse_root(0.0, at_c=0.0),
+                   lambda x: abs(x)]
+        got = _assert_as_reference(scalars, [-1.0] * 3, [1.0] * 3,
+                                   rel_tol=1e-13)
+        assert list(got[2]) == [1]
+        assert "near [-" in str(got[2][1])
+
+    def test_tied_panels_at_the_panel_limit(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_INTERVALS", 7)
+        got = _assert_as_reference([_root(0.0), _root(0.5)], [-1.0, 0.0],
+                                   [1.0, 1.0], rel_tol=1e-15)
+        assert list(got[2]) == [0, 1]
+        assert "exceeded 7 panels" in str(got[2][0])
+
+    def test_every_way_to_end_in_one_batch(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_DEPTH", 10)
+        monkeypatch.setattr(numerics, "_MAX_INTERVALS", 30)
+        scalars = [lambda x: math.sin(60.0 * x),  # the panel limit
+                   _inverse_root(0.0),  # the depth limit
+                   _vanishing(0.55),  # its integrand raises
+                   lambda x: math.exp(-x),  # converges
+                   _vanishing(0.997, kink=0.8),  # raises a round in
+                   _inverse_root(0.25)]
+        got = _assert_as_reference(scalars, [0.0] * 6,
+                                   [10.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                                   rel_tol=1e-12)
+        assert sorted(got[2]) == [0, 1, 2, 4, 5]
+        assert list(got[2]) != sorted(got[2])  # in round order
+        assert "exceeded 30 panels" in str(got[2][0])
+        assert "after 10 bisections" in str(got[2][1])
+
+    def test_reversed_zero_width_and_nan(self):
+        def nan_in_a_sliver(x):
+            return math.nan if 0.3 < x < 0.3001 else math.sqrt(abs(x - 0.3))
+
+        scalars = [_root(0.3), _root(0.3), _root(0.3), nan_in_a_sliver,
+                   lambda x: math.nan, lambda x: -0.0, lambda x: -0.0,
+                   lambda x: math.inf]
+        got = _assert_as_reference(
+            scalars, [1.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.0, 0.0],
+            [0.0, 1.0, 0.5, 1.0, 1.0, 1.0, 0.0, 1.0], rel_tol=1e-13)
+        assert got[2] == {}
+        assert _same(got[0][0], -got[0][1]) and got[1][0] == got[1][1]
+        assert _same(got[0][2], 0.0) and _same(got[1][2], 0.0)
+        assert math.isnan(got[0][3]) and math.isnan(got[0][4])
+        assert _same(got[0][5], 0.0) and _same(got[0][6], -0.0)
+
+    @given(st.lists(st.tuples(st.sampled_from(["root", "inverse_root"]),
+                              st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                              st.floats(-2.0, 2.0)),
+                    min_size=1, max_size=4),
+           st.sampled_from([1e-6, 1e-9, 1e-12]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_batches_match_the_reference(self, specs, rel_tol,
+                                                few_panels):
+        scalars, lowers, uppers = [], [], []
+        for kind, c, lo, hi in specs:
+            scalars.append((_root if kind == "root" else _inverse_root)(c))
+            lowers.append(lo)
+            uppers.append(hi)
+        limit = 9 if few_panels else numerics._MAX_INTERVALS
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "_MAX_INTERVALS", limit)
+            _assert_as_reference(scalars, lowers, uppers, rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------

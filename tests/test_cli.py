@@ -749,6 +749,33 @@ def test_non_finite_model_numbers_exit_two(tmp_path, capsys, text, command,
     assert err.endswith(f" (line {line}, key {key!r})\n"), err
 
 
+@pytest.mark.parametrize("old, new, key, needle", [
+    ("intercept = 0.0", "intercept = 0.5", "w_support",
+     "rebuilt codomain starts at 0.5, file says 0.0"),
+    ("slope = 1.0", "slope = -1.0", "slope", "needs slope > 0"),
+    ("slope = 1.0", "slope = one", "slope", "non-numeric token 'one'"),
+    ("kind = affine", "kind = mean", "slope", "only apply to the affine"),
+    ("0.00390625:0.00390625:1.0", "0.00390625:0.5:1.0", "phi_table",
+     "does not match the recorded 0.5"),
+], ids=["codomain", "slope-sign", "slope-token", "slope-kind", "table"])
+def test_transform_rebuild_error_names_its_line(files, tmp_path, capsys,
+                                                old, new, key, needle):
+    derived = tmp_path / "affine.model"
+    assert main(["transform", files["logistic"], "--kind", "affine",
+                 "--out", str(derived)]) == 0
+    text = derived.read_text()
+    line = next(n for n, raw in enumerate(text.splitlines(), 1)
+                if raw.startswith(f"{key} ="))
+    assert old in text
+    derived.write_text(text.replace(old, new, 1))
+    capsys.readouterr()
+    rc, out, err = run(capsys, "check", str(derived))
+    assert rc == 2 and out == ""
+    assert_one_error_line(err, "[transform] section could not be rebuilt")
+    assert needle in err
+    assert err.endswith(f" (line {line}, key {key!r})\n"), err
+
+
 def test_numeric_failure_outside_the_toolkit_exits_two(files, capsys,
                                                        monkeypatch):
     def divide(args):

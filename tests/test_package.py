@@ -98,7 +98,6 @@ def test_only_the_point_helper_catches_inside_a_loop():
         ("numerics.py", "_pointwise"),
         ("model_core.py", "validate_model"),  # the recorded checks
         ("modelfile.py", "_float_tokens"),  # the first bad token
-        ("numerics.py", "integrate_many"),  # the refinement bookkeeping
         ("propositions.py", "verify_prop1"),  # one relabeling per kind
     }
     found = set()
@@ -126,7 +125,7 @@ def test_only_the_listed_functions_catch_numeric_causes():
     is stale."""
     allowed = {
         # each integral of a round records its own failure
-        ("numerics.py", "_panels"),
+        ("numerics.py", "_gk15"),
         # names the stencil point whose evaluation failed
         ("numerics.py", "_probe"),
         ("propositions.py", "_shifted_cdf"),
