@@ -11,8 +11,8 @@ Four subcommands, all reading a model file and writing to stdout or --out:
 
 Exit codes are uniform: 0 success, 1 honest negative finding (a failed
 regularity check, a discrepancy verdict, a relabeling that cannot be
-built), 2 unusable input (unreadable or malformed file, a model whose
-evaluations abort or fail numerically, bad flags).
+built or written), 2 unusable input (unreadable or malformed file, a model
+whose evaluations abort or fail numerically, bad flags, a closed stdout).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from .errors import (
@@ -55,14 +56,22 @@ def _located(exc: ToolkitError) -> str:
 
 def _emit(chunks, out: str | None) -> int:
     """Write an iterable of strings to ``out``, or to stdout without one."""
-    if out is None:
-        sys.stdout.writelines(chunks)
-        return 0
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        if out is None:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
     except OSError as exc:
-        return _fail(f"cannot write {out!r}: {exc}", 2)
+        if out is not None:
+            return _fail(f"cannot write {out!r}: {exc}", 2)
+        # a closed pipe: what is left unwritten goes nowhere, so the
+        # interpreter's own flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _fail(f"cannot write to stdout: {exc}", 2)
     return 0
 
 
@@ -149,10 +158,10 @@ def _cmd_transform(args) -> int:
         kwargs["intercept"] = args.intercept
     try:
         rel = make_relabeling(model, args.kind, **kwargs)
-        tm = apply_relabeling(model, rel)
+        text = dumps(apply_relabeling(model, rel), grid, tol)
     except (IntegrabilityError, ConstructionError, SelfCheckError) as exc:
         return _fail(str(exc), 1)
-    return _emit([dumps(tm, grid, tol)], args.out)
+    return _emit([text], args.out)
 
 
 def _cmd_grid(args) -> int:

@@ -25,6 +25,11 @@ kernels pack three token groups ``v ... ; V ... ; H ...`` with the cdf values
 row-major. Files produced by a relabeling carry an extra ``[transform]``
 section that records how to rebuild the mapped model from the base one.
 
+This module alone reads and writes the text of every section, the
+``[transform]`` one included: ``transforms`` takes that section as
+numbers (``rebuild_from_section``) and gives them back
+(``transform_section``), so a bad token is reported here with its line.
+
 Anything unknown (section, key, or a key a family does not use) raises
 ``LoadError`` naming the offender and its line, so typos fail loudly instead
 of silently falling back to a default.
@@ -128,40 +133,42 @@ def _reject(section: dict[str, _Entry], key: str, why: str) -> None:
         raise LoadError(why, line=section[key].line, key=key)
 
 
-def _as_float(entry: _Entry, key: str) -> float:
+def _as_float(entry: _Entry) -> float:
     try:
         return float(entry.value)
     except ValueError:
-        raise LoadError(f"{key} must be a number, got {entry.value!r}",
-                        line=entry.line, key=key) from None
+        raise LoadError(f"{entry.key} must be a number, got {entry.value!r}",
+                        line=entry.line, key=entry.key) from None
 
 
-def _as_int(entry: _Entry, key: str) -> int:
+def _as_int(entry: _Entry) -> int:
     try:
         return int(entry.value)
     except ValueError:
-        raise LoadError(f"{key} must be an integer, got {entry.value!r}",
-                        line=entry.line, key=key) from None
+        raise LoadError(f"{entry.key} must be an integer, got {entry.value!r}",
+                        line=entry.line, key=entry.key) from None
 
 
-def _float_tokens(tokens: list[str], entry: _Entry, key: str) -> list[float]:
+def _float_tokens(tokens: list[str], entry: _Entry) -> list[float]:
     out = []
     for tok in tokens:
         try:
             out.append(float(tok))
         except ValueError:
-            raise LoadError(f"{key} contains a non-numeric token {tok!r}",
-                            line=entry.line, key=key) from None
+            raise LoadError(
+                f"{entry.key} contains a non-numeric token {tok!r}",
+                line=entry.line, key=entry.key) from None
     return out
 
 
-def _parse_support(entry: _Entry) -> tuple[float, float]:
+def _numbers(entry: _Entry, count: int) -> tuple[float, ...]:
+    """The entry's value as exactly ``count`` (one or two) numbers."""
     parts = entry.value.split()
-    if len(parts) != 2:
-        raise LoadError("support needs exactly two numbers",
-                        line=entry.line, key="support")
-    lo, hi = _float_tokens(parts, entry, "support")
-    return lo, hi
+    if len(parts) != count:
+        words = ("one number", "two numbers")[count - 1]
+        raise LoadError(f"{entry.key} needs exactly {words}",
+                        line=entry.line, key=entry.key)
+    return tuple(_float_tokens(parts, entry))
 
 
 def _build_signal(section: dict[str, _Entry]):
@@ -170,7 +177,7 @@ def _build_signal(section: dict[str, _Entry]):
         _reject(section, "params", "uniform signal takes no params")
         entry = _require(section, "support", "signal")
         return _wrap_construction(
-            lambda: make_signal("uniform", support=_parse_support(entry)),
+            lambda: make_signal("uniform", support=_numbers(entry, 2)),
             entry)
     if family == "beta":
         entry = _require(section, "params", "signal")
@@ -180,12 +187,12 @@ def _build_signal(section: dict[str, _Entry]):
                 raise LoadError(f"beta params expect name=value, got {tok!r}",
                                 line=entry.line, key="params")
             name, _, val = tok.partition("=")
-            kv[name] = _float_tokens([val], entry, "params")[0]
+            kv[name] = _float_tokens([val], entry)[0]
         extra = set(kv) - {"alpha", "beta"}
         if extra:
             raise LoadError(f"beta params do not use {sorted(extra)}",
                             line=entry.line, key="params")
-        support = (_parse_support(section["support"])
+        support = (_numbers(section["support"], 2)
                    if "support" in section else None)
         return _wrap_construction(
             lambda: make_signal("beta", support=support, **kv), entry)
@@ -200,8 +207,8 @@ def _build_signal(section: dict[str, _Entry]):
                     f"table signal params expect node:density, got {tok!r}",
                     line=entry.line, key="params")
             a, _, b = tok.partition(":")
-            nodes.append(_float_tokens([a], entry, "params")[0])
-            dens.append(_float_tokens([b], entry, "params")[0])
+            nodes.append(_float_tokens([a], entry)[0])
+            dens.append(_float_tokens([b], entry)[0])
         return _wrap_construction(
             lambda: make_signal("table", nodes=nodes, densities=dens), entry)
     raise LoadError(f"unknown signal family {family!r}",
@@ -216,7 +223,7 @@ def _build_kernel(section: dict[str, _Entry]):
         scale = section.get("noise.scale")
         law = {} if noise is None else {"noise": noise.value}
         scaled = ({} if scale is None
-                  else {"scale": _as_float(scale, "noise.scale")})
+                  else {"scale": _as_float(scale)})
         # the law alone first, so that each entry's error names its line
         _wrap_construction(lambda: make_kernel("additive_noise", **law),
                            noise or section["family"])
@@ -241,7 +248,7 @@ def _build_kernel(section: dict[str, _Entry]):
                 raise LoadError(
                     "table kernel params expect three groups "
                     "'v ... ; V ... ; H ...'", line=entry.line, key="params")
-            groups[tag] = _float_tokens(parts[1:], entry, "params")
+            groups[tag] = _float_tokens(parts[1:], entry)
         if set(groups) != {"v", "V", "H"}:
             raise LoadError("table kernel params need all of v, V, H groups",
                             line=entry.line, key="params")
@@ -296,13 +303,43 @@ _SCHEMA: dict[str, set[str]] = {
 
 
 def _build_config(name: str, section: dict[str, _Entry]):
+    """The section's config, built again as each entry joins, in file
+    order, so that an error names the entry that makes it invalid."""
     config, keys = _CONFIG_SECTIONS[name]
-    kwargs = {field: parse(section[key], key)
-              for key, (field, parse, _) in keys.items() if key in section}
-    try:
-        return config(**kwargs)
-    except ConstructionError as exc:
-        raise LoadError(str(exc)) from exc
+    kwargs, built = {}, config()
+    for key, (field, parse, _) in keys.items():
+        if key in section:
+            kwargs[field] = parse(section[key])
+            built = _wrap_construction(lambda: config(**kwargs), section[key])
+    return built
+
+
+def _transform_numbers(section: dict[str, _Entry]) -> dict:
+    """The [transform] section's numbers by key, as
+    ``transforms.rebuild_from_section`` takes them: ``phi_table`` as one
+    [v, w, slope] row per ``v:w:slope`` triple."""
+    kind = _require(section, "kind", "transform").value
+    if kind != "affine":
+        for key in ("slope", "intercept"):
+            _reject(section, key,
+                    "slope/intercept keys only apply to the affine kind")
+    out: dict = {"kind": kind}
+    for key in ("w_lo", "slope", "intercept"):
+        if key in section:
+            out[key] = _numbers(section[key], 1)[0]
+    if "w_support" in section:
+        out["w_support"] = _numbers(section["w_support"], 2)
+    if "phi_table" in section:
+        entry, rows = section["phi_table"], []
+        for tok in entry.value.split():
+            pieces = tok.split(":")
+            if len(pieces) != 3:
+                raise LoadError(
+                    f"phi_table entries need v:w:slope, got {tok!r}",
+                    line=entry.line, key=entry.key)
+            rows.append(_float_tokens(pieces, entry))
+        out["phi_table"] = rows
+    return out
 
 
 def loads(text: str) -> tuple[ScreeningModel, GridSpec, ToleranceConfig]:
@@ -315,18 +352,18 @@ def loads(text: str) -> tuple[ScreeningModel, GridSpec, ToleranceConfig]:
     kernel = _build_kernel(sections["kernel"])
     grid = _build_config("grid", sections.get("grid", {}))
     tolerances = _build_config("tolerances", sections.get("tolerances", {}))
-    try:
-        model = ScreeningModel(signal, kernel)
-    except ConstructionError as exc:
-        raise LoadError(str(exc)) from exc
+    # the kernel refuses a signal support it cannot condition on
+    model = _wrap_construction(lambda: ScreeningModel(signal, kernel),
+                               sections["kernel"]["family"])
     if "transform" in sections:
         from .transforms import rebuild_from_section
-        plain = {k: e.value for k, e in sections["transform"].items()}
+        entries = sections["transform"]
+        numbers = _transform_numbers(entries)
         try:
-            model = rebuild_from_section(model, plain)
+            model = rebuild_from_section(model, numbers)
         except (ConstructionError, SelfCheckError, IntegrabilityError) as exc:
             key = getattr(exc, "key", None)
-            entry = sections["transform"].get(key)
+            entry = entries.get(key)
             raise LoadError(
                 f"[transform] section could not be rebuilt: {exc}",
                 line=entry.line if entry else None, key=key) from exc
@@ -421,12 +458,12 @@ def dumps(model: ScreeningModel, grid: GridSpec | None = None,
             f"{key} = {fmt(getattr(config, field))}"
             for key, (field, _, fmt) in keys.items()]
     if section is not None:
-        lines.append("")
-        lines.append("[transform]")
-        for key, value in section.items():
-            if "\n" in value:
-                lines.append(f"{key} =")
-                lines.extend("    " + part for part in value.split("\n"))
-            else:
-                lines.append(f"{key} = {value}")
+        lines += ["", "[transform]", f"kind = {section['kind']}"]
+        lines += [f"{key} = {_fmt(section[key])}"
+                  for key in ("w_lo", "slope", "intercept") if key in section]
+        lo, hi = section["w_support"]
+        triples = [f"{_fmt(v)}:{_fmt(w)}:{_fmt(p)}"
+                   for v, w, p in section["phi_table"]]
+        lines += [f"w_support = {_fmt(lo)} {_fmt(hi)}", "phi_table =",
+                  _wrap_tokens(triples, 3)]
     return "\n".join(lines) + "\n"

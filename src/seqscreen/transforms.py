@@ -37,6 +37,11 @@ batched and point-by-point evaluations agree bit for bit. Forward
 evaluations are memoized both ways, so inverting phi at a point that was
 produced by phi costs a dictionary lookup and is exact to the bit; fresh
 inversions bisect together on the construction lattice to 1e-12.
+
+A derived model file's [transform] section reaches this module as numbers:
+``modelfile`` alone reads and writes its text, transform_section gives
+the numbers that describe a derived model and rebuild_from_section takes
+them back.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from .model_core import (
     conditional_mean_derivative_many,
     conditional_mean_many,
 )
-from .modelfile import RELABELING_KINDS, _fmt
+from .modelfile import RELABELING_KINDS
 from .numerics import (Interval, _pointwise, differentiate, integrate_many,
                        kahan_prefix, richardson, stencil)
 from .regularity import _DENSITY_FLOOR, _inverse_hazard, gamma, hazard
@@ -676,60 +681,45 @@ def relabel(model: ScreeningModel, kind: str, **kwargs) -> TransformedModel:
 # serialization of derived models
 
 
-def transform_section(tm: TransformedModel) -> dict[str, str]:
-    """The [transform] section payload describing how tm was derived."""
+def transform_section(tm: TransformedModel) -> dict:
+    """The numbers of the [transform] section that rebuilds tm, by file
+    key: ``kind``, ``w_lo``, an affine map's ``slope`` and ``intercept``,
+    the codomain as ``w_support`` and ``rel.table()`` as ``phi_table``."""
     rel = tm.relabeling
     if "inner" in rel.params:
         raise ConstructionError(
             "a relabeling of a derived model has no [transform] section")
-    out = {"kind": rel.kind, "w_lo": _fmt(rel.w_lo)}
+    out = {"kind": rel.kind, "w_lo": rel.w_lo}
     if rel.kind == "affine":
-        out["slope"] = _fmt(rel.params["slope"])
-        out["intercept"] = _fmt(rel.params["intercept"])
-    hi = rel.codomain.upper
-    out["w_support"] = f"{_fmt(rel.codomain.lower)} " + (
-        "inf" if math.isinf(hi) else _fmt(hi))
-    triples = [f"{_fmt(v)}:{_fmt(w)}:{_fmt(p)}" for v, w, p in rel.table()]
-    lines = []
-    for i in range(0, len(triples), 3):
-        lines.append(" ".join(triples[i:i + 3]))
-    out["phi_table"] = "\n".join(lines)
+        out["slope"] = rel.params["slope"]
+        out["intercept"] = rel.params["intercept"]
+    out["w_support"] = rel.codomain.as_tuple()
+    try:
+        out["phi_table"] = rel.table()
+    except DomainError as exc:  # a slope at a density's singular endpoint
+        raise ConstructionError(f"{rel.kind}: {exc}") from exc
     return out
 
 
 def rebuild_from_section(base: ScreeningModel,
-                         section: dict[str, str]) -> TransformedModel:
-    """Reconstruct a relabeled model from its [transform] section.
+                         section: dict) -> TransformedModel:
+    """Reconstruct a relabeled model from its [transform] section's
+    numbers, keyed as ``transform_section`` gives them (``kind`` required).
 
     The relabeling is rebuilt from its kind and the base model, then the
     stored lattice is replayed against it: every recorded (v, w, phi')
-    triple must match the reconstruction, else SelfCheckError. The stored
+    row must match the reconstruction, else SelfCheckError. The stored
     numbers are a consistency record, not an alternative definition.
     """
-    kind = section.get("kind")
-    if kind is None:
-        raise ConstructionError("[transform] section is missing 'kind'")
-    kwargs: dict = {}
-    if "w_lo" in section:
-        with _about("w_lo"):
-            kwargs["w_lo"] = _parse_float(section["w_lo"], "w_lo")
-    for key in ("slope", "intercept"):
-        if key in section:
-            with _about(key):
-                if kind != "affine":
-                    raise ConstructionError(
-                        "slope/intercept keys only apply to the affine kind")
-                kwargs[key] = _parse_float(section[key], key)
+    kind = section["kind"]
+    kwargs = {key: section[key] for key in ("w_lo", "slope", "intercept")
+              if key in section}
     with _about("slope" if kind == "affine" else "kind"):
         rel = make_relabeling(base, kind, **kwargs)
 
     if "w_support" in section:
         with _about("w_support"):
-            parts = section["w_support"].split()
-            if len(parts) != 2:
-                raise ConstructionError("w_support needs exactly two numbers")
-            want_lo = _parse_float(parts[0], "w_support")
-            want_hi = _parse_float(parts[1], "w_support")
+            want_lo, want_hi = section["w_support"]
             got_lo, got_hi = rel.codomain.as_tuple()
 
             def off(got, want):  # NaN is off; an infinite end matches itself
@@ -767,23 +757,13 @@ def _first(mask: np.ndarray) -> int:
     return int(np.argmax(np.append(mask, True)))
 
 
-def _replay_table(rel: Relabeling, table: str) -> None:
-    """Match every recorded (v, w, phi') triple against the rebuilt map,
-    from one array of phis and one of slopes. The first token that does
-    not parse, leaves the domain or does not match raises, as a replay
-    token by token meets it (a map or slope that fails to evaluate inside
-    the domain raises first)."""
-    rows, stop = [], None
-    try:
-        for tok in table.split():
-            pieces = tok.split(":")
-            if len(pieces) != 3:
-                raise ConstructionError(
-                    f"phi_table entries need v:w:slope, got {tok!r}")
-            rows.append([_parse_float(x, "phi_table") for x in pieces])
-    except ConstructionError as exc:
-        stop = exc
-    v, w, p = np.array(rows, dtype=float).reshape(-1, 3).T
+def _replay_table(rel: Relabeling, table) -> None:
+    """Match every recorded (v, w, phi') row of ``table``, as an (n, 3)
+    array, against the rebuilt map, from one array of phis and one of
+    slopes. The first row that leaves the domain or does not match raises,
+    as a replay row by row meets it (a map or slope that fails to evaluate
+    inside the domain raises first)."""
+    v, w, p = np.array(table, dtype=float).reshape(-1, 3).T
     n = _first(~((rel.domain.lower <= v) & (v <= rel.domain.upper)))
     w_got, p_got = rel.phis(v[:n]), rel.phi_primes(v[:n])
     with np.errstate(invalid="ignore"):  # NaN is off
@@ -797,13 +777,3 @@ def _replay_table(rel: Relabeling, table: str) -> None:
             f"match the recorded {float(want[k])!r}")
     if n < len(v):
         rel.phi(v[n])  # outside the domain: raises
-    if stop is not None:
-        raise stop
-
-
-def _parse_float(text: str, key: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConstructionError(
-            f"{key} contains a non-numeric token {text!r}") from None

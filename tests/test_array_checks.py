@@ -510,15 +510,8 @@ def test_hazard_profile_equals_the_point_loop(kind, base):
 
 
 def _scalar_replay(rel, table):
-    """The phi_table replay token by token."""
-    for tok in table.split():
-        pieces = tok.split(":")
-        if len(pieces) != 3:
-            raise transforms.ConstructionError(
-                f"phi_table entries need v:w:slope, got {tok!r}")
-        v_k = transforms._parse_float(pieces[0], "phi_table")
-        w_k = transforms._parse_float(pieces[1], "phi_table")
-        p_k = transforms._parse_float(pieces[2], "phi_table")
+    """The phi_table replay row by row."""
+    for v_k, w_k, p_k in table.tolist():
         w_got = rel.phi(v_k)
         if abs(w_got - w_k) > 1e-8 * max(1.0, abs(w_k)):
             raise SelfCheckError(
@@ -532,38 +525,38 @@ def _scalar_replay(rel, table):
 
 
 def _tampered(edits):
-    """The logistic inverse-hazard-integral table with ``edits`` applied:
-    token index -> function of its (v, w, slope) strings."""
+    """The logistic inverse-hazard-integral table, as an (n, 3) array, with
+    ``edits`` applied: row index -> function of its (v, w, slope)."""
     tm = apply_relabeling(_logistic(), make_relabeling(
         _logistic(), "inverse_hazard_integral"))
-    tokens = transform_section(tm)["phi_table"].split()
+    rows = transform_section(tm)["phi_table"]
     for k, edit in edits.items():
-        tokens[k] = edit(*tokens[k].split(":"))
-    return " ".join(tokens)
+        rows[k] = edit(*rows[k])
+    return np.array(rows)
 
 
 _EDITS = {
     "intact": {},
-    "phi": {5: lambda v, w, p: f"{v}:{float(w) + 0.01!r}:{p}"},
-    "slope": {7: lambda v, w, p: f"{v}:{w}:{float(p) * 1.1!r}"},
+    "phi": {5: lambda v, w, p: (v, w + 0.01, p)},
+    "slope": {7: lambda v, w, p: (v, w, p * 1.1)},
     "slope_before_phi": {
-        9: lambda v, w, p: f"{v}:{float(w) + 0.01!r}:{p}",
-        4: lambda v, w, p: f"{v}:{w}:{float(p) * 1.1!r}"},
-    "phi_before_parse": {
-        3: lambda v, w, p: f"{v}:{float(w) + 0.01!r}:{p}",
-        6: lambda v, w, p: f"{v}:{w}:x"},
-    "pieces": {2: lambda v, w, p: f"{v}:{w}"},
+        9: lambda v, w, p: (v, w + 0.01, p),
+        4: lambda v, w, p: (v, w, p * 1.1)},
+    "outside": {2: lambda v, w, p: (1.5, w, p)},
+    "slope_before_outside": {
+        1: lambda v, w, p: (v, w, p * 1.1),
+        6: lambda v, w, p: (-0.25, w, p)},
     "outside_before_phi": {
-        2: lambda v, w, p: f"1.5:{w}:{p}",
-        8: lambda v, w, p: f"{v}:{float(w) + 0.01!r}:{p}"},
+        2: lambda v, w, p: (1.5, w, p),
+        8: lambda v, w, p: (v, w + 0.01, p)},
     "phi_before_outside": {
-        2: lambda v, w, p: f"{v}:{float(w) + 0.01!r}:{p}",
-        8: lambda v, w, p: f"1.5:{w}:{p}"},
+        2: lambda v, w, p: (v, w + 0.01, p),
+        8: lambda v, w, p: (1.5, w, p)},
 }
 
 
 @pytest.mark.parametrize("case", list(_EDITS))
-def test_replay_raises_as_the_token_loop(case):
+def test_replay_raises_as_the_row_loop(case):
     table = _tampered(_EDITS[case])
     got = [_raised(replay, make_relabeling(_logistic(),
                                            "inverse_hazard_integral"), table)

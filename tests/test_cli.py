@@ -327,6 +327,27 @@ class TestVerify:
         assert profile["built"] is False
         assert "v=0.0" in profile["detail"]
 
+    @pytest.mark.parametrize("kind", ["integrated_hazard",
+                                      "inverse_hazard_integral"])
+    def test_unbounded_density_fails_the_slope_table(self, tmp_path, capsys,
+                                                     kind):
+        # beta(0.5, 2): these kinds are built (suite 1 reads them), but the
+        # file's slope at v = 0 divides by the unbounded density, so the
+        # relabeling cannot be written and transform exits 1, as for
+        # runningmax_hazard
+        path = tmp_path / "beta0502.model"
+        path.write_text(BETA_LOGISTIC.replace("alpha=2.0 beta=2.0",
+                                              "alpha=0.5 beta=2.0"))
+        model, _, _ = load(str(path))
+        transforms.relabel(model, kind)
+        derived = tmp_path / "derived.model"
+        rc, out, err = run(capsys, "transform", str(path), "--kind", kind,
+                           "--out", str(derived))
+        assert rc == 1 and out == ""
+        assert not derived.exists()
+        assert err == (f"seqscreen: error: {kind}: beta density unbounded "
+                       "at the support endpoint v=0.0\n")
+
     def test_prop_flag_required(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", files["logistic"]])
@@ -657,6 +678,25 @@ def test_module_entry_point(files):
     assert json.loads(proc.stdout)["classic_regular"]
 
 
+def test_closed_stdout_exits_two_with_one_line(files):
+    # the CSV (about 4 MB) outgrows the pipe, so the writer meets the
+    # closed end mid-stream
+    src = str(Path(seqscreen.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "seqscreen", "grid", files["power"],
+         "--what", "psi", "--grid", "257x257"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert first == b"v,V,value\n"
+    assert err == ("seqscreen: error: cannot write to stdout: "
+                   "[Errno 32] Broken pipe\n")
+
+
 @pytest.mark.parametrize("grid, named", [
     (["--grid", "10000000x10000000"], "--grid 10000000x10000000"),
     ([], "the file's grid"),
@@ -749,17 +789,9 @@ def test_non_finite_model_numbers_exit_two(tmp_path, capsys, text, command,
     assert err.endswith(f" (line {line}, key {key!r})\n"), err
 
 
-@pytest.mark.parametrize("old, new, key, needle", [
-    ("intercept = 0.0", "intercept = 0.5", "w_support",
-     "rebuilt codomain starts at 0.5, file says 0.0"),
-    ("slope = 1.0", "slope = -1.0", "slope", "needs slope > 0"),
-    ("slope = 1.0", "slope = one", "slope", "non-numeric token 'one'"),
-    ("kind = affine", "kind = mean", "slope", "only apply to the affine"),
-    ("0.00390625:0.00390625:1.0", "0.00390625:0.5:1.0", "phi_table",
-     "does not match the recorded 0.5"),
-], ids=["codomain", "slope-sign", "slope-token", "slope-kind", "table"])
-def test_transform_rebuild_error_names_its_line(files, tmp_path, capsys,
-                                                old, new, key, needle):
+def _edited_affine_file(files, tmp_path, old, new, key):
+    """The affine-derived logistic file with ``old`` replaced by ``new``,
+    and the line of ``key`` in it."""
     derived = tmp_path / "affine.model"
     assert main(["transform", files["logistic"], "--kind", "affine",
                  "--out", str(derived)]) == 0
@@ -768,12 +800,92 @@ def test_transform_rebuild_error_names_its_line(files, tmp_path, capsys,
                 if raw.startswith(f"{key} ="))
     assert old in text
     derived.write_text(text.replace(old, new, 1))
+    return str(derived), line
+
+
+@pytest.mark.parametrize("old, new, key, needle", [
+    ("intercept = 0.0", "intercept = 0.5", "w_support",
+     "rebuilt codomain starts at 0.5, file says 0.0"),
+    ("slope = 1.0", "slope = -1.0", "slope", "needs slope > 0"),
+    ("0.00390625:0.00390625:1.0", "0.00390625:0.5:1.0", "phi_table",
+     "does not match the recorded 0.5"),
+], ids=["codomain", "slope-sign", "table"])
+def test_transform_rebuild_error_names_its_line(files, tmp_path, capsys,
+                                                old, new, key, needle):
+    path, line = _edited_affine_file(files, tmp_path, old, new, key)
     capsys.readouterr()
-    rc, out, err = run(capsys, "check", str(derived))
+    rc, out, err = run(capsys, "check", path)
     assert rc == 2 and out == ""
     assert_one_error_line(err, "[transform] section could not be rebuilt")
     assert needle in err
     assert err.endswith(f" (line {line}, key {key!r})\n"), err
+
+
+_TABLE_ENTRY = "0.00390625:0.00390625:1.0"
+
+
+@pytest.mark.parametrize("old, new, key, message", [
+    ("w_lo = 0.0", "w_lo = zero", "w_lo",
+     "w_lo contains a non-numeric token 'zero'"),
+    ("w_lo = 0.0", "w_lo = 0.0 1.0", "w_lo", "w_lo needs exactly one number"),
+    ("slope = 1.0", "slope = one", "slope",
+     "slope contains a non-numeric token 'one'"),
+    ("slope = 1.0", "slope =", "slope", "slope needs exactly one number"),
+    ("intercept = 0.0", "intercept = 0.0x", "intercept",
+     "intercept contains a non-numeric token '0.0x'"),
+    ("intercept = 0.0", "intercept = 0 0", "intercept",
+     "intercept needs exactly one number"),
+    ("w_support = 0.0 1.0", "w_support = 0.0 top", "w_support",
+     "w_support contains a non-numeric token 'top'"),
+    ("w_support = 0.0 1.0", "w_support = 0.0", "w_support",
+     "w_support needs exactly two numbers"),
+    (_TABLE_ENTRY, "0.00390625:0.00390625:slope", "phi_table",
+     "phi_table contains a non-numeric token 'slope'"),
+    (_TABLE_ENTRY, "0.00390625:0.00390625", "phi_table",
+     "phi_table entries need v:w:slope, got '0.00390625:0.00390625'"),
+    (_TABLE_ENTRY, _TABLE_ENTRY + ":1.0", "phi_table",
+     "phi_table entries need v:w:slope, got "
+     "'0.00390625:0.00390625:1.0:1.0'"),
+    ("kind = affine", "kind = mean", "slope",
+     "slope/intercept keys only apply to the affine kind"),
+], ids=["w_lo-token", "w_lo-count", "slope-token", "slope-count",
+        "intercept-token", "intercept-count", "w_support-token",
+        "w_support-count", "table-token", "table-one-colon",
+        "table-three-colons", "slope-kind"])
+def test_transform_section_parse_error_names_its_line(files, tmp_path,
+                                                      capsys, old, new, key,
+                                                      message):
+    # the section's text is read before any rebuild, so the message is the
+    # loader's own
+    path, line = _edited_affine_file(files, tmp_path, old, new, key)
+    capsys.readouterr()
+    rc, out, err = run(capsys, "check", path)
+    assert rc == 2 and out == ""
+    assert err == (f"seqscreen: error: {message} "
+                   f"(line {line}, key {key!r})\n")
+
+
+@pytest.mark.parametrize("text, message, line, key", [
+    (POWER + "\n[grid]\nv_points = 33\nendpoint_margin = 0.7\n",
+     "endpoint_margin must lie in (0, 0.5)", 10, "endpoint_margin"),
+    (POWER + "\n[grid]\nv_points = 1\nV_points = 1\n",
+     "grids need at least 2 points per axis", 9, "v_points"),
+    (POWER + "\n[tolerances]\nmonotonicity = -1\n",
+     "monotonicity_slack must be strictly positive and finite", 9,
+     "monotonicity"),
+    (POWER.replace("support = 1.0 2.0", "support = 0 1"),
+     "power kernel needs a signal support with positive lower endpoint, "
+     "got 0.0", 6, "family"),
+], ids=["endpoint-margin", "v-points", "monotonicity", "kernel-pairing"])
+def test_config_and_pairing_errors_name_their_line(tmp_path, capsys, text,
+                                                   message, line, key):
+    # a kernel that refuses its signal names the [kernel] family line
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    rc, out, err = run(capsys, "check", str(path))
+    assert rc == 2 and out == ""
+    assert err == (f"seqscreen: error: {message} "
+                   f"(line {line}, key {key!r})\n")
 
 
 def test_numeric_failure_outside_the_toolkit_exits_two(files, capsys,

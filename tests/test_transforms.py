@@ -19,6 +19,7 @@ from seqscreen.errors import (
     ConstructionError,
     DomainError,
     IntegrabilityError,
+    LoadError,
     SelfCheckError,
 )
 from seqscreen.model_core import (
@@ -442,32 +443,28 @@ class TestDerivedFiles:
     def test_tampered_table_is_rejected(self):
         tm = relabel(uniform_logistic(), "affine", slope=2.0)
         section = transform_section(tm)
-        section["phi_table"] = section["phi_table"].replace(
-            ":", ":", 1)  # no-op guard so the edit below is the only change
-        first = section["phi_table"].split()[5]
-        v, w, p = first.split(":")
-        bad = f"{v}:{float(w) + 0.01!r}:{p}"
-        section["phi_table"] = section["phi_table"].replace(first, bad)
+        v, w, p = section["phi_table"][5]
+        section["phi_table"][5] = (v, w + 0.01, p)
         with pytest.raises(SelfCheckError, match="does not match"):
             rebuild_from_section(uniform_logistic(), section)
 
     def test_wrong_w_support_is_rejected(self):
         tm = relabel(uniform_logistic(), "affine", slope=2.0)
         section = transform_section(tm)
-        section["w_support"] = "0.0 7.0"
+        section["w_support"] = (0.0, 7.0)
         with pytest.raises(SelfCheckError, match="codomain"):
             rebuild_from_section(uniform_logistic(), section)
 
     @pytest.mark.parametrize("kind, key, edit, match", [
-        ("integrated_hazard", "w_support", lambda s: "nan inf",
+        ("integrated_hazard", "w_support", lambda s: (math.nan, math.inf),
          "starts at 0.0, file says nan"),
-        ("affine", "w_support", lambda s: s.split()[0] + " nan",
+        ("affine", "w_support", lambda s: (s[0], math.nan),
          "ends at 1.0, file says nan"),
         ("integrated_hazard", "phi_table",
-         lambda t: _with_triple(t, 4, lambda v, w, p: f"{v}:nan:nan"),
+         lambda t: _with_row(t, 4, lambda v, w, p: (v, math.nan, math.nan)),
          r"phi\(0.015624984375\) = .* the recorded nan"),
         ("integrated_hazard", "phi_table",
-         lambda t: _with_triple(t, 4, lambda v, w, p: f"{v}:{w}:nan"),
+         lambda t: _with_row(t, 4, lambda v, w, p: (v, w, math.nan)),
          r"phi'\(0.015624984375\) = .* the recorded nan"),
     ], ids=["w_lo", "w_hi", "phi", "slope"])
     def test_nan_in_the_section_is_rejected(self, kind, key, edit, match):
@@ -479,12 +476,12 @@ class TestDerivedFiles:
             rebuild_from_section(uniform_logistic(), section)
 
     def test_missing_kind(self):
-        with pytest.raises(ConstructionError, match="kind"):
-            rebuild_from_section(uniform_logistic(), {"w_lo": "0.0"})
+        text = modelfile.dumps(relabel(uniform_logistic(), "mean"))
+        with pytest.raises(LoadError, match="missing required key 'kind'"):
+            modelfile.loads(text.replace("kind = mean\n", ""))
 
 
-def _with_triple(table: str, k: int, edit) -> str:
-    """``table`` with its k-th v:w:slope token replaced by ``edit(v, w, p)``."""
-    tokens = table.split()
-    tokens[k] = edit(*tokens[k].split(":"))
-    return " ".join(tokens)
+def _with_row(table: list, k: int, edit) -> list:
+    """``table`` with its k-th (v, w, slope) row replaced by
+    ``edit(v, w, p)``."""
+    return table[:k] + [edit(*table[k])] + table[k + 1:]
