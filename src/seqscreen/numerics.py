@@ -1,5 +1,6 @@
 """Shared numeric substrate: adaptive quadrature, finite differences,
-monotone scans with violation witnesses, and compensated prefix sums.
+monotone scans with violation witnesses, bisection and compensated prefix
+sums.
 
 Everything here is pure and deterministic. Quadrature (QUADPACK's QAG) runs
 over finite bounds only. ``integrate_many`` keeps all open integrals'
@@ -403,11 +404,31 @@ def kahan_prefix(terms, start: float = 0.0) -> list[float]:
     return out
 
 
+def bisect_many(f, targets, lower, upper, tol: float) -> np.ndarray:
+    """The midpoints of the brackets ``[lower[k], upper[k]]`` of
+    ``f(x) = targets[k]``, f nondecreasing, halved together at most 200
+    times by one call of the array map ``f`` per halving, on the brackets
+    still wider than ``tol`` whose midpoint lies strictly inside. A value
+    below its target moves the lower end, any other (NaN too) the upper."""
+    lo = np.array(lower, dtype=float)
+    hi = np.array(upper, dtype=float)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        live = np.flatnonzero((hi - lo > tol) & (lo < mid) & (mid < hi))
+        if not live.size:
+            break
+        below = f(mid[live]) < targets[live]
+        lo[live[below]] = mid[live[below]]
+        hi[live[~below]] = mid[live[~below]]
+    return 0.5 * (lo + hi)
+
+
 def invert_monotone(f: Callable[[float], float], target: float,
                     lower: float, upper: float, *, tol: float = 1e-12,
                     f_lower: float | None = None,
                     f_upper: float | None = None) -> float:
-    """Solve f(x) = target for nondecreasing f by plain bisection.
+    """Solve f(x) = target for nondecreasing f: ``bisect_many`` on one
+    target, calling the scalar f once per halving.
 
     The bracket must be finite and is trusted: ``f(lower) <= target`` and
     ``f(upper) >= target`` up to roundoff. Bisection runs until the bracket
@@ -416,21 +437,11 @@ def invert_monotone(f: Callable[[float], float], target: float,
     if not (math.isfinite(lower) and math.isfinite(upper) and lower <= upper):
         raise ConstructionError(
             f"invert_monotone needs a finite ordered bracket, got [{lower}, {upper}]")
-    lo, hi = lower, upper
-    f_lo = f(lo) if f_lower is None else f_lower
-    f_hi = f(hi) if f_upper is None else f_upper
+    f_lo = f(lower) if f_lower is None else f_lower
+    f_hi = f(upper) if f_upper is None else f_upper
     if f_lo > target and not math.isclose(f_lo, target, rel_tol=1e-9, abs_tol=1e-9):
         raise ConstructionError("bracket does not contain the target from below")
     if f_hi < target and not math.isclose(f_hi, target, rel_tol=1e-9, abs_tol=1e-9):
         raise ConstructionError("bracket does not contain the target from above")
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(bisect_many(lambda x: f(x.item()), np.array([target]),
+                             [lower], [upper], tol)[0])

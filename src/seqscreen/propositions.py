@@ -57,7 +57,7 @@ from .model_core import (
     conditional_mean_many,
     resolve_config,
 )
-from .numerics import _pointwise, _probe, richardson, stencil
+from .numerics import _pointwise, richardson, stencil
 from .regularity import (
     _evaluate_bundle,
     _inverse_hazard,
@@ -188,18 +188,15 @@ def delta_diagnostic(model: ScreeningModel, n_v: int = 33,
 
 def _shifted_cdf(kernel, s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``kernel.cdf(s, s + x[r])`` at every point s of each row r of
-    ``s``, by one ``cdf_many`` call; if that raises or gives NaN, pair by
-    pair through the probes of ``differentiate``, so a failure raises where
-    they would."""
-    try:
-        F = kernel.cdf_many(s, s + x[:, None])
-        if not np.isnan(F).any():
-            return F
-    except NUMERIC_CAUSES:
-        pass
-    return _pointwise(
-        lambda t, shift: _probe(lambda u: kernel.cdf(u, u + shift), t),
-        s, x[:, None])[0]
+    ``s``, by one ``cdf_many`` call, whose own error stands; a NaN raises
+    ``EvaluationError`` at the first stencil point, in row order, that
+    reads one."""
+    F = kernel.cdf_many(s, s + x[:, None])
+    nan = np.isnan(F)
+    if nan.any():
+        raise EvaluationError(
+            f"stencil evaluation returned NaN at x={float(s[nan][0])!r}")
+    return F
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,8 @@ signal values; a value at one point is that function called on one point, so
 batched and point-by-point evaluations agree bit for bit. Forward
 evaluations are memoized both ways, so inverting phi at a point that was
 produced by phi costs a dictionary lookup and is exact to the bit; fresh
-inversions bisect together on the construction lattice to 1e-12.
+inversions bisect together (``numerics.bisect_many``) on the construction
+lattice to 1e-12.
 
 A derived model file's [transform] section reaches this module as numbers:
 ``modelfile`` alone reads and writes its text, transform_section gives
@@ -58,7 +59,6 @@ from .errors import (
     DomainError,
     EvaluationError,
     IntegrabilityError,
-    NUMERIC_CAUSES,
     QuadratureError,
     SelfCheckError,
 )
@@ -71,9 +71,9 @@ from .model_core import (
     conditional_mean_many,
 )
 from .modelfile import RELABELING_KINDS
-from .numerics import (Interval, _pointwise, differentiate, integrate_many,
-                       kahan_prefix, richardson, stencil)
-from .regularity import _DENSITY_FLOOR, _inverse_hazard, gamma, hazard
+from .numerics import (Interval, bisect_many, integrate_many, kahan_prefix,
+                       richardson, stencil)
+from .regularity import _DENSITY_FLOOR, _inverse_hazard
 
 __all__ = [
     "RELABELING_KINDS",
@@ -156,12 +156,6 @@ class Relabeling:
     def codomain(self) -> Interval:
         return Interval(self.w_lo, self._w_hi)
 
-    def _require_domain(self, v: float) -> None:
-        if not self.domain.contains(v):
-            raise DomainError(
-                f"signal value {v!r} outside relabeling domain "
-                f"[{self.domain.lower}, {self.domain.upper}]")
-
     def phi(self, v: float) -> float:
         return float(self.phis(v))
 
@@ -183,26 +177,20 @@ class Relabeling:
     def _read(self, cache: dict, many, vs) -> tuple[np.ndarray, dict]:
         """The values of ``cache`` at every v of ``vs`` (any shape), and the
         new ones, which come from one call of the array form ``many`` and
-        are entered in ``cache``. If a new v lies outside the domain, or
-        that call raises, the new points are evaluated one at a time, so the
-        error raised is the first the point-by-point order meets."""
+        are entered in ``cache``. The domain is checked first, at the first
+        new v outside it; then an error of that call stands."""
         vs = np.asarray(vs, dtype=float)
         flat = vs.ravel().tolist()
         todo = list(dict.fromkeys(v for v in flat if v not in cache))
         new = {}
         if todo:
-            values = None
-            if all(map(self.domain.contains, todo)):
-                try:
-                    values = many(np.array(todo))
-                except NUMERIC_CAUSES:
-                    pass
-            if values is None:
-                def one(v):
-                    self._require_domain(v)
-                    return many(np.array([v]))[0]
-                values = _pointwise(one, todo)[0]
-            new = dict(zip(todo, values.tolist()))
+            todo = np.array(todo)
+            lo, hi = self.domain.as_tuple()
+            outside = todo[~((lo <= todo) & (todo <= hi))]  # NaN too
+            if outside.size:
+                raise DomainError(f"signal value {float(outside[0])!r} "
+                                  f"outside relabeling domain [{lo}, {hi}]")
+            new = dict(zip(todo.tolist(), many(todo).tolist()))
             cache.update(new)
         return np.array([cache[v] for v in flat]).reshape(vs.shape), new
 
@@ -222,11 +210,11 @@ class Relabeling:
         return out.reshape(ws.shape)
 
     def _bisect(self, ws: np.ndarray) -> np.ndarray:
-        """Preimages of ``ws`` by one bisection over all of them, one
-        ``phi_many`` call per halving; each distinct target, clamped into
-        the codomain, bisects on its lattice cell (the last one runs up to
-        the domain's top) and enters the cache unless it is there already,
-        so an exact preimage (a lattice point's) stays."""
+        """Preimages of ``ws`` by one ``bisect_many`` over all of them;
+        each distinct target, clamped into the codomain, bisects on its
+        lattice cell (the last one runs up to the domain's top) and enters
+        the cache unless it is there already, so an exact preimage (a
+        lattice point's) stays."""
         w_lo, w_hi = self.w_lo, self._w_hi
         bad = ((ws < w_lo - 1e-9 * max(1.0, abs(w_lo)))
                | (ws > w_hi + 1e-9 * max(1.0, abs(w_hi))))
@@ -237,18 +225,9 @@ class Relabeling:
         targets, where = np.unique(np.clip(ws, w_lo, w_hi),
                                    return_inverse=True)
         k = np.searchsorted(self._lat_w, targets, side="right") - 1
-        lo = self._lat_v[k]
-        hi = np.append(self._lat_v[1:], self.domain.upper)[k]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            live = np.flatnonzero((hi - lo > _INVERSE_TOL) & (lo < mid)
-                                  & (mid < hi))
-            if not live.size:
-                break
-            below = self._phi_many(mid[live]) < targets[live]
-            lo[live[below]] = mid[live[below]]
-            hi[live[~below]] = mid[live[~below]]
-        vs = 0.5 * (lo + hi)
+        vs = bisect_many(self._phi_many, targets, self._lat_v[k],
+                         np.append(self._lat_v[1:], self.domain.upper)[k],
+                         _INVERSE_TOL)
         inv = self._inv
         inv.update((t, v) for t, v in zip(targets.tolist(), vs.tolist())
                    if t not in inv)
@@ -587,20 +566,7 @@ def _self_check(base: ScreeningModel, tm: TransformedModel,
     vs = lo + (hi - lo) * (0.02 + 0.96 * u[0::2])
     V_lo, V_hi = np.array([base.value_range(v) for v in vs.tolist()]).T
     Vs = V_lo + (V_hi - V_lo) * (0.02 + 0.96 * u[1::2])
-    try:
-        err = _identity_errors(base, tm, rel, vs, Vs)
-    except NUMERIC_CAUSES:
-        # the scalar forms, probe by probe in the order of the identities,
-        # raise the error of the first evaluation that fails
-        def probe(v, V):
-            w, p = rel.phi(v), rel.phi_prime(v)
-            differentiate(rel.phi, v)
-            haz = _pdf_over_sf(base.signal, np.array([v])).item()
-            _pdf_over_sf(tm.signal, np.array([w]))
-            haz / p  # a zero slope raises here
-            gamma(base, v, V), gamma(tm, w, V), hazard(base, v), hazard(tm, w)
-        _pointwise(probe, vs, Vs)
-        raise
+    err = _identity_errors(base, tm, rel, vs, Vs)
     bad = np.flatnonzero(~(err <= _SELF_CHECK_TOL))  # NaN fails
     if bad.size:
         k = bad[np.argmax(err[bad])]
@@ -614,12 +580,15 @@ def _identity_errors(base: ScreeningModel, tm: TransformedModel,
                      rel: Relabeling, vs: np.ndarray,
                      Vs: np.ndarray) -> np.ndarray:
     """Each probe's largest relative error over the identities, every
-    quantity from one array call; raises if the scalar evaluation of any
-    probe would."""
+    quantity from one array call, whose own error stands. Where an
+    identity is undefined, ``_unevaluable`` raises: for the map first."""
     h, points = stencil(vs, np.maximum(1e-5, 1e-5 * np.abs(vs)))
     f = rel.phis(np.stack(points, axis=1).ravel()).reshape(-1, 5)
     p = rel.phi_primes(vs)
-    fails = np.isnan(f).any() or (p == 0.0).any()
+    _unevaluable(vs, Vs, {"NaN in the map's difference stencil":
+                          np.isnan(f).any(axis=1),
+                          "zero slope phi'": p == 0.0})
+    vanished = undefined = np.zeros(vs.shape, dtype=bool)
     # per model: the hazard, -dH/dv, h and the inverse hazard, the last
     # three for gamma and virtual_value at the probe pairs
     parts = []
@@ -627,10 +596,11 @@ def _identity_errors(base: ScreeningModel, tm: TransformedModel,
         dens, rate = [c[:, 0] for c in m.kernel.pdf_cdf_dv_many(
             m, x[:, None], Vs[:, None])]
         inv, inv_failed = _inverse_hazard(m, x)
-        fails |= ((dens < _DENSITY_FLOOR) | inv_failed).any()
+        vanished = vanished | (dens < _DENSITY_FLOOR)
+        undefined = undefined | inv_failed
         parts.append((_pdf_over_sf(m.signal, x), -rate, dens, inv))
-    if fails:
-        raise EvaluationError("a self-check probe failed to evaluate")
+    _unevaluable(vs, Vs, {"conditional density vanished": vanished,
+                          "signal hazard undefined": undefined})
     with np.errstate(invalid="ignore", over="ignore"):
         (haz_b, g_b, psi_b), (haz_t, g_t, psi_t) = [
             (hz, num / den, Vs - inv * (num / den))
@@ -654,6 +624,18 @@ def _identity_errors(base: ScreeningModel, tm: TransformedModel,
     for e in errs:
         err = np.where(e > err, e, err)
     return err
+
+
+def _unevaluable(vs: np.ndarray, Vs: np.ndarray, causes: dict) -> None:
+    """Raise ``EvaluationError`` at the first probe (v, V) where a mask of
+    ``causes`` ({text: mask}) holds, naming the first cause true there."""
+    failed = np.stack(list(causes.values()))
+    if failed.any():
+        k = _first(failed.any(axis=0))
+        raise EvaluationError(
+            f"relabeling self-check cannot evaluate the probe (v, V) = "
+            f"{(float(vs[k]), float(Vs[k]))}: "
+            f"{list(causes)[_first(failed[:, k])]}")
 
 
 def apply_relabeling(model: ScreeningModel,

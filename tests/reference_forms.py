@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from seqscreen import numerics
-from seqscreen.errors import (DensityUnderflowError, DomainError,
-                              EvaluationError, NearEndpointError,
+from seqscreen.errors import (ConstructionError, DensityUnderflowError,
+                              DomainError, EvaluationError, NearEndpointError,
                               QuadratureError)
 from seqscreen.model_core import (_BETAINC_EPS, _BETAINC_MAX_TERMS,
                                   _LENTZ_TINY, _LOG_SQRT_2PI, _stirling_gap)
@@ -301,6 +301,35 @@ def inverse_hazard_pointwise(model, vs):
         except (NearEndpointError, DensityUnderflowError, DomainError):
             failed[i] = True
     return inv, failed
+
+
+def invert_monotone(f: Callable[[float], float], target: float,
+                    lower: float, upper: float, *, tol: float = 1e-12,
+                    f_lower: float | None = None,
+                    f_upper: float | None = None) -> float:
+    """Solve f(x) = target for nondecreasing f by plain bisection on
+    floats, one scalar f call per halving, as ``numerics`` once did."""
+    if not (math.isfinite(lower) and math.isfinite(upper) and lower <= upper):
+        raise ConstructionError(
+            f"invert_monotone needs a finite ordered bracket, got [{lower}, {upper}]")
+    lo, hi = lower, upper
+    f_lo = f(lo) if f_lower is None else f_lower
+    f_hi = f(hi) if f_upper is None else f_upper
+    if f_lo > target and not math.isclose(f_lo, target, rel_tol=1e-9, abs_tol=1e-9):
+        raise ConstructionError("bracket does not contain the target from below")
+    if f_hi < target and not math.isclose(f_hi, target, rel_tol=1e-9, abs_tol=1e-9):
+        raise ConstructionError("bracket does not contain the target from above")
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` or ``-rA`` to
 see the verdict lines for passing criteria too).
 """
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
 from seqscreen.cli import main as cli_main
+from seqscreen.errors import IntegrabilityError
 from seqscreen.model_core import (
     AdditiveNoiseKernel,
     GridSpec,
@@ -26,7 +28,7 @@ from seqscreen.model_core import (
 )
 from seqscreen.propositions import delta_diagnostic, verify_prop1, verify_prop2, verify_prop3
 from seqscreen.regularity import check_assumption, gamma, hazard, regularity_report, virtual_value
-from seqscreen.transforms import make_relabeling, relabel
+from seqscreen.transforms import RELABELING_KINDS, make_relabeling, relabel
 
 # criterion 1: conditional-mean slope against a central difference
 C1_FD_STEP = 1e-3
@@ -39,6 +41,12 @@ C3_A1_EDGE = 1.0 / np.e
 # criterion 4: relabeling invariances on matched grids
 C4_TOL = 1e-8
 C4_GRID = GridSpec(v_points=65, V_points=65)
+# criterion 4 per kind: the verdicts of every kind on four models
+C4_KIND_GRID = GridSpec(v_points=33, V_points=33)
+C4_MODELS = ("logistic", "power", "tablesig", "beta-normal")
+C4_AFFINE = {"slope": 1.5, "intercept": -0.25}
+# beta(2, 2)'s inverse hazard is not integrable at v = 0
+C4_UNBUILT = ("beta-normal", "inverse_hazard_integral")
 # criterion 5: relabeled hazard profiles
 C5_FLAT_TOL = 1e-6
 C5_CLOSED_FORM_REL = 1e-6
@@ -172,6 +180,54 @@ def test_criterion_4_relabeling_invariances(logistic_model, power_model,
             parts.append((f"{mlabel}-{kind}-identities", ident_ok))
     _report(4, "relabelings preserve the virtual value and the A1 verdict",
             parts)
+
+
+@pytest.fixture(scope="module")
+def c4_checks(logistic_model, power_model, beta_normal_model):
+    """``checks(label, kind)``: each check's ``passed`` flag on a model of
+    ``C4_MODELS``, or on its relabeling of ``kind``, at ``C4_KIND_GRID``."""
+    tablesig = ScreeningModel(
+        TableSignal([0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
+                    [3.0, 1.2, 0.7, 0.55, 0.8, 1.6]),
+        AdditiveNoiseKernel(noise="logistic"))
+    models = dict(zip(C4_MODELS, (logistic_model, power_model, tablesig,
+                                  beta_normal_model)))
+
+    @functools.cache
+    def checks(label, kind=None):
+        model = models[label]
+        if kind is not None:
+            model = relabel(model, kind,
+                            **(C4_AFFINE if kind == "affine" else {}))
+        rep = regularity_report(model, C4_KIND_GRID)
+        return {code: c.passed for code, c in rep.checks.items()}
+
+    return checks
+
+
+@pytest.mark.parametrize("label, kind, code", [
+    pytest.param(label, kind, code, marks=pytest.mark.xfail(
+        strict=True, reason="FOSD's margin slack * h does not scale with "
+        "phi' (ROADMAP: a relabeling changes verdicts that it should not)"))
+    if (label, kind, code) == ("power", "integrated_hazard", "FOSD")
+    else (label, kind, code)
+    for label in C4_MODELS for kind in RELABELING_KINDS
+    for code in ("A1", "FOSD", "PSI") if (label, kind) != C4_UNBUILT])
+def test_criterion_4_relabeling_keeps_a1_fosd_psi(c4_checks, label, kind,
+                                                  code):
+    assert c4_checks(label, kind)[code] == c4_checks(label)[code]
+
+
+def test_criterion_4_relabeling_moves_a0_or_a2(c4_checks, beta_normal_model):
+    """Regularity is not invariant to relabeling the signal: A0 or A2
+    moves on at least one model and kind."""
+    with pytest.raises(IntegrabilityError):
+        make_relabeling(beta_normal_model, C4_UNBUILT[1])
+    moved = [(label, kind) for label in C4_MODELS
+             for kind in RELABELING_KINDS if (label, kind) != C4_UNBUILT
+             and any(c4_checks(label, kind)[code] != c4_checks(label)[code]
+                     for code in ("A0", "A2"))]
+    assert moved
 
 
 def test_criterion_5_hazard_relabelings(logistic_model):

@@ -721,8 +721,8 @@ class TestOnePointMaps:
 
 def _failing_slope_relabeling(threshold):
     """phi(v) = 2v whose slope underflows above ``threshold``; called on
-    many points it names the last offending point, so only the point loop
-    names the first."""
+    many points it names the last offending point, called on one point
+    that point."""
 
     def phi_prime(vs):
         bad = vs > threshold
@@ -749,21 +749,25 @@ class TestSlopeCache:
                               np.reshape(want, vs.shape))
         assert filled._slope == scalar._slope
 
-    @pytest.mark.parametrize("vs, message", [
-        (np.linspace(0.0, 1.0, 11), "slope vanished at v=0.6000000000000001"),
-        # a point outside the domain keeps the array call from being made
-        ([0.7, 0.9, 1.5], "slope vanished at v=0.7"),
-        ([1.5, 0.7, 0.9], "signal value 1.5 outside relabeling domain "
-                          "[0.0, 1.0]")], ids=["array", "slope-first",
-                                               "domain-first"])
-    def test_error_is_the_first_the_point_order_meets(self, vs, message):
-        with pytest.raises((DensityUnderflowError, DomainError)) as want:
-            scalar = _failing_slope_relabeling(0.6)
-            for v in np.asarray(vs).tolist():
-                scalar.phi_prime(v)
-        with pytest.raises(want.type) as got:
-            _failing_slope_relabeling(0.6).phi_primes(vs)
-        assert str(got.value) == str(want.value) == message
+    @pytest.mark.parametrize("vs, error, message", [
+        # the array call's own error: its last offending point
+        (np.linspace(0.0, 1.0, 11), DensityUnderflowError,
+         "slope vanished at v=1.0"),
+        # the domain is checked first, at the first new point outside it
+        ([0.7, 0.9, 1.5], DomainError,
+         "signal value 1.5 outside relabeling domain [0.0, 1.0]"),
+        ([1.5, 0.7, -0.5], DomainError,
+         "signal value 1.5 outside relabeling domain [0.0, 1.0]"),
+        ([0.2, math.nan], DomainError,
+         "signal value nan outside relabeling domain [0.0, 1.0]")],
+        ids=["array", "domain-last", "domain-first", "nan"])
+    def test_domain_first_then_the_array_error_stands(self, vs, error,
+                                                       message):
+        rel = _failing_slope_relabeling(0.6)
+        with pytest.raises(error) as got:
+            rel.phi_primes(vs)
+        assert str(got.value) == message
+        assert rel._slope == {}  # nothing new entered the cache
 
     def test_lattice_hazard_marks_the_scalar_failures(self):
         base = ScreeningModel(UniformSignal(Interval(0.0, 1.0)),

@@ -487,6 +487,21 @@ class TestTransform:
         assert_one_error_line(err, "relabeling self-check failed at 32 "
                                    "of 32 probe points")
 
+    def test_unevaluable_probe_exits_two(self, tmp_path, capsys):
+        # a table kernel flat over V in (0.5, 0.6): the conditional
+        # density vanishes at the self-check probes in that band
+        path = tmp_path / "flat.model"
+        path.write_text(TABLE_KERNEL.replace(
+            "V 0 0.5 1 ; H 0 0.5 1 0 0.2 1",
+            "V 0 0.5 0.6 1 ; H 0 0.5 0.5 1 0 0.4 0.4 1"))
+        rc, out, err = run(capsys, "transform", str(path), "--kind",
+                           "affine", "--slope", "2")
+        assert (rc, out) == (2, "")
+        assert_one_error_line(err, "relabeling self-check cannot evaluate "
+                              "the probe (v, V) = (0.5986709568339609, "
+                              "0.5925587797980185): conditional density "
+                              "vanished")
+
     def test_slope_on_wrong_kind_exits_one(self, files, capsys):
         rc, _, err = run(capsys, "transform", files["power"],
                          "--kind", "mean", "--slope", "2.0")

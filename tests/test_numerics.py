@@ -32,6 +32,7 @@ from seqscreen.numerics import (
     scan_violations,
     stencil,
 )
+import reference_forms
 
 
 class TestInterval:
@@ -285,6 +286,40 @@ class TestInvertMonotone:
     def test_bad_bracket_rejected(self):
         with pytest.raises(ConstructionError):
             invert_monotone(lambda t: t, 10.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("f, target, lower, upper, tol", [
+        (lambda t: t * t, 2.0, 0.0, 2.0, 1e-12),
+        (math.atan, 0.5, -2.0, 2.0, 1e-12),
+        (math.exp, 3.0, -1.0, 5.0, 1e-6),
+        # flat over [0.3, 0.6]: the target is met on the whole stretch
+        (lambda t: min(t, 0.3) + max(t - 0.6, 0.0), 0.3, 0.0, 1.0, 1e-12),
+        # NaN above 0.5 counts as at or above the target
+        (lambda t: math.nan if t > 0.5 else t, 0.7, 0.0, 1.0, 1e-12),
+        (lambda t: math.floor(4.0 * t), 2.0, 0.0, 1.0, 1e-12),
+        # a bracket of one float, and one far narrower than tol
+        (lambda t: t, 1.0, 1.0, 1.0, 1e-12),
+        (lambda t: t, 0.5, 0.5, 0.5 + 1e-15, 1e-12),
+    ], ids=["square", "atan", "exp-coarse", "flat", "nan", "step",
+            "point", "narrow"])
+    def test_equals_the_float_loop_bit_for_bit(self, f, target, lower,
+                                               upper, tol):
+        """The same root from the same map calls, one per halving, as the
+        bisection on floats kept in ``tests/reference_forms.py``."""
+        want_calls, got_calls = [], []
+
+        def logged(calls):
+            def g(t):
+                calls.append(t)
+                return f(t)
+            return g
+
+        want = reference_forms.invert_monotone(logged(want_calls), target,
+                                               lower, upper, tol=tol)
+        got = invert_monotone(logged(got_calls), target, lower, upper,
+                              tol=tol)
+        assert type(got) is float
+        assert got == want
+        assert got_calls == want_calls
 
 
 class _Bug(RuntimeError):

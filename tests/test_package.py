@@ -122,21 +122,18 @@ def test_only_the_listed_functions_catch_numeric_causes():
     """An ``except`` naming ``NUMERIC_CAUSES`` turns an array call that
     failed into a point-by-point replay, a recorded failure or a message.
     Only these functions have one, each for the reason given, and no entry
-    is stale."""
+    is stale. A replay that would only choose which error is raised has no
+    place here: the array call's own error stands."""
     allowed = {
         # each integral of a round records its own failure
         ("numerics.py", "_gk15"),
         # names the stencil point whose evaluation failed
         ("numerics.py", "_probe"),
-        ("propositions.py", "_shifted_cdf"),
-        # a power-kernel block that reads below V = 0 goes pair by pair
+        # a power-kernel block that reads below V = 0 goes pair by pair,
+        # and a pair that fails is left out of the comparison
         ("propositions.py", "_translation_gaps"),
-        # marks the points whose hazard fails rather than raising
+        # marks the points whose hazard fails, which A0 scans as holes
         ("regularity.py", "_inverse_hazard"),
-        # names the probe whose evaluation failed
-        ("transforms.py", "_self_check"),
-        # the cached map and slope, read point by point after a failure
-        ("transforms.py", "_read"),
         # a numeric failure no evaluator named exits 2
         ("cli.py", "main"),
     }
@@ -156,6 +153,26 @@ def test_only_the_listed_functions_catch_numeric_causes():
         visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
     assert found - allowed == set()
     assert allowed <= found  # no stale entry
+
+
+def _imported_names(name: str) -> set[str]:
+    """Every name the module ``name`` imports from another module."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+
+
+def test_relabelings_and_suite_2_use_no_scalar_evaluators():
+    """Relabelings, their self-check and suite 2's shifted cdf read array
+    forms alone, so each array call's own error stands: ``transforms``
+    imports no scalar evaluator, stencil or point-by-point replay, and
+    ``propositions`` no stencil probe."""
+    assert _imported_names("transforms.py") & {
+        "hazard", "gamma", "virtual_value", "eval_kernel", "differentiate",
+        "_pointwise", "invert_monotone", "NUMERIC_CAUSES"} == set()
+    assert _imported_names("propositions.py") & {
+        "_probe", "differentiate"} == set()
 
 
 def _run_on_import(tree: ast.Module):

@@ -31,7 +31,7 @@ from seqscreen.model_core import (
     UniformSignal,
     conditional_mean,
 )
-from seqscreen.numerics import Interval, invert_monotone
+from seqscreen.numerics import Interval
 from seqscreen.regularity import check_assumption, gamma, hazard, virtual_value
 from seqscreen.transforms import (
     RELABELING_KINDS,
@@ -43,6 +43,7 @@ from seqscreen.transforms import (
     relabel,
     transform_section,
 )
+from reference_forms import invert_monotone
 
 
 def uniform_logistic():
@@ -268,8 +269,8 @@ class TestRelabelingSurface:
 
 
 def _reference_inverse(rel: Relabeling, w: float) -> float:
-    """w inverted alone: clamped into the codomain, then bisected by
-    invert_monotone on its lattice cell with one-point map calls."""
+    """w inverted alone: clamped into the codomain, then bisected by the
+    reference float loop on its lattice cell with one-point map calls."""
     w_lo, w_hi = rel.codomain.as_tuple()
     top = rel.domain.upper
     if w == math.inf and math.isinf(w_hi):
