@@ -115,7 +115,8 @@ def _pdf_over_sf(signal: SignalDistribution, v: np.ndarray) -> np.ndarray:
     if low.any():
         raise _SurvivalVanished(
             f"signal survival vanished at v={float(v[low][0])!r}")
-    return signal.pdf_many(v) / s
+    with np.errstate(over="ignore"):  # an overflowing hazard reads inf
+        return signal.pdf_many(v) / s
 
 
 class Relabeling:
@@ -334,9 +335,14 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
         b = 0.0 if intercept is None else float(intercept)
         if not a > 0:
             raise ConstructionError("affine relabeling needs slope > 0")
+        with np.errstate(over="ignore"):
+            lat_w = b + a * inner._lat_w
+        if not np.isfinite(lat_w).all():
+            raise ConstructionError(
+                f"affine relabeling overflows: {b!r} + {a!r} * phi is not "
+                f"finite on the signal support")
         return Relabeling(kind, dom, lambda v: b + a * phi1(v),
-                          lambda v: a * dphi1(v), inner._lat_v,
-                          b + a * inner._lat_w,
+                          lambda v: a * dphi1(v), inner._lat_v, lat_w,
                           w_hi=b + a * inner.codomain.upper,
                           params={**params, "slope": a, "intercept": b})
     if slope is not None or intercept is not None:
@@ -427,7 +433,9 @@ def make_relabeling(model: ScreeningModel, kind: str, *, w_lo: float = 0.0,
         v_tail = v[tail]
         s = signal.sf_many(v_tail)
         live = ~(s <= 0.0)
-        h = signal.pdf_many(v_tail[live]) / s[live] / d[tail][live]
+        # a ratio that overflows is at the maximum anyway
+        with np.errstate(over="ignore"):
+            h = signal.pdf_many(v_tail[live]) / s[live] / d[tail][live]
         at_max = h >= g_last
         h[at_max] = 1.0
         h[~at_max] /= g_last
@@ -582,7 +590,11 @@ def _identity_errors(base: ScreeningModel, tm: TransformedModel,
     """Each probe's largest relative error over the identities, every
     quantity from one array call, whose own error stands. Where an
     identity is undefined, ``_unevaluable`` raises: for the map first."""
-    h, points = stencil(vs, np.maximum(1e-5, 1e-5 * np.abs(vs)))
+    # a step relative to the domain's width, capped at 0.4x the room to its
+    # nearer end as delta_diagnostic caps its own
+    lo, hi = base.signal.support.as_tuple()
+    h, points = stencil(vs, np.minimum(1e-5 * np.maximum(hi - lo, np.abs(vs)),
+                                       0.4 * np.minimum(vs - lo, hi - vs)))
     f = rel.phis(np.stack(points, axis=1).ravel()).reshape(-1, 5)
     p = rel.phi_primes(vs)
     _unevaluable(vs, Vs, {"NaN in the map's difference stencil":

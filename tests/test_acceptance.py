@@ -1,4 +1,4 @@
-"""Acceptance gate: eight end-to-end criteria, one verdict line each.
+"""Acceptance gate: nine end-to-end criteria, one verdict line each.
 
 Every criterion prints exactly one line, ``ACCEPTANCE n [PASS|FAIL] name``,
 then asserts it. Tolerances are pinned as module constants next to the
@@ -53,6 +53,17 @@ C5_CLOSED_FORM_REL = 1e-6
 # criterion 6: shifted-cdf derivative route agreement
 C6_RESIDUAL_TOL = 1e-4
 C6_BAD_FRACTION = 0.01
+# criterion 9: the paper's third claim, additive noise of every scale on
+# every builtin signal family
+C9_GRID = ["--grid", "33x33"]
+C9_SIGNALS = {"uniform": "family = uniform\nsupport = 0.0 1.0",
+              "beta": "family = beta\nparams = alpha=2.0 beta=3.0",
+              "table": "family = table\nparams = 0.0:1.0 0.5:2.0 1.0:0.5"}
+C9_NOISES = ("normal", "logistic", "laplace")
+C9_SCALES = (1.0, 0.1, 0.01, 0.001)
+# where h and dH/dv underflow, A1 aborts (exit 2)
+C9_ABORTED = {("normal", 0.01), ("normal", 0.001), ("logistic", 0.001),
+              ("laplace", 0.001)}
 
 
 def _report(criterion: int, name: str, parts):
@@ -340,3 +351,36 @@ def test_criterion_8_deterministic_outputs(tmp_path, capsys):
         ("grid-shape", len(grid1.splitlines()) == 82),
     ]
     _report(8, "command outputs are byte-deterministic", parts)
+
+
+@pytest.mark.parametrize("signal, noise, scale", [
+    pytest.param(signal, noise, scale, marks=pytest.mark.xfail(
+        strict=True, reason="A1 aborts where narrow noise underflows h "
+        "(ROADMAP known defect: narrow additive noise exits 2)"))
+    if (noise, scale) in C9_ABORTED else (signal, noise, scale)
+    for signal in C9_SIGNALS for noise in C9_NOISES for scale in C9_SCALES])
+def test_criterion_9_additive_noise_meets_the_third_claim(
+        signal, noise, scale, tmp_path, capsys):
+    """Value = signal + independent noise: A1 and A2 hold, and suite 3
+    reads consistent both ways."""
+    path = tmp_path / "m.model"
+    path.write_text(f"[signal]\n{C9_SIGNALS[signal]}\n\n[kernel]\n"
+                    f"family = additive_noise\nnoise.family = {noise}\n"
+                    f"noise.scale = {scale!r}\n")
+
+    def report(*argv):
+        rc = cli_main([*argv, str(path), *C9_GRID])
+        out = capsys.readouterr().out
+        return rc, json.loads(out) if rc != 2 else {}
+
+    rc_check, checks = report("check")
+    rc_prop3, prop3 = report("verify", "--prop", "3")
+    parts = [("check-verdict", rc_check != 2),
+             ("prop3-verdict", rc_prop3 != 2)]
+    if checks:
+        parts += [(code, checks["checks"][code]["passed"])
+                  for code in ("A1", "A2")]
+    if prop3:
+        parts += [(f"prop3-{way}", prop3[way]["verdict"] == "consistent")
+                  for way in ("forward", "converse")]
+    _report(9, f"third claim on {signal} + {noise}({scale})", parts)

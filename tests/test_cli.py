@@ -106,6 +106,24 @@ def assert_one_error_line(err: str, needle: str) -> None:
     assert needle in lines[0], err
 
 
+def _stencil_failure(monkeypatch, exc_type):
+    """Power models load with a subclass of the power kernel without its
+    analytic slope, so the lattice and suite 3's conditional-mean slope
+    differentiate its cdf, and a cdf that raises just above the top of the
+    signal window, where only a difference stencil reaches."""
+
+    class Failing(PowerKernel):
+        def cdf(self, v, V):
+            if v > 1.99991:
+                raise exc_type(f"signal {v!r} beyond the window")
+            return super().cdf(v, V)
+
+        def cdf_dv(self, v, V):
+            return None
+
+    monkeypatch.setattr(model_core, "PowerKernel", Failing)
+
+
 class TestCheck:
     def test_regular_model_exits_zero(self, files, capsys):
         rc, out, err = run(capsys, "check", files["logistic"])
@@ -233,39 +251,12 @@ class TestCheck:
         assert rc == 2
         assert "cannot write" in err
 
-    @staticmethod
-    def _stencil_failure(monkeypatch, exc_type):
-        """Power models load with a subclass of the power kernel without
-        its analytic slope, so validation's stochastic-ordering sample
-        differentiates its cdf, and a cdf that raises just above the top
-        of that sample, where only a difference stencil reaches."""
-
-        class Failing(PowerKernel):
-            def cdf(self, v, V):
-                if v > 1.99991:
-                    raise exc_type(f"signal {v!r} beyond the sample")
-                return super().cdf(v, V)
-
-            def cdf_dv(self, v, V):
-                return None
-
-        monkeypatch.setattr(model_core, "PowerKernel", Failing)
-
-    def test_domain_error_in_stencil_exits_two(self, files, capsys,
-                                               monkeypatch):
-        self._stencil_failure(monkeypatch, DomainError)
-        rc, out, err = run(capsys, "check", files["power"])
-        assert rc == 2 and out == ""
-        assert err.startswith(
-            "seqscreen: error: stencil evaluation failed at x=")
-        assert err.count("\n") == 1
-
     def test_non_numeric_error_in_stencil_propagates(self, files, capsys,
                                                      monkeypatch):
         class Interrupted(RuntimeError):
             pass
 
-        self._stencil_failure(monkeypatch, Interrupted)
+        _stencil_failure(monkeypatch, Interrupted)
         with pytest.raises(Interrupted):
             main(["check", files["power"]])
 
@@ -297,6 +288,15 @@ class TestVerify:
         rep = json.loads(out)
         assert rep["forward"]["verdict"] == "consistent"
         assert rep["converse"]["verdict"] == "consistent"
+
+    def test_domain_error_in_stencil_exits_two(self, files, capsys,
+                                               monkeypatch):
+        _stencil_failure(monkeypatch, DomainError)
+        rc, out, err = run(capsys, "verify", files["power"], "--prop", "3")
+        assert rc == 2 and out == ""
+        assert err.startswith(
+            "seqscreen: error: stencil evaluation failed at x=")
+        assert err.count("\n") == 1
 
     def test_unbounded_density_fails_runningmax_build(self, tmp_path,
                                                      capsys):

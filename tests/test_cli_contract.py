@@ -5,7 +5,8 @@ Every command on every model the file format accepts ends in exit 0, 1 or
 print a strict JSON report (no ``NaN`` or ``Infinity`` token), or the
 ``v,V,value`` CSV of a 17x17 grid; exit 2, and
 a ``transform`` whose relabeling cannot be built (exit 1), print one
-``seqscreen: error:`` line and nothing else.
+``seqscreen: error:`` line and nothing else. No command issues a NumPy
+warning: the test configuration raises it, so it escapes ``main``.
 """
 
 import contextlib
@@ -161,3 +162,40 @@ def test_every_command_keeps_the_exit_contract(kernel, data):
         if _assert_contract(["transform", model, "--kind", kind,
                              "--out", derived, *GRID])[0] == 0:
             _assert_paper_claims(["check", derived, *GRID])
+
+
+LOGISTIC = "[kernel]\nfamily = additive_noise\nnoise.family = logistic\n"
+# models at the edge of what floats hold: supports narrow against their
+# width or their place, a beta whose normalizing constant overflows, and
+# a support so narrow that the exp_tilt hazard's ratios overflow
+EDGE_MODELS = {
+    "narrow": "[signal]\nfamily = uniform\nsupport = 0.0 1e-4\n\n" + LOGISTIC,
+    "far": ("[signal]\nfamily = uniform\nsupport = 1000.0 1000.001\n\n"
+            + LOGISTIC),
+    "beta600": ("[signal]\nfamily = beta\nparams = alpha=600 beta=600\n\n"
+                + LOGISTIC),
+    "tilt_tiny": ("[signal]\nfamily = uniform\nsupport = 0.0 1e-300\n\n"
+                  "[kernel]\nfamily = exp_tilt\n"),
+}
+MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+def test_edge_models_keep_the_exit_contract(name, tmp_path):
+    model = tmp_path / f"{name}.model"
+    model.write_text(EDGE_MODELS[name], encoding="utf-8")
+    _assert_contract(["check", str(model), *GRID])
+    for prop in ("1", "2", "3"):
+        _assert_contract(["verify", str(model), "--prop", prop, *GRID])
+    _assert_contract(["grid", str(model), "--what", "psi", *GRID])
+    for kind in RELABELING_KINDS:
+        _assert_contract(["transform", str(model), "--kind", kind,
+                          "--out", str(tmp_path / f"{kind}.model"), *GRID])
+
+
+@pytest.mark.parametrize("slope, intercept", [("1e308", "1e308"),
+                                              ("1e-308", "0")])
+def test_extreme_affine_maps_keep_the_exit_contract(slope, intercept):
+    _assert_contract(["transform", str(MODELS / "logistic.model"), "--kind",
+                      "affine", f"--slope={slope}",
+                      f"--intercept={intercept}", *GRID])

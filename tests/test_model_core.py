@@ -40,6 +40,7 @@ from seqscreen.model_core import (
 )
 from seqscreen.modelfile import load
 from seqscreen.numerics import Interval, integrate
+from seqscreen.regularity import check_assumption
 from seqscreen.transforms import relabel
 
 from reference_forms import betainc
@@ -83,6 +84,21 @@ class TestSignals:
         ref = BetaSignal(2.0, 3.0)
         assert sig.cdf(2.0) == pytest.approx(ref.cdf(0.5), abs=1e-15)
         assert sig.pdf(2.0) == pytest.approx(ref.pdf(0.5) / 2.0, abs=1e-15)
+
+    def test_beta_large_shapes_keep_a_finite_density(self, tmp_path, capsys):
+        # beta(600, 600)'s normalizing constant e^833.7 overflows a float,
+        # but at each endpoint a shape above 1 makes the density 0. The
+        # midpoint literal is a 50-digit evaluation.
+        got = BetaSignal(600.0, 600.0).pdf_many(np.array([0.0, 0.5, 1.0]))
+        assert got[[0, 2]].tolist() == [0.0, 0.0]
+        assert got[1] == pytest.approx(27.633774322323219, rel=1e-12)
+        path = tmp_path / "beta600.model"
+        path.write_text("[signal]\nfamily = beta\n"
+                        "params = alpha=600 beta=600\n\n[kernel]\n"
+                        "family = additive_noise\nnoise.family = logistic\n",
+                        encoding="utf-8")
+        assert main(["verify", str(path), "--prop", "3",
+                     "--grid", "17x17"]) == 0
 
     def test_beta_rejects_bad_shapes(self):
         with pytest.raises(ConstructionError):
@@ -284,12 +300,21 @@ class TestBetainc:
 
     @given(st.floats(0.2, 5.0), st.floats(0.2, 5.0),
            st.integers(1, 2 ** 40 - 1))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
     def test_symmetry(self, a, b, k):
         # x = k / 2^40 keeps 1 - x exact, so both sides see the same point
         x = k / 2.0 ** 40
         assert _betainc(a, b, x) + _betainc(b, a, 1.0 - x) == pytest.approx(
             1.0, abs=5e-16)
+
+    @pytest.mark.xfail(strict=True, reason="at x = a / (a + b) the continued "
+                       "fraction falls short: 2 I(1/2; 3, 3) - 1 is -2.9e-15, "
+                       "and 11 of the shapes a = b = 0.25, 0.5, ..., 5 miss "
+                       "the bound there")
+    def test_symmetry_at_the_midpoint_of_equal_shapes(self):
+        assert 2.0 * _betainc(3.0, 3.0, 0.5) - 1.0 == pytest.approx(
+            0.0, abs=5e-16)
 
     def test_exact_at_the_ends(self):
         for a, b in ((0.3, 0.5), (2.0, 2.0), (1e4, 1.5)):
@@ -642,7 +667,7 @@ class TestValidateModel:
                                  AdditiveNoiseKernel(noise="logistic"))):
             result = validate_model(m)
             assert result.passed, result.issues()
-            assert result.fosd_ok
+            assert check_assumption(m, "FOSD").passed
 
     def test_ordering_violation_is_flagged_not_fatal(self):
         V_nodes = np.linspace(0.0, 1.0, 33)
@@ -651,8 +676,8 @@ class TestValidateModel:
         kernel = TableKernel([0.0, 1.0], V_nodes, [low, high])
         m = ScreeningModel(UniformSignal(Interval(0.0, 1.0)), kernel)
         result = validate_model(m)
-        assert not result.fosd_ok
         assert result.passed, result.issues()
+        assert not check_assumption(m, "FOSD").passed
 
     def test_unnormalised_density_fails_signal_mass(self):
         class DoubledUniform(UniformSignal):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqscreen import modelfile
+from seqscreen.cli import main
 from seqscreen.errors import (
     ConstructionError,
     DomainError,
@@ -192,6 +193,33 @@ class TestAffine:
     def test_unknown_kind(self):
         with pytest.raises(ConstructionError, match="unknown relabeling"):
             make_relabeling(uniform_logistic(), "squared")
+
+
+class TestNarrowSupports:
+    """The self-check's slope stencil scales with the signal support and
+    stays inside it, however narrow the support or far from 0."""
+
+    @pytest.mark.parametrize("kind", RELABELING_KINDS)
+    def test_every_kind_builds_on_a_narrow_support(self, kind):
+        model = ScreeningModel(UniformSignal(Interval(0.0, 1e-4)),
+                               AdditiveNoiseKernel(noise="logistic"))
+        relabel(model, kind)
+
+    # runningmax_hazard is refused here: the quadrature of its slope
+    # integral gives up on one cell, before the self-check runs
+    @pytest.mark.parametrize("kind", ["inverse_hazard_integral",
+                                      "integrated_hazard", "mean", "affine"])
+    def test_a_support_far_from_zero(self, kind):
+        model = ScreeningModel(UniformSignal(Interval(1000.0, 1000.001)),
+                               AdditiveNoiseKernel(noise="logistic"))
+        relabel(model, kind)
+
+    def test_suite_1_reaches_a_verdict(self, tmp_path, capsys):
+        model = ScreeningModel(UniformSignal(Interval(0.0, 1e-4)),
+                               AdditiveNoiseKernel(noise="logistic"))
+        path = tmp_path / "narrow.model"
+        path.write_text(modelfile.dumps(model), encoding="utf-8")
+        assert main(["verify", str(path), "--prop", "1"]) == 1
 
 
 class TestScalingIdentities:
