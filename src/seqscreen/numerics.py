@@ -146,7 +146,7 @@ def integrate_many(f, lowers, uppers, rel_tol: float = 1e-10,
     holds ``_MAX_INTERVALS`` panels. Returns ``(values, errors,
     failures)``: ``failures`` maps the index of each integral that failed
     (NaN in both arrays) to the exception that ended it, a
-    :class:`QuadratureError` or the first one its integrand raised.
+    :class:`QuadratureError` or the one its integrand raised.
     """
     n = len(lowers)
     values, errors = np.zeros(n), np.zeros(n)
@@ -237,10 +237,11 @@ def _gk15(f, ks, a, b):
 
     Row i of the nodes ``f`` reads holds one panel's nodes: the centre,
     then ``centre + dx_j`` and ``centre - dx_j`` per Kronrod node j. When
-    ``f`` raises for a numeric cause, each integral's nodes are evaluated
-    one at a time, panel by panel, in that order, and an integral whose
-    nodes raise fails with its first exception and NaN values.
+    ``f`` raises for a numeric cause, each integral's panels are evaluated
+    in one call of their own, and an integral whose call raises fails with
+    that exception and NaN values.
     """
+    p = a.shape[1]
     centre = (0.5 * (a + b)).ravel()
     halfwidth = (0.5 * (b - a)).ravel()
     dx = halfwidth[:, None] * _GK_NODES
@@ -250,14 +251,12 @@ def _gk15(f, ks, a, b):
     x[:, 2::2] = centre[:, None] - dx
     failed = {}
     try:
-        fx = np.asarray(f(ks.repeat(a.shape[1]), x), dtype=float)
+        fx = np.asarray(f(ks.repeat(p), x), dtype=float)
     except NUMERIC_CAUSES:
-        nodes = x.reshape(len(ks), -1)
         fx, failed = _pointwise(
-            lambda i: [f(ks[i:i + 1], nodes[i:i + 1, c:c + 1])[0, 0]
-                       for c in range(nodes.shape[1])],
+            lambda i: np.ravel(f(ks[i:i + 1].repeat(p), x[i * p:i * p + p])),
             np.arange(len(ks)), record=NUMERIC_CAUSES,
-            fill=(math.nan,) * nodes.shape[1])
+            fill=(math.nan,) * (15 * p))
     fx = fx.reshape(x.shape)
     # the terms of each sum are added in node order, as on floats
     with np.errstate(invalid="ignore", over="ignore"):

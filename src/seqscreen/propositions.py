@@ -468,8 +468,8 @@ def _check_translation_invariance(model, grid, tol) -> dict:
 
 def _translation_gaps(kernel, a, bs, Vs) -> np.ndarray:
     """|H_b(V + b - a) - H_a(V)|, b down the column ``bs``, V along ``Vs``:
-    two ``cdf_many`` calls, or pair by pair if one raises; a pair whose cdf
-    raises reads -inf (not compared)."""
+    two ``cdf_many`` calls, or pair by pair if one raises (a power block
+    whose cdf overflows); a failing pair reads -inf (not compared)."""
     try:
         return np.abs(kernel.cdf_many(bs, Vs + (bs - a))
                       - kernel.cdf_many(np.array([[a]]), Vs[None, :]))

@@ -29,13 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DensityUnderflowError,
-    DomainError,
-    EvaluationError,
-    NUMERIC_CAUSES,
-    NearEndpointError,
-)
+from .errors import DensityUnderflowError, EvaluationError, NearEndpointError
 from .model_core import (
     GridSpec,
     ScreeningModel,
@@ -43,7 +37,7 @@ from .model_core import (
     eval_kernel,
     resolve_config,
 )
-from .numerics import _pointwise, scan_violations
+from .numerics import scan_violations
 
 __all__ = [
     "hazard",
@@ -150,17 +144,11 @@ def _inverse_hazard(model: ScreeningModel, vs: np.ndarray):
     the hazard could not be evaluated (those hold NaN).
 
     The signal's array forms give every point at once, equal to ``hazard``
-    bit for bit. If they raise, the points are evaluated one at a time, so
-    that each failure is marked (or raised) where ``hazard`` meets it.
+    bit for bit; a point below the survival or density floor is marked
+    failed, and an error the array forms raise stands.
     """
-    try:
-        s = model.signal.sf_many(vs)
-        f = model.signal.pdf_many(vs)
-    except NUMERIC_CAUSES:
-        inv, errors = _pointwise(
-            lambda v: hazard(model, v)[1], vs,
-            record=(NearEndpointError, DensityUnderflowError, DomainError))
-        return inv, np.isin(np.arange(len(vs)), list(errors))
+    s = model.signal.sf_many(vs)
+    f = model.signal.pdf_many(vs)
     failed = (s <= _SURVIVAL_FLOOR) | (f < _DENSITY_FLOOR)
     inv = np.full(len(vs), np.nan)
     np.divide(s, f, out=inv, where=~failed)

@@ -271,13 +271,13 @@ def _kahan_cumulative(phi_prime, nodes: np.ndarray, w_lo: float,
         if isinstance(exc, (QuadratureError, _SurvivalVanished)):
             raise IntegrabilityError(
                 f"{context}: slope integral diverged on "
-                f"[{a:.6g}, {b:.6g}]") from exc
+                f"[{float(a)!r}, {float(b)!r}]") from exc
         if exc is not None:
             raise exc
         if not inc > 0.0:
             raise ConstructionError(
                 f"{context}: slope integral is not positive on "
-                f"[{a:.6g}, {b:.6g}]")
+                f"[{float(a)!r}, {float(b)!r}]")
     return np.asarray(kahan_prefix(incs, w_lo))
 
 

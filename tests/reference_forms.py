@@ -17,14 +17,12 @@ from typing import Callable
 import numpy as np
 
 from seqscreen import numerics
-from seqscreen.errors import (ConstructionError, DensityUnderflowError,
-                              DomainError, EvaluationError, NearEndpointError,
-                              QuadratureError)
+from seqscreen.errors import (ConstructionError, DomainError,
+                              EvaluationError, QuadratureError)
 from seqscreen.model_core import (_BETAINC_EPS, _BETAINC_MAX_TERMS,
                                   _LENTZ_TINY, _LOG_SQRT_2PI, _stirling_gap)
 from seqscreen.numerics import (_GAUSS_CENTRE_WEIGHT, _GK_CENTRE_WEIGHT,
                                 Interval, _ordered, kahan_prefix)
-from seqscreen.regularity import hazard
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -288,19 +286,6 @@ def _relabeled_kernel(kernel):
 
 # ---------------------------------------------------------------------------
 # point-by-point loops
-
-
-def inverse_hazard_pointwise(model, vs):
-    """The inverse hazard at each v of ``vs`` and the mask of the points
-    whose hazard raised, as ``regularity`` once looped over them."""
-    inv = np.full(len(vs), np.nan)
-    failed = np.zeros(len(vs), dtype=bool)
-    for i, v in enumerate(vs.tolist()):
-        try:
-            _, inv[i] = hazard(model, v)
-        except (NearEndpointError, DensityUnderflowError, DomainError):
-            failed[i] = True
-    return inv, failed
 
 
 def invert_monotone(f: Callable[[float], float], target: float,

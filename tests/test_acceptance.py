@@ -10,12 +10,14 @@ see the verdict lines for passing criteria too).
 
 import functools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seqscreen import modelfile
 from seqscreen.cli import main as cli_main
-from seqscreen.errors import IntegrabilityError
+from seqscreen.errors import ConstructionError, IntegrabilityError
 from seqscreen.model_core import (
     AdditiveNoiseKernel,
     GridSpec,
@@ -41,12 +43,30 @@ C3_A1_EDGE = 1.0 / np.e
 # criterion 4: relabeling invariances on matched grids
 C4_TOL = 1e-8
 C4_GRID = GridSpec(v_points=65, V_points=65)
-# criterion 4 per kind: the verdicts of every kind on four models
+# criterion 4 per kind: the verdicts of every kind on every base model file
 C4_KIND_GRID = GridSpec(v_points=33, V_points=33)
-C4_MODELS = ("logistic", "power", "tablesig", "beta-normal")
+_ROOT = Path(__file__).resolve().parents[1]
+C4_FILES = {path.stem: path for path in
+            sorted((_ROOT / "perfbench" / "models").glob("*.model"))
+            + sorted((_ROOT / "tools" / "models").glob("*.model"))}
+C4_MODELS = tuple(C4_FILES)
 C4_AFFINE = {"slope": 1.5, "intercept": -0.25}
-# beta(2, 2)'s inverse hazard is not integrable at v = 0
-C4_UNBUILT = ("beta-normal", "inverse_hazard_integral")
+# the relabelings that cannot be built: three beta signals whose inverse
+# hazard is not integrable at v = 0, and a running max whose beta density
+# is unbounded at v = 0
+C4_UNBUILT = {("betanormal", "inverse_hazard_integral"): IntegrabilityError,
+              ("stress_beta0305", "inverse_hazard_integral"):
+                  IntegrabilityError,
+              ("exptilt_beta", "inverse_hazard_integral"): IntegrabilityError,
+              ("stress_beta0502", "runningmax_hazard"): ConstructionError}
+# the verdicts a relabeling moves against the first claim: FOSD, whose
+# margin slack * h does not scale with phi', and A1 on stress_beta0305,
+# whose one-ulp steps of gamma ~ 1e8 exceed the absolute slack
+C4_MOVED = {("power", "integrated_hazard", "FOSD"),
+            ("stress_power05", "integrated_hazard", "FOSD"),
+            ("exptilt_uniform", "integrated_hazard", "FOSD"),
+            ("exptilt_beta", "integrated_hazard", "FOSD"),
+            ("stress_beta0305", "integrated_hazard", "A1")}
 # criterion 5: relabeled hazard profiles
 C5_FLAT_TOL = 1e-6
 C5_CLOSED_FORM_REL = 1e-6
@@ -194,19 +214,14 @@ def test_criterion_4_relabeling_invariances(logistic_model, power_model,
 
 
 @pytest.fixture(scope="module")
-def c4_checks(logistic_model, power_model, beta_normal_model):
-    """``checks(label, kind)``: each check's ``passed`` flag on a model of
-    ``C4_MODELS``, or on its relabeling of ``kind``, at ``C4_KIND_GRID``."""
-    tablesig = ScreeningModel(
-        TableSignal([0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
-                    [3.0, 1.2, 0.7, 0.55, 0.8, 1.6]),
-        AdditiveNoiseKernel(noise="logistic"))
-    models = dict(zip(C4_MODELS, (logistic_model, power_model, tablesig,
-                                  beta_normal_model)))
+def c4_checks():
+    """``checks(label, kind)``: each check's ``passed`` flag on the model
+    file ``C4_FILES[label]``, or on its relabeling of ``kind``, at
+    ``C4_KIND_GRID``."""
 
     @functools.cache
     def checks(label, kind=None):
-        model = models[label]
+        model = modelfile.load(C4_FILES[label])[0]
         if kind is not None:
             model = relabel(model, kind,
                             **(C4_AFFINE if kind == "affine" else {}))
@@ -218,24 +233,27 @@ def c4_checks(logistic_model, power_model, beta_normal_model):
 
 @pytest.mark.parametrize("label, kind, code", [
     pytest.param(label, kind, code, marks=pytest.mark.xfail(
-        strict=True, reason="FOSD's margin slack * h does not scale with "
-        "phi' (ROADMAP: a relabeling changes verdicts that it should not)"))
-    if (label, kind, code) == ("power", "integrated_hazard", "FOSD")
-    else (label, kind, code)
+        strict=True, reason="ROADMAP known defect: a relabeling moves "
+        "verdicts it should not (direction 4)"))
+    if (label, kind, code) in C4_MOVED else (label, kind, code)
     for label in C4_MODELS for kind in RELABELING_KINDS
-    for code in ("A1", "FOSD", "PSI") if (label, kind) != C4_UNBUILT])
+    for code in ("A1", "FOSD", "PSI") if (label, kind) not in C4_UNBUILT])
 def test_criterion_4_relabeling_keeps_a1_fosd_psi(c4_checks, label, kind,
                                                   code):
     assert c4_checks(label, kind)[code] == c4_checks(label)[code]
 
 
-def test_criterion_4_relabeling_moves_a0_or_a2(c4_checks, beta_normal_model):
+@pytest.mark.parametrize("label, kind", sorted(C4_UNBUILT))
+def test_criterion_4_unbuilt_relabelings_raise(label, kind):
+    with pytest.raises(C4_UNBUILT[label, kind]):
+        make_relabeling(modelfile.load(C4_FILES[label])[0], kind)
+
+
+def test_criterion_4_relabeling_moves_a0_or_a2(c4_checks):
     """Regularity is not invariant to relabeling the signal: A0 or A2
     moves on at least one model and kind."""
-    with pytest.raises(IntegrabilityError):
-        make_relabeling(beta_normal_model, C4_UNBUILT[1])
     moved = [(label, kind) for label in C4_MODELS
-             for kind in RELABELING_KINDS if (label, kind) != C4_UNBUILT
+             for kind in RELABELING_KINDS if (label, kind) not in C4_UNBUILT
              and any(c4_checks(label, kind)[code] != c4_checks(label)[code]
                      for code in ("A0", "A2"))]
     assert moved

@@ -46,8 +46,7 @@ from seqscreen.transforms import (
     relabel,
     transform_section,
 )
-from reference_forms import (integrate, inverse_hazard_pointwise,
-                             kernel_forms, signal_forms)
+from reference_forms import integrate, kernel_forms, signal_forms
 from test_array_checks import (
     _scalar_conditional_mean,
     _scalar_conditional_mean_derivative,
@@ -117,34 +116,54 @@ class TestIntegrateMany:
             assert str(failures[k]) == str(want.value)
             assert failures[k].partial == want.value.partial
 
-    def test_integrand_error_is_the_first_the_scalar_order_meets(self):
+    def test_integrand_error_is_the_row_calls_own(self):
         limits = np.array([2.0, 0.7, 2.0, 0.4])
-
-        def scalar(k):
-            def f(x):
-                if x > limits[k]:
-                    raise DensityUnderflowError(f"vanished at x={x!r}")
-                return x * x
-            return f
 
         def batch(idx, x):
             bad = x > limits[idx][:, None]
             if bad.any():
-                # the last offending node, not the first the scalar meets
+                # the last offending node, not the first in node order
                 raise DensityUnderflowError(
                     f"vanished at x={float(x[bad][-1])!r}")
             return x * x
 
         values, _, failures = integrate_many(batch, [0.0] * 4, [1.0] * 4)
         assert sorted(failures) == [1, 3]
+        # the nodes of the one panel [0, 1]: the centre, then centre +- dx
+        dx = 0.5 * numerics._GK_NODES
+        row = np.r_[0.5, np.column_stack([0.5 + dx, 0.5 - dx]).ravel()]
         for k in range(4):
             if k in failures:
                 with pytest.raises(DensityUnderflowError) as want:
-                    integrate(scalar(k), (0.0, 1.0))
+                    batch(np.array([k]), row[None, :])
                 assert type(failures[k]) is DensityUnderflowError
                 assert str(failures[k]) == str(want.value)
             else:
-                assert values[k] == integrate(scalar(k), (0.0, 1.0))[0]
+                assert values[k] == integrate(lambda x: x * x, (0.0, 1.0))[0]
+
+    def test_a_failed_round_retries_each_open_integral_once(self):
+        # integral 1 first meets its limit in round 2, on the half [0.5, 1]
+        # of the first panel; sqrt keeps every integral open until then
+        limits = np.array([2.0, 0.997, 2.0])
+        calls = []
+
+        def batch(idx, x):
+            calls.append(idx.tolist())
+            if (x > limits[idx][:, None]).any():
+                raise DensityUnderflowError("vanished")
+            return np.sqrt(x) * (idx[:, None] + 1.0)
+
+        values, _, failures = integrate_many(batch, [0.0] * 3, [1.0] * 3)
+        assert list(failures) == [1]
+        # round 2's batch call, then one call per integral with both of
+        # its new panels; integral 1 is not evaluated again
+        assert calls[:5] == [[0, 1, 2], [0, 0, 1, 1, 2, 2], [0, 0], [1, 1],
+                             [2, 2]]
+        assert all(1 not in idx for idx in calls[5:])
+        for k in (0, 2):
+            alone, _, _ = integrate_many(lambda idx, x: batch(idx + k, x),
+                                         [0.0], [1.0])
+            assert values[k] == alone[0]
 
     def test_other_exceptions_propagate(self):
         class Bug(RuntimeError):
@@ -583,7 +602,7 @@ def _cell_reference(phi_prime, nodes, context):
         except QuadratureError as exc:
             raise IntegrabilityError(
                 f"{context}: slope integral diverged on "
-                f"[{a:.6g}, {b:.6g}]") from exc
+                f"[{float(a)!r}, {float(b)!r}]") from exc
         incs.append(inc)
     return kahan_prefix(incs, 0.0)
 
@@ -769,16 +788,16 @@ class TestSlopeCache:
         assert str(got.value) == message
         assert rel._slope == {}  # nothing new entered the cache
 
-    def test_lattice_hazard_marks_the_scalar_failures(self):
+    def test_lattice_hazard_raises_the_slopes_own_error(self):
+        # the signal lattice is mapped once; its error stands, unreplayed
         base = ScreeningModel(UniformSignal(Interval(0.0, 1.0)),
                               AdditiveNoiseKernel())
         tm = TransformedModel(base, _failing_slope_relabeling(0.6))
         ws = tm.signal_grid(SMALL)
-        inv, failed = _inverse_hazard(tm, ws)
-        want_inv, want_failed = inverse_hazard_pointwise(tm, ws)
-        assert failed.any() and not failed.all()
-        assert np.array_equal(failed, want_failed)
-        assert np.array_equal(inv, want_inv, equal_nan=True)
+        with pytest.raises(DensityUnderflowError) as got:
+            _inverse_hazard(tm, ws)
+        # the last offending point, at the grid's top margin
+        assert str(got.value) == "slope vanished at v=0.9999"
 
 
 class TestDerivedFileRoundTrip:

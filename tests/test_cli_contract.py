@@ -107,7 +107,7 @@ def _reject_constant(token: str):
     raise AssertionError(f"report is not strict JSON: it holds {token}")
 
 
-def _assert_contract(argv: list[str]) -> tuple[int, str]:
+def _assert_contract(argv: list[str]) -> tuple[int, str, str]:
     code, out, err = _run(argv)
     assert code in (0, 1, 2), (argv, code, err)
     # a relabeling that cannot be built is a finding, and names its cause
@@ -116,7 +116,7 @@ def _assert_contract(argv: list[str]) -> tuple[int, str]:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("seqscreen: error: "), (
             argv, err)
-        return code, out
+        return code, out, err
     assert err == "", (argv, err)
     if "--out" in argv:
         assert out == ""
@@ -125,7 +125,7 @@ def _assert_contract(argv: list[str]) -> tuple[int, str]:
         assert rows[0] == "v,V,value" and len(rows) == 1 + 17 * 17, argv
     else:
         json.loads(out, parse_constant=_reject_constant)
-    return code, out
+    return code, out, err
 
 
 def _assert_paper_claims(argv: list[str]) -> None:
@@ -133,7 +133,7 @@ def _assert_paper_claims(argv: list[str]) -> None:
     closing remark (A1 and FOSD make the virtual value weakly increasing)
     and second claim (with a finite lower value endpoint, FOSD rules out
     A1 and A2 together)."""
-    code, out = _assert_contract(argv)
+    code, out, _ = _assert_contract(argv)
     if code == 2:
         return
     report = json.loads(out)
@@ -189,8 +189,14 @@ def test_edge_models_keep_the_exit_contract(name, tmp_path):
         _assert_contract(["verify", str(model), "--prop", prop, *GRID])
     _assert_contract(["grid", str(model), "--what", "psi", *GRID])
     for kind in RELABELING_KINDS:
-        _assert_contract(["transform", str(model), "--kind", kind,
-                          "--out", str(tmp_path / f"{kind}.model"), *GRID])
+        code, _, err = _assert_contract(
+            ["transform", str(model), "--kind", kind,
+             "--out", str(tmp_path / f"{kind}.model"), *GRID])
+        if name == "beta600" and kind == "inverse_hazard_integral":
+            # the cell whose integral meets the vanished density is retried
+            # in one call of its own, which raises this
+            assert (code, err) == (2, "seqscreen: error: signal density "
+                                      "vanished at v=0.0009765625\n")
 
 
 @pytest.mark.parametrize("slope, intercept", [("1e308", "1e308"),

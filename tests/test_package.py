@@ -125,15 +125,14 @@ def test_only_the_listed_functions_catch_numeric_causes():
     is stale. A replay that would only choose which error is raised has no
     place here: the array call's own error stands."""
     allowed = {
-        # each integral of a round records its own failure
+        # each integral of a failed round is retried in a call of its own
+        # and records its own failure
         ("numerics.py", "_gk15"),
         # names the stencil point whose evaluation failed
         ("numerics.py", "_probe"),
-        # a power-kernel block that reads below V = 0 goes pair by pair,
-        # and a pair that fails is left out of the comparison
+        # a power block whose cdf overflows goes pair by pair, and a pair
+        # that fails is left out of the comparison
         ("propositions.py", "_translation_gaps"),
-        # marks the points whose hazard fails, which A0 scans as holes
-        ("regularity.py", "_inverse_hazard"),
         # a numeric failure no evaluator named exits 2
         ("cli.py", "main"),
     }

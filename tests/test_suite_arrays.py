@@ -386,33 +386,29 @@ class TestTranslationInvariance:
         assert json.dumps(got) == json.dumps(_scalar_translation(model, grid))
         assert got["n_compared"] > 0
 
-    @pytest.mark.parametrize("name, compared", [
-        ("stress_power05", 5 * 17 * 33), ("power_wide", None)])
-    def test_a_raising_block_goes_pair_by_pair(self, name, compared):
-        # the power kernel's array cdf refuses values below its support,
-        # where the scalar one is complex, and raises OverflowError where
-        # the power overflows; pairs whose scalar cdf overflows are skipped
-        model = TRANSLATION_MODELS[name]()
+    def test_an_overflowing_power_block_goes_pair_by_pair(self):
+        # on uniform [1, 2000] the power kernel's array cdf raises
+        # OverflowError where the power overflows; pairs whose scalar cdf
+        # overflows are skipped
+        model = TRANSLATION_MODELS["power_wide"]()
         kernel = model.kernel
         calls = []
         cdf = kernel.cdf
         kernel.cdf = lambda v, V: calls.append(v) or cdf(v, V)
         got = _check_translation_invariance(model, GridSpec(), TOL)
         assert calls
-        if compared is None:
-            assert 0 < got["n_compared"] < 5 * 17 * 33
-        else:
-            assert got["n_compared"] == compared
+        assert 0 < got["n_compared"] < 5 * 17 * 33
 
     @pytest.mark.parametrize("name", ["logistic", "table", "exp_tilt",
-                                      "mean_logistic"])
+                                      "mean_logistic", "stress_power05"])
     def test_array_blocks_make_no_scalar_calls(self, name):
         model = TRANSLATION_MODELS[name]()
         model.kernel.cdf = None  # a scalar call would raise TypeError
         _check_translation_invariance(model, GridSpec(), TOL)
 
-    def test_power_array_cdf_refuses_negative_values(self):
+    def test_power_cdf_is_zero_below_its_support(self):
         kernel = PowerKernel()
-        with pytest.raises(DomainError, match="-0.25"):
-            kernel._cdf_field(np.array([[0.5]]), np.array([[0.25, -0.25]]))
-        assert kernel.cdf(0.5, -0.25) == (-0.25) ** 0.5
+        H = kernel._cdf_field(np.array([[0.5]]), np.array([[0.25, -0.25]]))
+        assert H.tolist() == [[0.5, 0.0]]
+        assert kernel.cdf(0.5, -0.3) == 0.0
+        assert type(kernel.cdf(0.5, -0.3)) is float

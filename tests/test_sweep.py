@@ -2,9 +2,13 @@
 
 import copy
 import hashlib
+import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
+
+import numpy as np
 
 SWEEP = Path(__file__).resolve().parents[1] / "tools" / "sweep.py"
 
@@ -96,3 +100,39 @@ def test_run_time_changes_are_listed_but_not_compared(tmp_path, capsys):
         "run time changed 3x or more in 2 of 3 commands (not compared):\n"
         f"  {ARGVS[0]}: 0.060 -> 0.020 s\n"
         f"  {ARGVS[1]}: 0.500 -> 0.020 s\n")
+
+
+def test_replay_changes_are_listed_but_not_compared(tmp_path, capsys):
+    # a manifest without replay records reads {} for each command
+    left, right = _commands(0.02), _commands(0.02)
+    right[1]["replays"] = {"_translation_gaps": 4}
+    right[2]["replays"] = {}
+    assert _diff(tmp_path, left, right) == 0
+    assert capsys.readouterr().out == (
+        "0 of 3 commands differ\n"
+        "replays changed in 1 of 3 commands (not compared):\n"
+        f'  {ARGVS[1]}: {{}} -> {{"_translation_gaps": 4}}\n')
+
+
+def test_replays_are_counted_by_caller(monkeypatch):
+    # the wrappers are undone after the test
+    for name in ("cli", "transforms", "propositions"):
+        importlib.import_module(f"seqscreen.{name}")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("seqscreen.") and hasattr(module, "_pointwise"):
+            monkeypatch.setattr(module, "_pointwise", module._pointwise)
+    from seqscreen.model_core import UniformSignal
+    from seqscreen.numerics import Interval
+
+    class Scalar(UniformSignal):
+        """No array form of its own, so ``sf_many`` goes point by point."""
+
+        def sf(self, v):
+            return super().sf(v)
+
+    replays = {}
+    sweep._record_replays(replays)
+    signal = Scalar(Interval(0.0, 1.0))
+    assert signal.sf_many(np.array([0.25, 0.5])).tolist() == [0.75, 0.5]
+    UniformSignal(Interval(0.0, 1.0)).sf_many(np.array([0.5]))
+    assert replays == {"_many": 1}

@@ -214,6 +214,16 @@ class TestNarrowSupports:
                                AdditiveNoiseKernel(noise="logistic"))
         relabel(model, kind)
 
+    def test_a_diverged_cell_far_from_zero_is_named_exactly(self):
+        # each bound is written as a float; six digits read [1000, 1000]
+        model = ScreeningModel(UniformSignal(Interval(1000.0, 1000.001)),
+                               AdditiveNoiseKernel(noise="logistic"))
+        with pytest.raises(IntegrabilityError) as got:
+            relabel(model, "runningmax_hazard")
+        assert str(got.value) == (
+            "runningmax_hazard: slope integral diverged on "
+            "[1000.0009990224385, 1000.000999999]")
+
     def test_suite_1_reaches_a_verdict(self, tmp_path, capsys):
         model = ScreeningModel(UniformSignal(Interval(0.0, 1e-4)),
                                AdditiveNoiseKernel(noise="logistic"))

@@ -26,6 +26,12 @@ written as its category and message, every time it is issued. stdout and
 is kept whole. Run times are not compared, but ``--diff`` lists, for
 information, each command whose ``seconds`` changed by a factor of 3 or
 more where either side took at least 50 ms.
+
+Each command also carries a replay record, ``"replays": {caller: calls}``:
+the functions that called ``numerics._pointwise``, the point-by-point
+evaluation that stands in for an array call, and how often. ``--diff``
+does not compare these either; it lists each command whose record changed
+(a manifest without them reads ``{}``).
 """
 
 from __future__ import annotations
@@ -80,9 +86,31 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _run(main, argv: list[str], names: dict[str, str]) -> dict:
+def _record_replays(replays: dict[str, int]) -> None:
+    """Count each call of ``numerics._pointwise`` into ``replays`` under its
+    caller's name, by wrapping it in every ``seqscreen`` module that
+    imported it; the CLI imports ``transforms`` and ``propositions`` only
+    when a command needs them, so they are imported first."""
+    for name in ("cli", "transforms", "propositions"):
+        importlib.import_module(f"seqscreen.{name}")
+    pointwise = sys.modules["seqscreen.numerics"]._pointwise
+
+    def counted(*args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        replays[caller] = replays.get(caller, 0) + 1
+        return pointwise(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("seqscreen.")
+                and getattr(module, "_pointwise", None) is pointwise):
+            module._pointwise = counted
+
+
+def _run(main, argv: list[str], names: dict[str, str],
+         replays: dict[str, int]) -> dict:
     """One command in-process; texts with the directories of ``names``
-    replaced by their labels."""
+    replaced by their labels. ``replays`` is the record ``_record_replays``
+    fills, emptied first."""
 
     def clean(text: str) -> str:
         for path, label in names.items():
@@ -95,6 +123,7 @@ def _run(main, argv: list[str], names: dict[str, str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     entry: dict = {"argv": clean(" ".join(argv)), "exception": None}
     target = argv[argv.index("--out") + 1] if "--out" in argv else None
+    replays.clear()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
@@ -108,6 +137,7 @@ def _run(main, argv: list[str], names: dict[str, str]) -> dict:
             entry["exit"] = None
             entry["exception"] = clean(f"{type(exc).__name__}: {exc}")
     entry["seconds"] = round(time.perf_counter() - t0, 4)
+    entry["replays"] = dict(sorted(replays.items()))
     stdout = clean(out.getvalue())
     entry.update(stdout_sha256=_digest(stdout), stdout_bytes=len(stdout),
                  stderr=clean(err.getvalue()))
@@ -122,26 +152,30 @@ def _run(main, argv: list[str], names: dict[str, str]) -> dict:
 def sweep(src: Path, work: Path) -> list[dict]:
     sys.path.insert(0, str(src.resolve()))
     main = importlib.import_module("seqscreen.cli").main
+    replays: dict[str, int] = {}
+    _record_replays(replays)
     names = {str(work): "<work>", str(MODELS): "<models>",
              str(TOOL_MODELS): "<tool-models>"}
-    entries = [_run(main, argv, names) for argv in base_commands(work)]
+    entries = [_run(main, argv, names, replays)
+               for argv in base_commands(work)]
     for path in sorted(work.glob("*.model")):
         for argv in _on_file(str(path), False):
-            entries.append(_run(main, argv, names))
+            entries.append(_run(main, argv, names, replays))
         for kind in KINDS:
             entries.append(_run(main, ["transform", str(path), "--kind",
-                                       kind], names))
+                                       kind], names, replays))
     return entries
 
 
 def diff(a: Path, b: Path) -> int:
     """Print the commands whose compared fields differ; 1 if any do. Then
     list the commands whose run time changed by ``TIMING_RATIO`` or more,
-    which does not change the exit code."""
+    and those whose replay record changed, neither of which changes the
+    exit code."""
     left = {e["argv"]: e for e in json.loads(a.read_text())["commands"]}
     right = {e["argv"]: e for e in json.loads(b.read_text())["commands"]}
     n_diff = 0
-    timing = []
+    timing, replays = [], []
     for argv in list(left) + [k for k in right if k not in left]:
         if argv not in left or argv not in right:
             side = "only in " + (str(a) if argv in left else str(b))
@@ -156,11 +190,18 @@ def diff(a: Path, b: Path) -> int:
         if (max(s_a, s_b) >= TIMING_FLOOR
                 and max(s_a, s_b) >= TIMING_RATIO * min(s_a, s_b)):
             timing.append(f"  {argv}: {s_a:.3f} -> {s_b:.3f} s")
+        r_a, r_b = (e.get("replays", {}) for e in (left[argv], right[argv]))
+        if r_a != r_b:
+            replays.append(f"  {argv}: {json.dumps(r_a, sort_keys=True)} "
+                           f"-> {json.dumps(r_b, sort_keys=True)}")
     n_all = len(set(left) | set(right))
     print(f"{n_diff} of {n_all} commands differ")
     if timing:
         print(f"run time changed {TIMING_RATIO:g}x or more in {len(timing)} "
               f"of {n_all} commands (not compared):", *timing, sep="\n")
+    if replays:
+        print(f"replays changed in {len(replays)} of {n_all} commands "
+              "(not compared):", *replays, sep="\n")
     return 1 if n_diff else 0
 
 
