@@ -615,34 +615,22 @@ class ValuationKernel(_Family):
     def eval_lattice(self, model: ScreeningModel, v: np.ndarray,
                      V: np.ndarray, tol: ToleranceConfig):
         """H, h and dHdv on the lattice spanned by the column ``v`` and the
-        row ``V``, plus the mask of points whose evaluation failed.
+        row ``V``, read by one ``_read`` on the in-domain sub-lattice.
 
-        Failed points (a signal outside the model's support, a value not
+        A failed point (a signal outside the model's support, a value not
         interior to the kernel's, or a DomainError or EvaluationError from
-        the evaluators) hold NaN. A builtin family evaluates its
-        ``_fields(v, V)`` once on the in-domain sub-lattice; every other
-        kernel calls eval_kernel point by point.
+        the scalar evaluators) holds NaN in all three.
         """
-        shape = (v.shape[0], V.shape[1])
-        if self._exact_arrays():
-            H, h, dHdv = (np.full(shape, np.nan) for _ in range(3))
-            s = model.signal.support
-            rows = (s.lower <= v[:, 0]) & (v[:, 0] <= s.upper)
-            cols = (self.support.lower < V[0]) & (V[0] < self.support.upper)
-            block = np.ix_(rows, cols)
-            H[block], h[block], dHdv[block] = self._fields(v[rows],
-                                                           V[:, cols])
-            return H, h, dHdv, ~(rows[:, None] & cols[None, :])
-
-        def fields(vi, Vj):
-            ke = eval_kernel(model, vi, Vj, tol)
-            return ke.H, ke.h, ke.dHdv
-        out, errors = _pointwise(fields, v, V,
-                                 record=(DomainError, EvaluationError),
-                                 fill=(np.nan,) * 3)
-        failed = np.zeros(shape, dtype=bool)
-        failed.flat[list(errors)] = True
-        return (*np.moveaxis(out.reshape(shape + (3,)), -1, 0).copy(), failed)
+        H, h, dHdv = (np.full((v.shape[0], V.shape[1]), np.nan)
+                      for _ in range(3))
+        s = model.signal.support
+        rows = (s.lower <= v[:, 0]) & (v[:, 0] <= s.upper)
+        cols = (self.support.lower < V[0]) & (V[0] < self.support.upper)
+        block = np.ix_(rows, cols)
+        H[block], h[block], dHdv[block] = self._read(
+            model, v[rows], V[:, cols], tol,
+            record=(DomainError, EvaluationError))
+        return H, h, dHdv
 
     def cdf_many(self, v, V) -> np.ndarray:
         """``cdf`` at every point of the broadcast signals ``v`` and values
@@ -651,30 +639,32 @@ class ValuationKernel(_Family):
             return self._cdf_field(v, V)
         return _pointwise(self.cdf, v, V)[0]
 
-    def pdf_many(self, v, V) -> np.ndarray:
-        """``pdf`` at every point, as ``cdf_many`` reads ``cdf``."""
-        if self._exact_arrays():
-            return self._fields(v, V)[1]
-        return _pointwise(self.pdf, v, V)[0]
-
     def pdf_cdf_dv_many(self, model: ScreeningModel, v, V, tolerances=None):
-        """h and dH/dv as ``eval_kernel`` gives them: the class's own
-        ``_fields`` if every value is interior (else eval_kernel's error for
-        the first that is not), or ``eval_kernel`` point by point."""
-        if not self._exact_arrays():
-            def pair(a, b):
-                ke = eval_kernel(model, a, b, tolerances)
-                return ke.h, ke.dHdv
-            return tuple(np.moveaxis(_pointwise(pair, v, V)[0], -1, 0))
+        """h and dH/dv as ``eval_kernel`` gives them, if every value is
+        interior (else eval_kernel's error for the first that is not)."""
         interior = (self.support.lower < V) & (V < self.support.upper)
         if not interior.all():
             self._require_interior(float(V[~interior][0]))
-        return self._fields(v, V)[1:]
+        return self._read(model, v, V, tolerances)[1:]
+
+    def _read(self, model: ScreeningModel, v, V, tol, record=()):
+        """H, h and dH/dv at the broadcast points ``v`` and ``V``: the
+        class's own ``_fields``, else ``eval_kernel`` at each point in row
+        order. A point that raises one of ``record`` reads NaN; any other
+        error raises."""
+        if self._exact_arrays():
+            return self._fields(v, V)
+
+        def fields(a, b):
+            ke = eval_kernel(model, a, b, tol)
+            return ke.H, ke.h, ke.dHdv
+        out = _pointwise(fields, v, V, record=record, fill=(np.nan,) * 3)[0]
+        return tuple(np.moveaxis(out, -1, 0))
 
     def _exact_arrays(self) -> bool:
         """Whether this kernel's class defines ``_fields`` itself; a subclass
-        of a builtin family may override the scalar evaluators, so it takes
-        the scalar loop. Only the readers above and ``eval_lattice`` ask."""
+        of a builtin family may override the scalar evaluators, so it is
+        read through them. Only ``cdf_many`` and ``_read`` ask."""
         return "_fields" in vars(type(self))
 
     def _cdf_field(self, v, V):
@@ -1260,7 +1250,8 @@ def validate_model(model: ScreeningModel, grid: GridSpec | None = None,
     owner = [i for i, c in enumerate(cuts) for _ in c[1:]]
     v_col = np.array(kernel_vs)[owner][:, None]
     values, _, failed = integrate_many(
-        lambda idx, x: kernel.pdf_many(v_col[idx], x),
+        lambda idx, x: kernel.pdf_cdf_dv_many(checked, v_col[idx], x,
+                                              tol)[0],
         [a for c in cuts for a in c[:-1]], [b for c in cuts for b in c[1:]],
         rel_tol=tol.quadrature_rel)
     inner = [0] * len(kernel_vs)

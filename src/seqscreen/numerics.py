@@ -273,10 +273,10 @@ def _gk15(f, ks, a, b):
 
 def _pointwise(fn, *arrays, record=(), fill=math.nan):
     """``fn`` at each point of the broadcast ``arrays``, called with floats
-    in row order; a tuple result adds a trailing axis. A point that raises
-    one of the types in ``record`` reads ``fill``, any other exception
-    raises at once. Returns the array and {flat index: exception} of the
-    recorded points, in row order."""
+    in row order; a result of ``fill``'s shape (a tuple adds an axis) trails
+    the points' shape. A point that raises one of the types in ``record``
+    reads ``fill``, any other exception raises at once. Returns the array
+    and {flat index: exception} of the recorded points, in row order."""
     arrays = np.broadcast_arrays(*arrays)
     out, errors = [], {}
     for k, point in enumerate(zip(*(a.ravel().tolist() for a in arrays))):
@@ -286,7 +286,7 @@ def _pointwise(fn, *arrays, record=(), fill=math.nan):
             out.append(fill)
             errors[k] = exc
     out = np.array(out, dtype=float)
-    return out.reshape(arrays[0].shape + out.shape[1:]), errors
+    return out.reshape(arrays[0].shape + np.shape(fill)), errors
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ def delta_diagnostic(model: ScreeningModel, n_v: int = 33,
     Vs = vs[:, None] + offsets[None, :]
     rows = [model.kernel.eval_lattice(model, vs[i:i + 1, None], Vs[i:i + 1],
                                       tol) for i in range(len(vs))]
-    H, h, dHdv, failed = map(np.vstack, zip(*rows))
+    H, h, dHdv = map(np.vstack, zip(*rows))
     below, above = Vs <= k.lower, Vs >= k.upper
     outside = below | above
     delta = np.where(below, 0.0, np.where(above, 1.0, H))
@@ -162,7 +162,7 @@ def delta_diagnostic(model: ScreeningModel, n_v: int = 33,
                       np.minimum(Vs - k.lower, k.upper - Vs))
     steps = np.array([tol.derivative_step(v) for v in vs.tolist()])
     step = np.minimum(steps[:, None], 0.4 * room)
-    i, j = np.nonzero(~failed & fd_check & (step >= 1e-9))
+    i, j = np.nonzero(~np.isnan(H) & fd_check & (step >= 1e-9))
     hs, points = stencil(vs[i], step[i, j])
     value, _, nonsmooth = richardson(hs, *_shifted_cdf(
         model.kernel, np.stack(points, axis=1), offsets[j]).T)
@@ -365,9 +365,9 @@ def verify_prop2(model: ScreeningModel, grid: GridSpec | None = None,
     vs = model.signal_grid(grid)
     levels = vs[[len(vs) // 4, len(vs) // 2, (3 * len(vs)) // 4]]
     Vs = k.lower + np.array([1e-2, 1e-3, 1e-4, 0.25, 0.5, 0.75]) * span
-    _, h, dHdv, failed = model.kernel.eval_lattice(
-        model, levels[:, None], Vs[None, :], tol)
-    G, _ = _ratio(h, dHdv, failed)
+    _, h, dHdv = model.kernel.eval_lattice(model, levels[:, None],
+                                           Vs[None, :], tol)
+    G, _ = _ratio(h, dHdv)
 
     # Mechanism 1: the ratio collapses toward zero at the lower edge.
     trend = []

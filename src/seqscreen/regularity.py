@@ -13,8 +13,9 @@ be weakly decreasing; near the upper endpoint the inverse form stays finite
 where the hazard itself blows up. A1 and A2 are scanned through the
 information ratio gamma = -(dH_v/dv)/h_v, which must be weakly decreasing
 along the corresponding axis. The FOSD slack is relative to the local
-density: a point is flagged only when dHdv >= -slack * h, so thin tails
-where both quantities underflow together do not produce spurious hits.
+density: a point is flagged only when dHdv >= -slack * h and h is above
+the density floor, so a thin tail where both quantities underflow together
+is a hole, as it is for A1, A2 and PSI, and not a spurious hit.
 
 Evaluation failures (density underflow, survival exhausted) are tolerated up
 to 1% of the lattice per check and excluded from the scans; past that the
@@ -155,11 +156,11 @@ def _inverse_hazard(model: ScreeningModel, vs: np.ndarray):
     return inv, failed
 
 
-def _ratio(h: np.ndarray, dHdv: np.ndarray, failed: np.ndarray):
+def _ratio(h: np.ndarray, dHdv: np.ndarray):
     """The information ratio of lattice arrays, equal to ``gamma`` bit for
-    bit, and the mask of points where it is defined. A failed evaluation or
-    a density below the floor (or NaN) leaves NaN there."""
-    ok = ~failed & (h >= _DENSITY_FLOOR)
+    bit, and the mask of points where it is defined. A density below the
+    floor, or the NaN of a failed evaluation, leaves NaN there."""
+    ok = h >= _DENSITY_FLOOR
     G = np.full_like(h, np.nan)
     np.divide(-dHdv, h, out=G, where=ok)
     return G, ok
@@ -170,9 +171,9 @@ def _evaluate_bundle(model: ScreeningModel, grid: GridSpec,
     vs = model.signal_grid(grid)
     Vs = model.value_grid(grid)
     inv_haz, hazard_failed = _inverse_hazard(model, vs)
-    H, h, dHdv, failed = model.kernel.eval_lattice(model, vs[:, None],
-                                                   Vs[None, :], tol)
-    G, ok = _ratio(h, dHdv, failed)
+    H, h, dHdv = model.kernel.eval_lattice(model, vs[:, None], Vs[None, :],
+                                           tol)
+    G, ok = _ratio(h, dHdv)
     v_list, V_list = vs.tolist(), Vs.tolist()
     kernel_failures = [(v_list[i], V_list[j])
                        for i, j in zip(*np.nonzero(~ok))]
@@ -349,7 +350,8 @@ def check_assumption(model: ScreeningModel, which: str,
     if code == "FOSD":
         _abort_if_holey("FOSD", len(bundle.kernel_failures), n_total,
                         bundle.kernel_failures)
-        i, j = np.nonzero(bundle.dHdv >= -slack * bundle.h)
+        i, j = np.nonzero((bundle.dHdv >= -slack * bundle.h)
+                          & (bundle.h >= _DENSITY_FLOOR))
         v, V = bundle.vs[i], bundle.Vs[j]
         d, hloc = bundle.dHdv[i, j], bundle.h[i, j]
         margin = d + slack * hloc

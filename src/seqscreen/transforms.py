@@ -524,17 +524,14 @@ class _RelabeledKernel(_Relabeled, ValuationKernel):
             return None
         return d / self.rel.phi_prime(v)
 
-    def _exact_arrays(self):
-        return super()._exact_arrays() and self.base._exact_arrays()
+    def cdf_many(self, w, V):
+        return self.base.cdf_many(self.rel.inverses(w), V)
 
-    def _fields(self, w, V):
-        # One inverse and one slope per row of the lattice, not per point.
-        v = self.rel.inverses(w[:, 0])
-        H, h, dHdv = self.base._fields(v[:, None], V)
-        return H, h, _over_slope(dHdv, self.rel.phi_primes(v)[:, None])
-
-    def _cdf_field(self, w, V):
-        return self.base._cdf_field(self.rel.inverses(w), V)
+    def _read(self, model, w, V, tol, record=()):
+        # the readers pass w as a column: one inverse and one slope per row
+        v = self.rel.inverses(w)
+        H, h, dHdv = self.base._read(model.base, v, V, tol, record)
+        return H, h, _over_slope(dHdv, self.rel.phi_primes(v))
 
     def quantile(self, w, p):
         return self.base.quantile(self.rel.inverse(w), p)

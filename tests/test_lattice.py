@@ -24,6 +24,7 @@ from seqscreen.regularity import _evaluate_bundle, regularity_report
 from seqscreen.transforms import relabel
 
 from reference_forms import kernel_forms
+from test_array_checks import _ScalarLogistic, _ScalarLogisticNoSlope
 
 SMALL = GridSpec(v_points=17, V_points=19)
 
@@ -89,13 +90,14 @@ def _reference_loop(model, forms, vs, Vs):
 
 def _assert_lattice_matches_reference(model, seed):
     vs, Vs = _lattice(model, seed)
-    H, h, dHdv, failed = model.kernel.eval_lattice(
-        model, vs[:, None], Vs[None, :], DEFAULT_TOLERANCES)
+    fields = model.kernel.eval_lattice(model, vs[:, None], Vs[None, :],
+                                       DEFAULT_TOLERANCES)
     forms = kernel_forms(model.kernel)
     want, want_failed = _reference_loop(model, forms, vs, Vs)
     assert want_failed.any()
-    np.testing.assert_array_equal(failed, want_failed)
-    for got, ref in zip((H, h, dHdv), want):
+    # NaN marks exactly the failed points, in each field
+    for got, ref in zip(fields, want):
+        np.testing.assert_array_equal(np.isnan(got), want_failed)
         assert np.array_equal(got, ref, equal_nan=True)
     # the scalar evaluators are the same fields at one point
     for v, V in zip(vs[:-1:7].tolist(), Vs[:-3:5].tolist()):
@@ -139,9 +141,10 @@ class TestArrayFields:
         for seed in range(3):
             _assert_lattice_matches_reference(MODELS[name], seed)
 
-    def test_relabeled_equals_scalar_loop(self):
+    def test_relabeled_equals_scalar_loop(self, monkeypatch):
         tm = relabel(MODELS["logistic"], "inverse_hazard_integral")
-        assert tm.kernel._exact_arrays()
+        # read through the base family's array fields, at no point alone
+        monkeypatch.setattr(model_core, "eval_kernel", None)
         _assert_lattice_matches_reference(tm, 0)
 
     def test_exp_tilt_small_signal_branch(self):
@@ -251,3 +254,63 @@ class TestScalarFallback:
             assert rep["checks"][code]["n_failed"] == 9
             rep["checks"][code]["n_failed"] = 0
         assert rep == want
+
+    def test_points_out_of_the_domain_call_no_evaluator(self, monkeypatch):
+        model = ScreeningModel(MODELS["logistic"].signal,
+                               _BandedKernel((0.0, 0.0)))
+        calls = []
+        original = model_core.eval_kernel
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return original(*args)
+
+        monkeypatch.setattr(model_core, "eval_kernel", counted)
+        V = np.array([[0.25, math.inf]])
+        fields = model.kernel.eval_lattice(
+            model, np.array([[0.5], [2.0]]), V, DEFAULT_TOLERANCES)
+        assert calls == [(0.5, 0.25)]
+        ke = original(model, 0.5, 0.25)
+        for f, want in zip(fields, (ke.H, ke.h, ke.dHdv)):
+            assert f[0, 0] == want and np.isnan(f).sum() == 3
+        # a lattice without an in-domain point reads none
+        for f in model.kernel.eval_lattice(model, np.array([[2.0]]), V,
+                                           DEFAULT_TOLERANCES):
+            assert f.shape == (1, 2) and np.isnan(f).all()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kernel_type", [_ScalarLogistic,
+                                             _ScalarLogisticNoSlope])
+    def test_relabeled_scalar_kernel_reads_its_base_at_the_preimages(
+            self, kernel_type):
+        # the affine map w = 2v has phi' = 2, and halving is exact
+        base = ScreeningModel(make_signal("uniform", (0.0, 1.0)),
+                              kernel_type())
+        tm = relabel(base, "affine", slope=2.0)
+        vs, Vs = base.signal_grid(SMALL), tm.value_grid(SMALL)
+        ws = tm.signal_grid(SMALL)
+        assert np.array_equal(tm.relabeling.inverses(ws), vs)
+        H, h, dHdv = tm.kernel.eval_lattice(tm, ws[:, None], Vs[None, :],
+                                            DEFAULT_TOLERANCES)
+        want = base.kernel.eval_lattice(base, vs[:, None], Vs[None, :],
+                                        DEFAULT_TOLERANCES)
+        assert not np.isnan(want).any()
+        for got, ref in zip((H, h, dHdv), (want[0], want[1], want[2] / 2.0)):
+            assert np.array_equal(got, ref)
+
+    def test_relabeled_banded_kernel_keeps_the_band_as_holes(self):
+        plain = MODELS["logistic"]
+        Vs = plain.value_grid(SMALL)
+        band = (Vs[7] - 1e-9, Vs[7] + 1e-9)
+        banded = ScreeningModel(plain.signal, _BandedKernel(band))
+        lattices = []
+        for m in (banded, plain):
+            tm = relabel(m, "affine", slope=2.0)
+            # on its own signal grid, whose preimages are the base grid
+            ws = tm.signal_grid(SMALL)
+            lattices.append(tm.kernel.eval_lattice(
+                tm, ws[:, None], Vs[None, :], DEFAULT_TOLERANCES))
+        for g, w in zip(*lattices):
+            assert np.all(np.isnan(g[:, 7]))
+            assert np.array_equal(np.delete(g, 7, axis=1),
+                                  np.delete(w, 7, axis=1))

@@ -71,15 +71,15 @@ def test_no_handler_catches_everything():
 
 def test_only_the_kernel_readers_choose_array_or_scalar():
     """``_exact_arrays`` (whether a kernel's class has its own array
-    fields) is asked only inside ``ValuationKernel``, whose readers make the
-    choice for every caller, and ``_RelabeledKernel``, which overrides it."""
-    owners = {("model_core.py", "ValuationKernel"),
-              ("transforms.py", "_RelabeledKernel")}
+    fields) is named only inside ``ValuationKernel``, whose readers make the
+    choice for every caller, and ``eval_kernel``, the scalar route, is
+    called only by ``ValuationKernel._read`` and the scalar ``gamma``."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
-            if (path.name, getattr(top, "name", None)) in owners:
+            if (path.name, getattr(top, "name", None)) == ("model_core.py",
+                                                           "ValuationKernel"):
                 continue
             for node in ast.walk(top):
                 named = (getattr(node, "attr", None), getattr(node, "id", None),
@@ -87,6 +87,21 @@ def test_only_the_kernel_readers_choose_array_or_scalar():
                 if "_exact_arrays" in named:
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+                owner = getattr(fn, "name", None)
+                if fn is not top:
+                    owner = f"{top.name}.{owner}"
+                for node in ast.walk(fn):
+                    func = getattr(node, "func", None)
+                    if "eval_kernel" in (getattr(func, "id", None),
+                                         getattr(func, "attr", None)):
+                        callers.add((path.name, owner))
+    assert callers == {("model_core.py", "ValuationKernel._read"),
+                       ("regularity.py", "gamma")}
 
 
 def test_only_the_point_helper_catches_inside_a_loop():

@@ -239,6 +239,17 @@ class TestFOSD:
                                ToleranceConfig(monotonicity_slack=1e-8))
         assert rep.passed
 
+    def test_an_underflowed_density_is_a_hole_not_a_hit(self):
+        # Narrow normal noise underflows h and dHdv to 0 far from the
+        # signal; those points are holes for every lattice check, FOSD too.
+        m = ScreeningModel(UniformSignal(Interval(0.0, 1.0)),
+                           AdditiveNoiseKernel(noise="normal", scale=0.03))
+        rep = regularity_report(m)
+        assert rep.fosd_ok
+        fosd = rep.checks["FOSD"]
+        assert (fosd.n_violations, fosd.n_failed) == (0, 62)
+        assert [rep.checks[c].n_failed for c in ("A1", "A2")] == [62, 62]
+
 
 class TestPSI:
     def test_uniform_additive_passes(self):
