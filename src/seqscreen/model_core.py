@@ -1012,12 +1012,11 @@ class ScreeningModel:
 
 @dataclass(frozen=True)
 class KernelEval:
-    """One kernel evaluation; ``fosd_violation`` marks dHdv >= 0 spots."""
+    """One kernel evaluation: cdf, density and signal-derivative at (v, V)."""
 
     H: float
     h: float
     dHdv: float
-    fosd_violation: bool
 
 
 def eval_kernel(model: ScreeningModel, v: float, V: float,
@@ -1043,7 +1042,7 @@ def eval_kernel(model: ScreeningModel, v: float, V: float,
         centre = min(max(v, lo + step), hi - step)
         dHdv = differentiate(lambda s: model.kernel.cdf(s, V), centre,
                              step=step).value
-    return KernelEval(H=H, h=h, dHdv=dHdv, fosd_violation=dHdv >= 0.0)
+    return KernelEval(H=H, h=h, dHdv=dHdv)
 
 
 def conditional_mean(model: ScreeningModel, v: float,

@@ -423,9 +423,8 @@ def bisect_many(f, targets, lower, upper, tol: float) -> np.ndarray:
 
 
 def invert_monotone(f: Callable[[float], float], target: float,
-                    lower: float, upper: float, *, tol: float = 1e-12,
-                    f_lower: float | None = None,
-                    f_upper: float | None = None) -> float:
+                    lower: float, upper: float, *,
+                    tol: float = 1e-12) -> float:
     """Solve f(x) = target for nondecreasing f: ``bisect_many`` on one
     target, calling the scalar f once per halving.
 
@@ -436,8 +435,7 @@ def invert_monotone(f: Callable[[float], float], target: float,
     if not (math.isfinite(lower) and math.isfinite(upper) and lower <= upper):
         raise ConstructionError(
             f"invert_monotone needs a finite ordered bracket, got [{lower}, {upper}]")
-    f_lo = f(lower) if f_lower is None else f_lower
-    f_hi = f(upper) if f_upper is None else f_upper
+    f_lo, f_hi = f(lower), f(upper)
     if f_lo > target and not math.isclose(f_lo, target, rel_tol=1e-9, abs_tol=1e-9):
         raise ConstructionError("bracket does not contain the target from below")
     if f_hi < target and not math.isclose(f_hi, target, rel_tol=1e-9, abs_tol=1e-9):

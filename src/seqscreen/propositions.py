@@ -241,7 +241,7 @@ def _hazard_profile(tm, grid: GridSpec) -> dict:
     clear = ~(base.signal.cdf_many(base.signal_grid(grid)) >= 1.0 - 1e-6)
     ws = tm.signal_grid(grid)[clear]
     # where ``hazard`` raises, the point is left out
-    ws = ws[~_inverse_hazard(tm, ws)[1]]
+    ws = ws[~np.isnan(_inverse_hazard(tm, ws))]
     hz = tm.signal.pdf_many(ws) / tm.signal.sf_many(ws)
     # max() from 0, which meets a NaN deviation in point order
     dev = max([0.0] + np.abs(hz - 1.0).tolist())
@@ -367,7 +367,7 @@ def verify_prop2(model: ScreeningModel, grid: GridSpec | None = None,
     Vs = k.lower + np.array([1e-2, 1e-3, 1e-4, 0.25, 0.5, 0.75]) * span
     _, h, dHdv = model.kernel.eval_lattice(model, levels[:, None],
                                            Vs[None, :], tol)
-    G, _ = _ratio(h, dHdv)
+    G = _ratio(h, dHdv)
 
     # Mechanism 1: the ratio collapses toward zero at the lower edge.
     trend = []

@@ -12,15 +12,19 @@ A0 is scanned through the inverse hazard (survival over density), which must
 be weakly decreasing; near the upper endpoint the inverse form stays finite
 where the hazard itself blows up. A1 and A2 are scanned through the
 information ratio gamma = -(dH_v/dv)/h_v, which must be weakly decreasing
-along the corresponding axis. The FOSD slack is relative to the local
+along the corresponding axis. For additive noise dH_v/dv = -h_v exactly, so
+gamma reads 1 at every point that evaluated, also where h_v underflows, and
+narrow noise gets a verdict. The FOSD slack is relative to the local
 density: a point is flagged only when dHdv >= -slack * h and h is above
 the density floor, so a thin tail where both quantities underflow together
-is a hole, as it is for A1, A2 and PSI, and not a spurious hit.
+is not a spurious hit.
 
-Evaluation failures (density underflow, survival exhausted) are tolerated up
-to 1% of the lattice per check and excluded from the scans; past that the
-check aborts and names the failing region rather than reporting a verdict
-built on holes.
+A check's holes are the NaN of the field it reads: the inverse hazard for
+A0, gamma for A1, A2 and FOSD, the virtual value for PSI. A point is a hole
+where an evaluation failed or a density or survival fell below its floor.
+Holes are tolerated up to 1% of the field and excluded from the scans; past
+that the check aborts and names the box that holds them rather than
+reporting a verdict built on holes.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import numpy as np
 
 from .errors import DensityUnderflowError, EvaluationError, NearEndpointError
 from .model_core import (
+    AdditiveNoiseKernel,
     GridSpec,
     ScreeningModel,
     ToleranceConfig,
@@ -61,6 +66,16 @@ _SURVIVAL_FLOOR = 1e-15
 _DENSITY_FLOOR = 1e-300
 _WITNESS_CAP = 64
 _FAIL_FRACTION = 0.01
+# per check: the bundle field whose NaN are its holes and which it scans,
+# the axes it scans along, the direction the field must keep and the
+# witnesses' label; FOSD scans nothing and reads hits of its own
+_CHECKS = {
+    "A0": ("inv_hazard", ("v",), "decreasing", "inverse_hazard"),
+    "A1": ("gamma", ("V",), "decreasing", "gamma"),
+    "A2": ("gamma", ("v",), "decreasing", "gamma"),
+    "FOSD": ("gamma", (), None, None),
+    "PSI": ("psi", ("V", "v"), "increasing", "psi"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +141,7 @@ class Field2D:
 
 @dataclass
 class _Bundle:
-    """Every lattice field the checks read, evaluated once."""
+    """Every lattice field the checks read, evaluated once; a NaN is a hole."""
 
     vs: np.ndarray
     Vs: np.ndarray
@@ -136,51 +151,48 @@ class _Bundle:
     psi: np.ndarray
     H: np.ndarray
     inv_hazard: np.ndarray
-    hazard_failed: np.ndarray
-    kernel_failures: list[tuple[float, float]]
 
 
-def _inverse_hazard(model: ScreeningModel, vs: np.ndarray):
-    """Inverse hazard on the signal lattice, and the mask of points where
-    the hazard could not be evaluated (those hold NaN).
+def _inverse_hazard(model: ScreeningModel, vs: np.ndarray) -> np.ndarray:
+    """Inverse hazard on the signal lattice, equal to ``hazard`` bit for bit.
 
-    The signal's array forms give every point at once, equal to ``hazard``
-    bit for bit; a point below the survival or density floor is marked
-    failed, and an error the array forms raise stands.
+    The signal's array forms give every point at once; a point below the
+    survival or density floor holds NaN, and an error the array forms raise
+    stands.
     """
     s = model.signal.sf_many(vs)
     f = model.signal.pdf_many(vs)
-    failed = (s <= _SURVIVAL_FLOOR) | (f < _DENSITY_FLOOR)
     inv = np.full(len(vs), np.nan)
-    np.divide(s, f, out=inv, where=~failed)
-    return inv, failed
+    np.divide(s, f, out=inv,
+              where=(s > _SURVIVAL_FLOOR) & (f >= _DENSITY_FLOOR))
+    return inv
 
 
-def _ratio(h: np.ndarray, dHdv: np.ndarray):
+def _ratio(h: np.ndarray, dHdv: np.ndarray) -> np.ndarray:
     """The information ratio of lattice arrays, equal to ``gamma`` bit for
-    bit, and the mask of points where it is defined. A density below the
-    floor, or the NaN of a failed evaluation, leaves NaN there."""
-    ok = h >= _DENSITY_FLOOR
+    bit. A density below the floor, or the NaN of a failed evaluation,
+    leaves NaN there."""
     G = np.full_like(h, np.nan)
-    np.divide(-dHdv, h, out=G, where=ok)
-    return G, ok
+    np.divide(-dHdv, h, out=G, where=h >= _DENSITY_FLOOR)
+    return G
 
 
 def _evaluate_bundle(model: ScreeningModel, grid: GridSpec,
                      tol: ToleranceConfig) -> _Bundle:
     vs = model.signal_grid(grid)
     Vs = model.value_grid(grid)
-    inv_haz, hazard_failed = _inverse_hazard(model, vs)
+    inv_haz = _inverse_hazard(model, vs)
     H, h, dHdv = model.kernel.eval_lattice(model, vs[:, None], Vs[None, :],
                                            tol)
-    G, ok = _ratio(h, dHdv)
-    v_list, V_list = vs.tolist(), Vs.tolist()
-    kernel_failures = [(v_list[i], V_list[j])
-                       for i, j in zip(*np.nonzero(~ok))]
+    if type(model.kernel) is AdditiveNoiseKernel:
+        # dH/dv = -h exactly, so gamma is 1 wherever the point evaluated,
+        # also where h underflows
+        G = np.where(np.isnan(h), np.nan, 1.0)
+    else:
+        G = _ratio(h, dHdv)
     psi = Vs[None, :] - inv_haz[:, None] * G
     return _Bundle(vs=vs, Vs=Vs, h=h, dHdv=dHdv, gamma=G, psi=psi, H=H,
-                   inv_hazard=inv_haz, hazard_failed=hazard_failed,
-                   kernel_failures=kernel_failures)
+                   inv_hazard=inv_haz)
 
 
 def compute_field(model: ScreeningModel, name: str,
@@ -222,17 +234,21 @@ class CheckReport:
         return asdict(self)
 
 
-def _abort_if_holey(name: str, n_failed: int, n_total: int,
-                    coords: list[tuple[float, float | None]]) -> None:
-    if n_failed <= _FAIL_FRACTION * n_total:
+def _abort_if_holey(name: str, holes: np.ndarray, vs: np.ndarray,
+                    Vs: np.ndarray | None) -> None:
+    """Raise once more than 1% of a field are holes, naming the box of
+    signals (and, for a lattice field, values) where they lie."""
+    n_failed = int(holes.sum())
+    if n_failed <= _FAIL_FRACTION * holes.size:
         return
-    vs = [c[0] for c in coords]
-    Vs = [c[1] for c in coords if c[1] is not None]
-    box = f"v in [{min(vs):.6g}, {max(vs):.6g}]"
-    if Vs:
-        box += f", V in [{min(Vs):.6g}, {max(Vs):.6g}]"
+    lattice = holes.ndim == 2
+    at = vs[holes.any(axis=1) if lattice else holes]
+    box = f"v in [{at.min():.6g}, {at.max():.6g}]"
+    if lattice:
+        at = Vs[holes.any(axis=0)]
+        box += f", V in [{at.min():.6g}, {at.max():.6g}]"
     raise EvaluationError(
-        f"{name} check aborted: {n_failed} of {n_total} evaluations failed "
+        f"{name} check aborted: {n_failed} of {holes.size} evaluations failed "
         f"inside {box}")
 
 
@@ -329,30 +345,20 @@ def check_assumption(model: ScreeningModel, which: str,
     grid, tol = resolve_config(grid, tolerances)
     prov = _provenance(model, grid, tol)
     slack = tol.monotonicity_slack
-
-    if code == "A0":
+    name, axes, direction, label = _CHECKS[code]
+    if code == "A0" and bundle is None:
+        vs, Vs = model.signal_grid(grid), None
+        values = _inverse_hazard(model, vs)
+    else:
         if bundle is None:
-            vs = model.signal_grid(grid)
-            inv, failed = _inverse_hazard(model, vs)
-        else:
-            vs, inv = bundle.vs, bundle.inv_hazard
-            failed = bundle.hazard_failed
-        failures = [(v, None) for v in vs[failed].tolist()]
-        _abort_if_holey("A0", len(failures), len(vs), failures)
-        part = _scan_lines(inv, vs, None, "v", "decreasing", slack,
-                           "inverse_hazard")
-        return _finish("A0", [part], len(vs), len(failures), prov)
-
-    if bundle is None:
-        bundle = _evaluate_bundle(model, grid, tol)
-    n_total = len(bundle.vs) * len(bundle.Vs)
-
+            bundle = _evaluate_bundle(model, grid, tol)
+        vs, Vs, values = bundle.vs, bundle.Vs, getattr(bundle, name)
+    holes = np.isnan(values)
+    _abort_if_holey(code, holes, vs, Vs)
     if code == "FOSD":
-        _abort_if_holey("FOSD", len(bundle.kernel_failures), n_total,
-                        bundle.kernel_failures)
         i, j = np.nonzero((bundle.dHdv >= -slack * bundle.h)
                           & (bundle.h >= _DENSITY_FLOOR))
-        v, V = bundle.vs[i], bundle.Vs[j]
+        v, V = vs[i], Vs[j]
         d, hloc = bundle.dHdv[i, j], bundle.h[i, j]
         margin = d + slack * hloc
 
@@ -360,26 +366,11 @@ def check_assumption(model: ScreeningModel, which: str,
             return {"v": float(v[n]), "V": float(V[n]), "dHdv": float(d[n]),
                     "h": float(hloc[n]), "violation": float(margin[n])}
 
-        return _finish("FOSD", [(margin, v, V, witness)], n_total,
-                       len(bundle.kernel_failures), prov)
-
-    if code in ("A1", "A2"):
-        _abort_if_holey(code, len(bundle.kernel_failures), n_total,
-                        bundle.kernel_failures)
-        axis = "V" if code == "A1" else "v"
-        part = _scan_lines(bundle.gamma, bundle.vs, bundle.Vs, axis,
-                           "decreasing", slack, "gamma")
-        return _finish(code, [part], n_total, len(bundle.kernel_failures),
-                       prov)
-
-    # PSI: virtual value must rise along both axes.
-    n_failed = int(np.isnan(bundle.psi).sum())
-    failed_coords = [(float(bundle.vs[i]), float(bundle.Vs[j]))
-                     for i, j in zip(*np.nonzero(np.isnan(bundle.psi)))]
-    _abort_if_holey("PSI", n_failed, n_total, failed_coords)
-    parts = [_scan_lines(bundle.psi, bundle.vs, bundle.Vs, axis,
-                         "increasing", slack, "psi") for axis in ("V", "v")]
-    return _finish("PSI", parts, n_total, n_failed, prov)
+        parts = [(margin, v, V, witness)]
+    else:
+        parts = [_scan_lines(values, vs, Vs, axis, direction, slack, label)
+                 for axis in axes]
+    return _finish(code, parts, holes.size, int(holes.sum()), prov)
 
 
 # ---------------------------------------------------------------------------

@@ -604,9 +604,9 @@ def _identity_errors(base: ScreeningModel, tm: TransformedModel,
     for m, x in ((base, vs), (tm, f[:, 0])):
         dens, rate = [c[:, 0] for c in m.kernel.pdf_cdf_dv_many(
             m, x[:, None], Vs[:, None])]
-        inv, inv_failed = _inverse_hazard(m, x)
+        inv = _inverse_hazard(m, x)
         vanished = vanished | (dens < _DENSITY_FLOOR)
-        undefined = undefined | inv_failed
+        undefined = undefined | np.isnan(inv)
         parts.append((_pdf_over_sf(m.signal, x), -rate, dens, inv))
     _unevaluable(vs, Vs, {"conditional density vanished": vanished,
                           "signal hazard undefined": undefined})

@@ -81,9 +81,6 @@ C9_SIGNALS = {"uniform": "family = uniform\nsupport = 0.0 1.0",
               "table": "family = table\nparams = 0.0:1.0 0.5:2.0 1.0:0.5"}
 C9_NOISES = ("normal", "logistic", "laplace")
 C9_SCALES = (1.0, 0.1, 0.01, 0.001)
-# where h and dH/dv underflow, A1 aborts (exit 2)
-C9_ABORTED = {("normal", 0.01), ("normal", 0.001), ("logistic", 0.001),
-              ("laplace", 0.001)}
 
 
 def _report(criterion: int, name: str, parts):
@@ -372,10 +369,7 @@ def test_criterion_8_deterministic_outputs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("signal, noise, scale", [
-    pytest.param(signal, noise, scale, marks=pytest.mark.xfail(
-        strict=True, reason="A1 aborts where narrow noise underflows h "
-        "(ROADMAP known defect: narrow additive noise exits 2)"))
-    if (noise, scale) in C9_ABORTED else (signal, noise, scale)
+    (signal, noise, scale)
     for signal in C9_SIGNALS for noise in C9_NOISES for scale in C9_SCALES])
 def test_criterion_9_additive_noise_meets_the_third_claim(
         signal, noise, scale, tmp_path, capsys):

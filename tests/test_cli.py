@@ -65,17 +65,15 @@ noise.family = normal
 
 BETA_LOGISTIC = BETA_NORMAL.replace("normal", "logistic")
 
-# The value density underflows far from the diagonal, so gamma and psi
-# hold NaN at two corners of a 3x4 lattice.
-THIN_LAPLACE = """\
+# The value density falls below the 1e-300 floor at large signals and low
+# values, so gamma and psi hold NaN at one corner of a 3x4 lattice.
+WIDE_TILT = """\
 [signal]
 family = uniform
-support = 0.0 1.0
+support = 0.5 1000.0
 
 [kernel]
-family = additive_noise
-noise.family = laplace
-noise.scale = 0.001
+family = exp_tilt
 """
 
 
@@ -87,7 +85,7 @@ def files(tmp_path_factory):
                        ("dechaz", DECREASING_HAZARD),
                        ("beta", BETA_NORMAL),
                        ("beta_logistic", BETA_LOGISTIC),
-                       ("thin", THIN_LAPLACE)]:
+                       ("tilt", WIDE_TILT)]:
         p = root / f"{name}.model"
         p.write_text(text)
         paths[name] = str(p)
@@ -561,17 +559,17 @@ class TestGrid:
 
     def test_rows_match_per_point_formatting(self, files, tmp_path, capsys):
         target = tmp_path / "psi.csv"
-        rc, out, _ = run(capsys, "grid", files["thin"], "--what", "psi",
+        rc, out, _ = run(capsys, "grid", files["tilt"], "--what", "psi",
                          "--grid", "3x4")
         assert rc == 0
-        rc, empty, _ = run(capsys, "grid", files["thin"], "--what", "psi",
+        rc, empty, _ = run(capsys, "grid", files["tilt"], "--what", "psi",
                            "--grid", "3x4", "--out", str(target))
         assert (rc, empty) == (0, "")
         assert target.read_text(encoding="utf-8") == out
-        model, grid, tol = load(files["thin"])
+        model, grid, tol = load(files["tilt"])
         grid = dataclasses.replace(grid, v_points=3, V_points=4)
         field = compute_field(model, "psi", grid, tol)
-        assert np.isnan(field.values).sum() == 2
+        assert np.isnan(field.values).sum() == 1
         want = "v,V,value\n" + "".join(
             "%.17g,%.17g,%.17g\n" % row for row in field.rows())
         assert out == want
@@ -755,8 +753,20 @@ def test_exp_tilt_at_large_signals_keeps_the_contract(tmp_path, capsys, hi,
     else:
         # the density is below the 1e-300 floor where v(1 - V) > ~700
         assert rc == 2 and out == ""
-        assert_one_error_line(err, "A1 check aborted: 19 of 289 evaluations "
-                              "failed inside v in [750.075, 999.9]")
+        assert err == ("seqscreen: error: A1 check aborted: 19 of 289 "
+                       "evaluations failed inside v in [750.075, 999.9], "
+                       "V in [0.0001, 0.25005]\n")
+
+
+def test_a0_abort_names_the_signal_box_alone(tmp_path, capsys):
+    """A0 scans the signal grid alone, so its abort names no value box:
+    beta(2, 60)'s density is below the 1e-300 floor over the upper half."""
+    path = tmp_path / "beta.model"
+    path.write_text(BETA_LOGISTIC.replace("beta=2.0", "beta=60.0"))
+    rc, out, err = run(capsys, "check", str(path), "--grid", "17x17")
+    assert rc == 2 and out == ""
+    assert err == ("seqscreen: error: A0 check aborted: 9 of 17 evaluations "
+                   "failed inside v in [0.5, 0.9999]\n")
 
 
 TABLE_KERNEL = """\

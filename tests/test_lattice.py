@@ -2,6 +2,7 @@
 closed-form references bit for bit, and the scalar fallback for other
 kernels."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from seqscreen.model_core import (
     make_signal,
 )
 from seqscreen.propositions import verify, verify_prop2
-from seqscreen.regularity import _evaluate_bundle, regularity_report
+from seqscreen.regularity import _Bundle, _evaluate_bundle, regularity_report
 from seqscreen.transforms import relabel
 
 from reference_forms import kernel_forms
@@ -218,6 +219,12 @@ class _BandedKernel(AdditiveNoiseKernel):
         return super().pdf(v, V)
 
 
+def test_the_bundle_keeps_no_failure_record():
+    """A hole is the NaN of its field; the bundle holds the fields alone."""
+    assert [f.name for f in dataclasses.fields(_Bundle)] == [
+        "vs", "Vs", "h", "dHdv", "gamma", "psi", "H", "inv_hazard"]
+
+
 class TestScalarFallback:
     def test_banded_kernel_reports_band_as_failures(self, monkeypatch):
         plain = MODELS["logistic"]
@@ -237,12 +244,13 @@ class TestScalarFallback:
         monkeypatch.setattr(model_core, "eval_kernel", counted)
         b = _evaluate_bundle(model, grid, DEFAULT_TOLERANCES)
         assert len(calls) == 9 * 129
-        vs = plain.signal_grid(grid).tolist()
-        assert b.kernel_failures == [(v, Vs[40]) for v in vs]
-
-        ref = _evaluate_bundle(plain, grid, DEFAULT_TOLERANCES)
         keep = np.ones(b.h.shape, dtype=bool)
         keep[:, 40] = False
+        # the band's column is the one hole of gamma and psi
+        assert np.array_equal(np.isnan(b.gamma), ~keep)
+        assert np.array_equal(np.isnan(b.psi), ~keep)
+
+        ref = _evaluate_bundle(plain, grid, DEFAULT_TOLERANCES)
         for name in ("H", "h", "dHdv", "gamma", "psi"):
             got, want = getattr(b, name), getattr(ref, name)
             assert np.all(np.isnan(got[:, 40]))

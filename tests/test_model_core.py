@@ -580,7 +580,7 @@ class TestEvalPrimitives:
         assert ke.H == pytest.approx(0.5, abs=1e-15)
         assert ke.h == pytest.approx(0.25, abs=1e-15)
         assert ke.dHdv == pytest.approx(-0.25, abs=1e-15)
-        assert not ke.fosd_violation
+        assert ke.dHdv < 0
 
     def test_eval_kernel_rejects_out_of_domain(self):
         m = power_model()

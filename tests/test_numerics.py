@@ -278,11 +278,6 @@ class TestInvertMonotone:
         x = invert_monotone(lambda t: t * t, 2.0, 0.0, 2.0)
         assert x == pytest.approx(math.sqrt(2.0), abs=1e-11)
 
-    def test_respects_precomputed_bracket_values(self):
-        x = invert_monotone(math.atan, 0.5, -2.0, 2.0,
-                            f_lower=math.atan(-2.0), f_upper=math.atan(2.0))
-        assert x == pytest.approx(math.tan(0.5), abs=1e-11)
-
     def test_bad_bracket_rejected(self):
         with pytest.raises(ConstructionError):
             invert_monotone(lambda t: t, 10.0, 0.0, 1.0)

@@ -9,6 +9,7 @@ from seqscreen.errors import EvaluationError, NearEndpointError
 from seqscreen.model_core import (
     AdditiveNoiseKernel,
     BetaSignal,
+    DEFAULT_TOLERANCES,
     ExpTiltKernel,
     GridSpec,
     PowerKernel,
@@ -21,6 +22,7 @@ from seqscreen.model_core import (
 from seqscreen.numerics import Interval
 from seqscreen.regularity import (
     CHECK_CODES,
+    _evaluate_bundle,
     check_assumption,
     compute_field,
     gamma,
@@ -28,6 +30,7 @@ from seqscreen.regularity import (
     regularity_report,
     virtual_value,
 )
+from seqscreen.transforms import TransformedModel, make_relabeling
 
 
 def uniform_logistic():
@@ -241,14 +244,31 @@ class TestFOSD:
 
     def test_an_underflowed_density_is_a_hole_not_a_hit(self):
         # Narrow normal noise underflows h and dHdv to 0 far from the
-        # signal; those points are holes for every lattice check, FOSD too.
+        # signal. Relabeled, the kernel is not additive, so gamma is a
+        # ratio there and those points are holes for every lattice check,
+        # FOSD too, though dHdv >= 0 at some of them.
         m = ScreeningModel(UniformSignal(Interval(0.0, 1.0)),
                            AdditiveNoiseKernel(noise="normal", scale=0.03))
-        rep = regularity_report(m)
+        tm = TransformedModel(m, make_relabeling(m, "affine", slope=2.0))
+        b = _evaluate_bundle(tm, GridSpec(), DEFAULT_TOLERANCES)
+        assert np.any((b.dHdv >= 0.0) & np.isnan(b.gamma))
+        rep = regularity_report(tm)
         assert rep.fosd_ok
         fosd = rep.checks["FOSD"]
         assert (fosd.n_violations, fosd.n_failed) == (0, 62)
-        assert [rep.checks[c].n_failed for c in ("A1", "A2")] == [62, 62]
+        assert [rep.checks[c].n_failed
+                for c in ("A1", "A2", "PSI")] == [62, 62, 62]
+
+    def test_additive_noise_underflow_leaves_no_hole(self):
+        # dH/dv = -h exactly, so gamma is 1 also where h underflows
+        m = ScreeningModel(UniformSignal(Interval(0.0, 1.0)),
+                           AdditiveNoiseKernel(noise="normal", scale=0.03))
+        b = _evaluate_bundle(m, GridSpec(), DEFAULT_TOLERANCES)
+        assert np.sum(b.h < 1e-300) == 62
+        assert np.all(b.gamma == 1.0)
+        rep = regularity_report(m)
+        assert all(r.passed and r.n_failed == 0
+                   for r in rep.checks.values())
 
 
 class TestPSI:
